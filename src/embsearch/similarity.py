@@ -3,6 +3,13 @@
 Inputs must be unit-normalized so the dense product is cosine similarity.
 Ties are always broken toward the lower gallery id, which makes ranked
 lists reproducible bit-for-bit across runs.
+
+Top-k is exact partial selection per block of query rows, after the tiled
+k-selection of flat exact indexes (Johnson, Douze & Jegou, arXiv:1702.08734):
+each row's k-th best score is found with a partition, every column at or
+above it is kept, and the kept columns are ordered by (-score, gallery id).
+Beyond the score matrix and the returned lists, its working memory is
+O(BLOCK_SCORES), i.e. O(block rows x n_gallery), never O(n_queries x n_gallery).
 """
 from __future__ import annotations
 
@@ -13,6 +20,11 @@ import numpy as np
 
 from .data import EmbeddingMatrix
 from .errors import DimMismatch, KOutOfRange, NonFiniteValue, NotNormalized, ParseError
+
+# Scores top_k examines at once (1 MB of float32): a block holds
+# max(1, BLOCK_SCORES // n_gallery) query rows, which bounds top_k's working
+# memory independently of n_queries and keeps each block cache-sized.
+BLOCK_SCORES = 1 << 18
 
 
 @dataclass
@@ -36,20 +48,41 @@ def similarity_matrix(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.
 
 
 def top_k(sims: np.ndarray, k: int) -> list[RankedList]:
-    """Per-query k best gallery ids; equal scores resolve to the lower id."""
-    n_gallery = sims.shape[1]
+    """Per-query k best gallery ids; equal scores resolve to the lower id.
+
+    The result equals a stable sort of each row by descending score, cut to
+    k, including for non-finite scores: -0.0 ties with 0.0, +inf ranks
+    first, -inf after every finite score, and NaN last of all, NaNs among
+    themselves in ascending id. A row that holds a NaN is ordered in full,
+    because its k-th best score cannot be read from the partition.
+    """
+    n_queries, n_gallery = sims.shape
     if not 1 <= k <= n_gallery:
         raise KOutOfRange(f"k={k} outside [1, {n_gallery}]")
-    # stable sort on negated scores keeps ascending gallery-id order for ties
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    picked = np.take_along_axis(sims, order, axis=1)
-    return [
-        RankedList(
-            query_id=i,
-            entries=[(int(g), float(s)) for g, s in zip(order[i], picked[i])],
+    step = max(1, BLOCK_SCORES // n_gallery)
+    kth = n_gallery - k
+    lists = []
+    for lo in range(0, n_queries, step):
+        block = sims[lo:lo + step]
+        # ascending partition puts each row's k best (NaN counted as largest)
+        # at kth and after, so a NaN anywhere in a row shows up in that tail
+        tail = np.partition(block, kth, axis=1)[:, kth:]
+        keep = block >= tail[:, :1]
+        keep[np.isnan(tail).any(axis=1)] = True
+        # flat indices: 2-D nonzero is several times slower on wide rows
+        rows, cols = np.divmod(np.flatnonzero(keep), n_gallery)
+        scores = block[rows, cols]
+        order = np.lexsort((cols, -scores, rows))
+        # every row keeps at least k columns; rows are contiguous in order
+        starts = np.searchsorted(rows, np.arange(len(block)))
+        pick = order[(starts[:, None] + np.arange(k)).ravel()]
+        ids = cols[pick].reshape(-1, k).tolist()
+        picked = scores[pick].reshape(-1, k).tolist()
+        lists.extend(
+            RankedList(query_id=lo + i, entries=list(zip(ids[i], picked[i])))
+            for i in range(len(ids))
         )
-        for i in range(sims.shape[0])
-    ]
+    return lists
 
 
 def write_ranked_lists(

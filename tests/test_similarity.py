@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,30 @@ def norm_matrix(arr):
 def sort_oracle(scores):
     """Naive full sort of one score row, ties toward the lower gallery id."""
     return sorted(range(len(scores)), key=lambda g: (-scores[g], g))
+
+
+def assert_equals_reference(lists, sims, k):
+    """top_k must reproduce a stable full argsort of the negated scores,
+    NaN and signed zeros included."""
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    picked = np.take_along_axis(sims, order, axis=1)
+    assert [rl.query_id for rl in lists] == list(range(sims.shape[0]))
+    for rl in lists:
+        assert [g for g, _ in rl.entries] == order[rl.query_id].tolist()
+        # compare bit patterns so -0.0 against 0.0 and NaN count
+        got = np.array([s for _, s in rl.entries], dtype=sims.dtype)
+        assert got.tobytes() == picked[rl.query_id].tobytes()
+
+
+@pytest.fixture
+def rows_per_block(monkeypatch):
+    """Shrink the score budget so a call spans several blocks of `rows`
+    query rows each; callers choose n_queries so the last block is partial."""
+
+    def _set(rows, n_gallery):
+        monkeypatch.setattr(similarity, "BLOCK_SCORES", rows * n_gallery + n_gallery - 1)
+
+    return _set
 
 
 class TestSimilarityMatrix:
@@ -120,6 +146,132 @@ class TestTopK:
         lists = similarity.top_k(similarity.similarity_matrix(q, g), 1)
         for rl in lists:
             assert rl.entries[0][0] == manifest.ground_truth[rl.query_id]
+
+
+class TestTopKBlocks:
+    """Block boundaries, tie boundaries and non-finite scores in blocked top-k."""
+
+    def test_all_equal_rows(self, rows_per_block):
+        rows_per_block(3, 6)
+        sims = np.full((7, 6), 0.25, dtype=np.float32)
+        for k in (1, 4, 6):
+            lists = similarity.top_k(sims, k)
+            for rl in lists:
+                assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+            assert_equals_reference(lists, sims, k)
+
+    def test_ties_straddle_rank_k(self, rows_per_block):
+        rows_per_block(2, 7)
+        sims = np.array(
+            [
+                [0.1, 0.5, 0.9, 0.5, 0.5, 0.2, 0.5],
+                [0.5, 0.5, 0.5, 0.9, 0.1, 0.9, 0.3],
+                [0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.9],
+                [0.9, 0.1, 0.1, 0.1, 0.9, 0.1, 0.1],
+                [0.0, 0.7, 0.7, 0.0, 0.7, 0.0, 0.7],
+            ],
+            dtype=np.float32,
+        )
+        for k in range(1, 8):
+            lists = similarity.top_k(sims, k)
+            for rl in lists:
+                assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+
+    def test_signed_zero_ties(self, rows_per_block):
+        rows_per_block(1, 6)
+        sims = np.array(
+            [
+                [0.0, -0.0, -0.5, 0.0, -0.0, -0.5],
+                [-0.0, 0.0, -0.0, 0.0, 0.5, -0.0],
+                [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+            ],
+            dtype=np.float32,
+        )
+        for k in range(1, 7):
+            lists = similarity.top_k(sims, k)
+            for rl in lists:
+                assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+            assert_equals_reference(lists, sims, k)
+
+    def test_k_extremes(self, rows_per_block):
+        rng = np.random.default_rng(11)
+        sims = np.round(rng.random((9, 8)), 1).astype(np.float32)
+        rows_per_block(4, 8)
+        for k in (1, 8):
+            lists = similarity.top_k(sims, k)
+            for rl in lists:
+                assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+        column = sims[:, :1]
+        rows_per_block(4, 1)
+        lists = similarity.top_k(column, 1)
+        assert [rl.entries for rl in lists] == [[(0, float(s))] for s in column[:, 0]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_q=st.integers(1, 12),
+        n_g=st.integers(1, 30),
+        rows=st.integers(1, 5),
+        data_=st.data(),
+    )
+    def test_blocked_oracle_property(self, seed, n_q, n_g, rows, data_):
+        k = data_.draw(st.integers(1, n_g))
+        rng = np.random.default_rng(seed)
+        # one decimal in [-1, 1] forces ties, and rounding small negatives
+        # yields -0.0 to tie with 0.0
+        sims = np.round(rng.random((n_q, n_g)) * 2 - 1, 1).astype(np.float32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(similarity, "BLOCK_SCORES", rows * n_g)
+            lists = similarity.top_k(sims, k)
+        for rl in lists:
+            assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+        assert_equals_reference(lists, sims, k)
+
+    def test_non_finite_with_finite_kth_score(self, rows_per_block):
+        nan, inf = np.nan, np.inf
+        sims = np.array(
+            [
+                [0.2, nan, 0.9, -inf, 0.5, nan, 0.1],
+                [inf, 0.3, inf, 0.3, -inf, 0.7, nan],
+                [-inf, 0.4, -inf, 0.4, 0.6, 0.0, -0.0],
+                [nan, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+            ],
+            dtype=np.float32,
+        )
+        rows_per_block(3, 7)
+        for k in (1, 2, 3):
+            assert_equals_reference(similarity.top_k(sims, k), sims, k)
+
+    def test_rows_with_fewer_than_k_non_nan_scores(self, rows_per_block):
+        nan, inf = np.nan, np.inf
+        sims = np.array(
+            [
+                [nan, 0.3, nan, nan, 0.8],
+                [nan, nan, nan, nan, nan],
+                [0.1, 0.2, 0.3, 0.4, 0.5],
+                [-inf, nan, -inf, nan, inf],
+                [nan, -0.0, nan, 0.0, nan],
+            ],
+            dtype=np.float32,
+        )
+        rows_per_block(2, 5)
+        for k in range(1, 6):
+            assert_equals_reference(similarity.top_k(sims, k), sims, k)
+
+    def test_working_memory_stays_below_score_matrix(self, rows_per_block):
+        sims = np.random.default_rng(12).random((2000, 2000)).astype(np.float32)
+        rows_per_block(16, 2000)
+        tracemalloc.start()
+        try:
+            lists = similarity.top_k(sims, 10)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lists) == 2000
+        # working memory is the peak above what the returned lists keep; a
+        # full argsort holds a negated copy plus int64 indices, 3x nbytes,
+        # and even an n x n boolean mask would be nbytes // 4
+        assert peak - kept < sims.nbytes // 16
 
 
 class TestRankedListIO:

@@ -25,7 +25,7 @@ from .objective import (
     match_loss,
     train_adapter,
 )
-from .resolver import Resolution, ResolutionPolicy, assignment_oracle, resolve
+from .resolver import Resolution, ResolutionPolicy, resolve
 from .similarity import RankedList, similarity_matrix, top_k
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "SynthConfig",
     "TrainConfig",
     "apply_adapter",
-    "assignment_oracle",
     "compare_reports",
     "contrastive_loss",
     "generate_synthetic",

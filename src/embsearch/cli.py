@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -97,16 +98,7 @@ def cmd_train_adapter(args) -> int:
     )
     params, trace = objective.train_adapter(queries, gallery, manifest.ground_truth, cfg)
     objective.save_adapter(args.out, params)
-    meta = {
-        "dataset": manifest.name,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "step_size": cfg.step_size,
-        "weight_decay": cfg.weight_decay,
-        "lambda_match": cfg.lambda_match,
-        "temperature": cfg.temperature,
-        "seed": cfg.seed,
-    }
+    meta = {"dataset": manifest.name, **dataclasses.asdict(cfg)}
     if args.trace:
         objective.write_trace(args.trace, trace, meta=meta)
     if trace:

@@ -20,6 +20,7 @@ from .errors import (
     MissingFile,
     NonFiniteValue,
     ParseError,
+    PipelineError,
     ZeroVector,
 )
 
@@ -54,8 +55,6 @@ class DatasetManifest:
                 raise GroundTruthOutOfRange(
                     f"ground_truth[{qid}] = {gid} outside [0, {self.gallery_count})"
                 )
-        if len(self.ground_truth) != self.query_count:
-            raise GroundTruthOutOfRange("ground_truth must cover every query exactly once")
 
 
 @dataclass
@@ -115,18 +114,36 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def _expected_bytes(rows: int, dim: int) -> int:
-    return rows * dim * 4
+def _require_file(path: str | Path, what: str, size: int | None = None) -> Path:
+    """Return path as a Path; every reader checks its input file here.
+
+    Raises MissingFile if it is not a file and, when size is given,
+    DimensionMismatch if the file does not hold exactly that many bytes.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(f"{what} not found: {path}")
+    actual = path.stat().st_size
+    if size is not None and actual != size:
+        raise DimensionMismatch(f"{what} {path} is {actual} bytes, expected {size}")
+    return path
+
+
+def _read_text(path: str | Path, what: str) -> str:
+    """UTF-8 text of an existing file; undecodable bytes raise ParseError."""
+    path = _require_file(path, what)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse and fully validate a dataset manifest, including file sizes."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"manifest not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raw = json.loads(_read_text(path, "manifest"))
+    except json.JSONDecodeError as exc:
         raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
 
     try:
@@ -150,15 +167,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         ("query", manifest.query_path, manifest.query_count),
         ("gallery", manifest.gallery_path, manifest.gallery_count),
     ):
-        if not fpath.is_file():
-            raise MissingFile(f"{split} file not found: {fpath}")
-        expected = _expected_bytes(rows, manifest.dim)
-        actual = fpath.stat().st_size
-        if actual != expected:
-            raise DimensionMismatch(
-                f"{split} file {fpath} is {actual} bytes, expected {expected} "
-                f"({rows} x {manifest.dim} x 4)"
-            )
+        _require_file(fpath, f"{split} file", rows * manifest.dim * 4)
     return manifest
 
 
@@ -179,15 +188,8 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 
 def read_embedding_file(path: str | Path, rows: int, dim: int) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"embedding file not found: {path}")
-    buf = path.read_bytes()
-    if len(buf) != _expected_bytes(rows, dim):
-        raise DimensionMismatch(
-            f"{path}: {len(buf)} bytes, expected {_expected_bytes(rows, dim)}"
-        )
-    arr = np.frombuffer(buf, dtype="<f4").reshape(rows, dim)
+    path = _require_file(path, "embedding file", rows * dim * 4)
+    arr = np.frombuffer(path.read_bytes(), dtype="<f4").reshape(rows, dim)
     if not np.all(np.isfinite(arr)):
         bad = int(np.argwhere(~np.isfinite(arr))[0][0])
         raise NonFiniteValue(f"{path}: non-finite value in row {bad}")
@@ -302,40 +304,37 @@ def generate_synthetic(
 
 
 def validate_dataset(manifest: DatasetManifest) -> ValidationReport:
-    """Run every dataset health check; failures become report entries."""
+    """Run every dataset health check; failures become report entries.
+
+    The manifest and each split are checked by the code that loads them, so
+    a failed check's detail is that loader's error message. On top of the
+    loaders, ground truth must be one-to-one; rows that are not unit-norm
+    only warn.
+    """
     report = ValidationReport()
-
-    def check(name: str, passed: bool, detail: str = "") -> None:
-        report.checks.append(ValidationCheck(name, passed, detail))
-
     arrays = {}
-    for split, fpath, rows in (
-        ("query", manifest.query_path, manifest.query_count),
-        ("gallery", manifest.gallery_path, manifest.gallery_count),
+    for name, load in (
+        ("manifest", manifest.validate),
+        ("query", lambda: load_embeddings(manifest, "query").data),
+        ("gallery", lambda: load_embeddings(manifest, "gallery").data),
     ):
-        fpath = Path(fpath)
-        expected = _expected_bytes(rows, manifest.dim)
-        exists = fpath.is_file()
-        size_ok = exists and fpath.stat().st_size == expected
-        check(f"{split}_file_size", size_ok,
-              "" if size_ok else f"expected {expected} bytes")
-        if size_ok:
-            arr = np.frombuffer(fpath.read_bytes(), dtype="<f4").reshape(rows, manifest.dim)
-            finite = bool(np.all(np.isfinite(arr)))
-            check(f"{split}_finite", finite)
-            if finite:
-                arrays[split] = arr
+        try:
+            arrays[name] = load()
+        except PipelineError as exc:
+            report.checks.append(ValidationCheck(name, False, str(exc)))
+        else:
+            report.checks.append(ValidationCheck(name, True))
 
-    in_range = all(0 <= g < manifest.gallery_count for g in manifest.ground_truth.values())
-    check("ground_truth_range", in_range)
-    covered = set(manifest.ground_truth) == set(range(manifest.query_count))
-    check("ground_truth_coverage", covered)
     values = list(manifest.ground_truth.values())
-    check("ground_truth_one_to_one", len(set(values)) == len(values),
-          "duplicate gallery targets" if len(set(values)) != len(values) else "")
+    one_to_one = len(set(values)) == len(values)
+    report.checks.append(ValidationCheck(
+        "ground_truth_one_to_one", one_to_one, "" if one_to_one else "duplicate gallery targets"
+    ))
 
-    for split, arr in arrays.items():
-        norms = np.linalg.norm(arr.astype(np.float64), axis=1)
+    for split in ("query", "gallery"):
+        if split not in arrays:
+            continue
+        norms = np.linalg.norm(arrays[split].astype(np.float64), axis=1)
         dev = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
         if dev > 1e-5:
             report.warnings.append(

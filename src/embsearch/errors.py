@@ -37,10 +37,6 @@ class InvalidConfig(PipelineError):
     pass
 
 
-class DimMismatch(PipelineError):
-    pass
-
-
 class NotNormalized(PipelineError):
     pass
 
@@ -58,10 +54,6 @@ class PointerOutOfBounds(PipelineError):
 
 
 class EmptyList(PipelineError):
-    pass
-
-
-class TooLarge(PipelineError):
     pass
 
 

@@ -9,7 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import KExceedsDepth, KOutOfRange, MismatchedRuns, MissingGroundTruth, ParseError
+from .data import _read_text
+from .errors import (
+    EmptyList,
+    KExceedsDepth,
+    KOutOfRange,
+    MismatchedRuns,
+    MissingGroundTruth,
+    ParseError,
+)
 from .similarity import RankedList
 
 
@@ -45,6 +53,8 @@ def recall_at_k(
     """Hit rate at each cutoff in ks, averaged over queries."""
     if not ks or any(k < 1 for k in ks):
         raise KOutOfRange("every k must be a positive integer")
+    if not lists:
+        raise EmptyList("no ranked lists to evaluate")
     ks = sorted(set(ks))
     min_depth = min(len(rl.entries) for rl in lists)
     if max(ks) > min_depth:
@@ -109,32 +119,31 @@ def write_report(path: str | Path, report: EvalReport) -> None:
 
 
 def read_report(path: str | Path) -> EvalReport:
+    """Parse a report file; every k_values entry needs its recall@k line."""
     fields: dict[str, str] = {}
     config: dict[str, str] = {}
-    recall: dict[int, float] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, "report file").splitlines(), 1):
         if not line.strip():
             continue
         if ": " not in line:
             raise ParseError(f"{path}:{lineno}: expected 'key: value'")
         key, value = line.split(": ", 1)
-        if key.startswith("recall@"):
-            recall[int(key[len("recall@"):])] = float(value)
-        elif key.startswith("config."):
+        if key.startswith("config."):
             config[key[len("config."):]] = value
         else:
             fields[key] = value
     try:
+        k_values = [int(k) for k in fields["k_values"].split(",")]
         return EvalReport(
             dataset=fields["dataset"],
-            k_values=[int(k) for k in fields["k_values"].split(",")],
-            recall=recall,
+            k_values=k_values,
+            recall={k: float(fields[f"recall@{k}"]) for k in k_values},
             n_queries=int(fields["n_queries"]),
             config=config,
             timestamp=None if fields.get("timestamp", "-") == "-" else fields["timestamp"],
         )
     except (KeyError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed report: {exc}") from exc
+        raise ParseError(f"{path}: missing or malformed field: {exc}") from exc
 
 
 def render_delta_table(delta: DeltaReport) -> str:

@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingMatrix, ZERO_NORM_THRESHOLD
+from .data import EmbeddingMatrix, ZERO_NORM_THRESHOLD, _require_file
 from .errors import (
     BatchTooSmall,
-    DimMismatch,
+    DimensionMismatch,
     InvalidConfig,
-    MissingFile,
     NonFiniteValue,
     ParseError,
     ZeroVector,
@@ -70,17 +69,6 @@ class AdapterGradients:
     match_bias: float = 0.0
     temperature: float = 0.0
 
-    @classmethod
-    def zeros(cls, dim: int) -> "AdapterGradients":
-        return cls(w_text=np.zeros((dim, dim)), w_image=np.zeros((dim, dim)))
-
-    def scaled_add(self, other: "AdapterGradients", factor: float) -> None:
-        self.w_text += factor * other.w_text
-        self.w_image += factor * other.w_image
-        self.match_scale += factor * other.match_scale
-        self.match_bias += factor * other.match_bias
-        self.temperature += factor * other.temperature
-
 
 @dataclass
 class Batch:
@@ -91,7 +79,7 @@ class Batch:
 
     def __post_init__(self):
         if self.image_embeddings.shape != self.text_embeddings.shape:
-            raise DimMismatch("image and text batches must have identical shapes")
+            raise DimensionMismatch("image and text batches must have identical shapes")
 
     @property
     def size(self) -> int:
@@ -323,7 +311,7 @@ def train_adapter(
     """
     cfg.validate()
     if queries.dim != gallery.dim:
-        raise DimMismatch("query and gallery dims differ")
+        raise DimensionMismatch("query and gallery dims differ")
 
     dim = queries.dim
     texts_all = queries.data.astype(np.float64)
@@ -362,7 +350,7 @@ def train_adapter(
     total_steps = cfg.epochs * steps_per_epoch
     step = 0
 
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
@@ -371,14 +359,9 @@ def train_adapter(
             batch = Batch(
                 image_embeddings=images_all[idx], text_embeddings=texts_all[idx]
             )
-            c_loss, c_grads, p_i2t, p_t2i = contrastive_loss(batch, params)
+            _, c_grads, p_i2t, p_t2i = contrastive_loss(batch, params)
             negatives = sample_hard_negatives(p_i2t, p_t2i, rng)
-            m_loss, m_grads = match_loss(batch, negatives, params)
-
-            if not (np.isfinite(c_loss) and np.isfinite(m_loss)):
-                raise NonFiniteValue(
-                    f"non-finite loss at epoch {epoch}, step {step}"
-                )
+            _, m_grads = match_loss(batch, negatives, params)
 
             lr = cfg.step_size * (1.0 - step / total_steps)
             params.w_text -= lr * (
@@ -406,31 +389,28 @@ def apply_adapter(m: EmbeddingMatrix, params: AdapterParams, side: str) -> Embed
     else:
         raise InvalidConfig(f"side must be 'text' or 'image', got {side!r}")
     if m.dim != w.shape[0]:
-        raise DimMismatch(f"matrix dim {m.dim} != adapter dim {w.shape[0]}")
+        raise DimensionMismatch(f"matrix dim {m.dim} != adapter dim {w.shape[0]}")
     projected, _ = _project(m.data.astype(np.float64), w)
     return EmbeddingMatrix(data=projected.astype(np.float32), normalized=True)
 
 
-def save_adapter(path: str | Path, params: AdapterParams, use_float64: bool = True) -> None:
-    """Persist adapter parameters: magic, version, dim, dtype flag, payload."""
+def save_adapter(path: str | Path, params: AdapterParams) -> None:
+    """Persist adapter parameters: magic, version, dim, dtype flag, payload.
+
+    Always writes float64 (flag 1); load_adapter also reads float32 (flag 0).
+    """
     dim = params.w_text.shape[0]
-    dtype = "<f8" if use_float64 else "<f4"
-    header = _ADAPTER_MAGIC + struct.pack("<III", _ADAPTER_VERSION, dim, 1 if use_float64 else 0)
-    scalars = np.array(
-        [params.match_scale, params.match_bias, params.temperature], dtype=dtype
-    )
-    payload = (
-        np.ascontiguousarray(params.w_text, dtype=dtype).tobytes()
-        + np.ascontiguousarray(params.w_image, dtype=dtype).tobytes()
-        + scalars.tobytes()
+    header = _ADAPTER_MAGIC + struct.pack("<III", _ADAPTER_VERSION, dim, 1)
+    scalars = [params.match_scale, params.match_bias, params.temperature]
+    payload = b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes()
+        for a in (params.w_text, params.w_image, scalars)
     )
     Path(path).write_bytes(header + payload)
 
 
 def load_adapter(path: str | Path) -> AdapterParams:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"adapter file not found: {path}")
+    path = _require_file(path, "adapter file")
     buf = path.read_bytes()
     if len(buf) < 16 or buf[:4] != _ADAPTER_MAGIC:
         raise ParseError(f"{path}: not an adapter parameter file")

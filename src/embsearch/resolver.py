@@ -4,18 +4,16 @@ When several queries retrieve the same gallery answer, the member with the
 highest score keeps it and every other member advances to its next-ranked
 candidate; rounds repeat until no conflicts remain (or a cap is hit).
 Members that run out of candidates keep their last entry and are flagged
-unresolved. The optimal-assignment oracle bounds the greedy result in tests.
+unresolved.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .errors import EmptyList, InvalidConfig, PointerOutOfBounds, TooLarge
+from .errors import EmptyList, InvalidConfig, PointerOutOfBounds
 from .similarity import RankedList, write_ranked_lists
 
 
@@ -44,7 +42,6 @@ class ResolutionPolicy:
 class ConflictGroup:
     answer_id: int
     members: list[tuple[int, float, int]]  # (query_id, score, rank starting at 1)
-    detected_at_round: int
 
 
 @dataclass
@@ -76,7 +73,6 @@ def detect_conflicts(
     lists: list[RankedList],
     policy: ResolutionPolicy,
     positions: dict[int, int],
-    round_index: int = 0,
     query_embeddings: np.ndarray | None = None,
     frozen: set[int] | None = None,
 ) -> list[ConflictGroup]:
@@ -117,9 +113,7 @@ def detect_conflicts(
             iu = np.triu_indices(len(ids), k=1)
             if not np.any(cos[iu] > policy.similarity_gate):
                 continue
-        groups.append(
-            ConflictGroup(answer_id=answer_id, members=members, detected_at_round=round_index)
-        )
+        groups.append(ConflictGroup(answer_id=answer_id, members=members))
     return groups
 
 
@@ -152,9 +146,7 @@ def resolve(
     resolution = Resolution(assignments={})
 
     for round_index in range(1, max_rounds + 1):
-        groups = detect_conflicts(
-            lists, policy, positions, round_index, query_embeddings, frozen
-        )
+        groups = detect_conflicts(lists, policy, positions, query_embeddings, frozen)
         if not groups:
             break
         resolution.rounds = round_index
@@ -234,33 +226,3 @@ def write_audit(path: str | Path, resolution: Resolution, meta: dict | None = No
     for qid in sorted(resolution.unresolved):
         out.append(f"# unresolved={qid}")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
-
-
-EXHAUSTIVE_LIMIT = 12
-
-
-def assignment_oracle(sims: np.ndarray, mode: str = "matching"):
-    """Optimal one-to-one query-to-gallery assignment maximizing total score.
-
-    ``matching`` runs the Hungarian-style solver; ``exhaustive`` enumerates
-    every injective assignment (instances capped at 12x12) and exists as an
-    independent cross-check of the solver. Returns ({query: gallery}, total).
-    """
-    n_q, n_g = sims.shape
-    if n_q > n_g:
-        raise InvalidConfig("assignment_oracle requires n_queries <= n_gallery")
-    sims = sims.astype(np.float64)
-    if mode == "exhaustive":
-        if max(n_q, n_g) > EXHAUSTIVE_LIMIT:
-            raise TooLarge(f"exhaustive mode capped at {EXHAUSTIVE_LIMIT}x{EXHAUSTIVE_LIMIT}")
-        best_total, best_perm = -np.inf, None
-        for perm in itertools.permutations(range(n_g), n_q):
-            total = float(sum(sims[i, g] for i, g in enumerate(perm)))
-            if total > best_total:
-                best_total, best_perm = total, perm
-        return {i: int(g) for i, g in enumerate(best_perm)}, best_total
-    if mode == "matching":
-        rows, cols = linear_sum_assignment(-sims)
-        total = float(sims[rows, cols].sum())
-        return {int(r): int(c) for r, c in zip(rows, cols)}, total
-    raise InvalidConfig(f"unknown oracle mode {mode!r}")

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingMatrix
-from .errors import DimMismatch, KOutOfRange, NonFiniteValue, NotNormalized, ParseError
+from .data import EmbeddingMatrix, _read_text
+from .errors import DimensionMismatch, KOutOfRange, NonFiniteValue, NotNormalized, ParseError
 
 # Scores top_k examines at once (1 MB of float32): a block holds
 # max(1, BLOCK_SCORES // n_gallery) query rows, which bounds top_k's working
@@ -40,7 +40,7 @@ def similarity_matrix(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.
     if not queries.normalized or not gallery.normalized:
         raise NotNormalized("similarity_matrix requires normalized inputs")
     if queries.dim != gallery.dim:
-        raise DimMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
+        raise DimensionMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     sims = queries.data @ gallery.data.T
     if not np.all(np.isfinite(sims)):
         raise NonFiniteValue("similarity matrix contains non-finite entries")
@@ -113,7 +113,7 @@ def write_ranked_lists(
 def read_ranked_lists(path: str | Path) -> list[RankedList]:
     """Parse a ranked-list file; extra columns (source_rank) are ignored."""
     lists: dict[int, list[tuple[int, float]]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, "ranked-list file").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import embsearch
 from embsearch import evaluation
 from embsearch.cli import run
+
+
+GOOD_REPORT = (
+    b"dataset: d\nn_queries: 2\nk_values: 1,5\nrecall@1: 0.5\nrecall@5: 1\ntimestamp: -\n"
+)
 
 
 def run_cli(*argv):
@@ -130,3 +139,39 @@ class TestExitCodes:
         ranked = tmp_path / "r.tsv"
         ranked.write_text("0\t1\t0\t0.5\n")
         assert run_cli("resolve", ranked, "--out", tmp_path / "o.tsv", "--gate", 0.5) == 1
+
+    @pytest.mark.parametrize("command, content", [
+        pytest.param("resolve", None, id="resolve-missing"),
+        pytest.param("eval", None, id="eval-missing"),
+        pytest.param("report", None, id="report-missing"),
+        pytest.param("resolve", b"0\t1\t5\t0.5\xff\n", id="resolve-not-utf8"),
+        pytest.param("report", b"dataset: \xff\n", id="report-not-utf8"),
+        pytest.param("eval", b"# k=10\n# only comments\n", id="eval-no-lists"),
+        pytest.param("report", GOOD_REPORT.replace(b"recall@1: 0.5", b"recall@1: abc"),
+                     id="report-bad-recall"),
+        pytest.param("report", GOOD_REPORT.replace(b"recall@5: 1\n", b""),
+                     id="report-missing-recall"),
+    ])
+    def test_bad_input_file_is_data_error(self, dataset_dir, tmp_path, capsys, command, content):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_bytes(content)
+        argv = {
+            "resolve": ["resolve", path, "--out", tmp_path / "out.tsv"],
+            "eval": ["eval", path, "--manifest", dataset_dir / "manifest.json"],
+            "report": ["report", path, path],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_cli_imports_no_test_only_dependency():
+    src = Path(embsearch.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import embsearch.cli, sys; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

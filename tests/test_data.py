@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from embsearch import data
+from embsearch.cli import run
 from embsearch.errors import (
     DimensionMismatch,
     GroundTruthOutOfRange,
@@ -196,3 +197,15 @@ class TestValidateDataset:
         report = data.validate_dataset(data.load_manifest(path))
         assert report.ok
         assert any("not unit-normalized" in w for w in report.warnings)
+
+    def test_non_finite_gallery_fails_its_check(self, tmp_path):
+        path = write_manifest_fixture(tmp_path)
+        gfile = tmp_path / "g.f32"
+        values = np.frombuffer(gfile.read_bytes(), dtype="<f4").copy()
+        values[5] = np.nan
+        gfile.write_bytes(values.tobytes())
+        report = data.validate_dataset(data.load_manifest(path))
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["gallery"]
+        assert "non-finite" in failed[0].detail
+        assert run(["validate", str(path)]) == 2

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -371,6 +372,13 @@ class TestAdapterPersistence:
     def test_float32_round_trip(self, tmp_path):
         params = random_adapter(4, seed=12)
         path = tmp_path / "params32.adapter"
-        save_adapter(path, params, use_float64=False)
+        # version 1, dtype flag 0: float32 payload
+        header = b"ADAP" + struct.pack("<III", 1, 4, 0)
+        scalars = [params.match_scale, params.match_bias, params.temperature]
+        payload = b"".join(
+            np.asarray(a, dtype="<f4").tobytes()
+            for a in (params.w_text, params.w_image, scalars)
+        )
+        path.write_bytes(header + payload)
         back = load_adapter(path)
         np.testing.assert_allclose(back.w_text, params.w_text, atol=1e-6)

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, evaluation, similarity
-from embsearch.errors import EmptyList, InvalidConfig, TooLarge
+from embsearch.errors import EmptyList, InvalidConfig
 from embsearch.resolver import (
     ResolutionPolicy,
-    assignment_oracle,
     detect_conflicts,
     resolve,
     resolution_to_lists,
@@ -15,6 +14,7 @@ from embsearch.resolver import (
     write_resolution,
 )
 from embsearch.similarity import RankedList
+from assignment_oracle import TooLarge, assignment_oracle
 
 
 def rl(qid, *pairs):
@@ -159,6 +159,26 @@ class TestResolve:
         for rl_ in lists:
             if rl_.query_id not in touched:
                 assert res.assignments[rl_.query_id][0] == rl_.entries[0][0]
+
+
+class TestRoundCap:
+    def test_seed7_depth1_stops_at_cap_with_live_conflicts(self, seed7_dataset):
+        """Pins the silent exit at the default round cap (the list depth, 10):
+        one query ends unresolved and two conflict groups are still live."""
+        _, manifest = seed7_dataset
+        q = data.l2_normalize(data.load_embeddings(manifest, "query"))
+        g = data.l2_normalize(data.load_embeddings(manifest, "gallery"))
+        lists = similarity.top_k(similarity.similarity_matrix(q, g), 10)
+        policy = ResolutionPolicy(depth=1)
+        res = resolve(lists, policy)
+        assert res.rounds == 10
+        assert len(res.unresolved) == 1
+        pointers = {
+            qid: source_rank - 1
+            for qid, (_, _, source_rank) in res.assignments.items()
+            if qid not in res.unresolved
+        }
+        assert len(detect_conflicts(lists, policy, pointers)) == 2
 
 
 class TestAssignmentOracle:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, similarity
-from embsearch.errors import DimMismatch, KOutOfRange, NotNormalized
+from embsearch.errors import DimensionMismatch, KOutOfRange, NotNormalized
 from conftest import unit_rows
 
 
@@ -77,7 +77,7 @@ class TestSimilarityMatrix:
     def test_dim_mismatch(self):
         q = norm_matrix(np.ones((1, 2)))
         g = norm_matrix(np.ones((1, 3)))
-        with pytest.raises(DimMismatch):
+        with pytest.raises(DimensionMismatch):
             similarity.similarity_matrix(q, g)
 
     def test_unit_inputs_bound_scores(self):

@@ -56,7 +56,12 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    manifest = data.load_manifest(args.manifest)
+    try:
+        manifest = data.load_manifest(args.manifest)
+    except PipelineError as exc:
+        # the loader checks split files before validate_dataset can report them
+        print(f"FAIL  manifest  ({exc})")
+        raise
     report = data.validate_dataset(manifest)
     for check in report.checks:
         detail = f"  ({check.detail})" if check.detail else ""
@@ -129,9 +134,13 @@ def cmd_resolve(args) -> int:
     resolver.write_resolution(args.out, lists, resolution, meta=meta)
     if args.audit:
         resolver.write_audit(args.audit, resolution, meta=meta)
+    stopped = "" if resolution.converged else (
+        f"; stopped at the round cap with {resolution.live_conflicts} "
+        "conflict group(s) still live"
+    )
     print(f"resolved {len(lists)} lists in {resolution.rounds} round(s); "
           f"{len(resolution.audit)} replacement(s), "
-          f"{len(resolution.unresolved)} unresolved")
+          f"{len(resolution.unresolved)} unresolved{stopped}")
     return 0
 
 

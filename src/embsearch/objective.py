@@ -99,6 +99,9 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training knobs. temperature is fixed for the whole run: its gradient
+    is reported by contrastive_loss but never applied."""
+
     epochs: int = 10
     batch_size: int = 16
     step_size: float = 3e-5
@@ -120,12 +123,8 @@ class TrainConfig:
             raise InvalidConfig("temperature must be positive")
 
 
-def inbatch_softmax(sims: np.ndarray, direction: str, temperature: float) -> np.ndarray:
-    """Row-stochastic softmax over in-batch candidates at the given temperature.
-
-    ``image_to_text`` normalizes each image row over all text columns;
-    ``text_to_image`` does the same on the transposed score matrix.
-    """
+def _softmax_terms(sims: np.ndarray, direction: str, temperature: float):
+    """Max-shifted exponentials e and their row sums; the softmax is e / rowsum."""
     if temperature <= 0:
         raise InvalidConfig("temperature must be positive")
     if direction == TEXT_TO_IMAGE:
@@ -134,10 +133,36 @@ def inbatch_softmax(sims: np.ndarray, direction: str, temperature: float) -> np.
         raise InvalidConfig(f"unknown direction {direction!r}")
     if not np.all(np.isfinite(sims)):
         raise NonFiniteValue("similarity matrix contains non-finite entries")
-    z = sims / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = sims / temperature
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    return e, e.sum(axis=1, keepdims=True)
+
+
+def inbatch_softmax(sims: np.ndarray, direction: str, temperature: float) -> np.ndarray:
+    """Row-stochastic softmax over in-batch candidates at the given temperature.
+
+    ``image_to_text`` normalizes each image row over all text columns;
+    ``text_to_image`` does the same on the transposed score matrix.
+    """
+    e, rowsum = _softmax_terms(sims, direction, temperature)
+    e /= rowsum
+    return e
+
+
+def _softmax_diagonal(sims: np.ndarray, direction: str, temperature: float) -> np.ndarray:
+    """The diagonal of inbatch_softmax without dividing the whole matrix."""
+    e, rowsum = _softmax_terms(sims, direction, temperature)
+    return np.diagonal(e) / rowsum[:, 0]
+
+
+def _contrastive_value(diag_i2t: np.ndarray, diag_t2i: np.ndarray) -> float:
+    """Symmetric cross-entropy from the positives' softmax probabilities."""
+    n = len(diag_i2t)
+    loss = -(np.log(diag_i2t).sum() + np.log(diag_t2i).sum()) / (2 * n)
+    if not np.isfinite(loss):
+        raise NonFiniteValue("contrastive loss is non-finite")
+    return float(loss)
 
 
 def _project(x: np.ndarray, w: np.ndarray):
@@ -156,20 +181,17 @@ def _backprop_normalize(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) -
 
 
 def _adapter_forward(batch: Batch, adapter: AdapterParams):
+    """Validated adapter, then (texts, t_norms, images, i_norms) of the batch."""
+    adapter.validate()
     texts, t_norms = _project(batch.text_embeddings, adapter.w_text)
     images, i_norms = _project(batch.image_embeddings, adapter.w_image)
     return texts, t_norms, images, i_norms
 
 
 def _grads_from_embedding_grads(
-    batch: Batch,
-    d_texts: np.ndarray,
-    d_images: np.ndarray,
-    texts: np.ndarray,
-    t_norms: np.ndarray,
-    images: np.ndarray,
-    i_norms: np.ndarray,
+    batch: Batch, d_texts: np.ndarray, d_images: np.ndarray, forward
 ) -> AdapterGradients:
+    texts, t_norms, images, i_norms = forward
     da_text = _backprop_normalize(d_texts, texts, t_norms)
     da_image = _backprop_normalize(d_images, images, i_norms)
     return AdapterGradients(
@@ -178,39 +200,55 @@ def _grads_from_embedding_grads(
     )
 
 
-def contrastive_loss(batch: Batch, adapter: AdapterParams):
-    """Symmetric in-batch cross-entropy loss and its adapter gradients.
+def _similarities(forward) -> np.ndarray:
+    texts, _, images, _ = forward
+    return images @ texts.T
 
-    Returns (loss, AdapterGradients, image_to_text softmax, text_to_image
-    softmax); the softmax matrices feed hard-negative sampling.
-    """
-    n = batch.size
-    if n < 2:
-        raise BatchTooSmall("contrastive loss needs at least 2 pairs")
-    adapter.validate()
-    tau = adapter.temperature
-    texts, t_norms, images, i_norms = _adapter_forward(batch, adapter)
 
-    sims = images @ texts.T
+def _contrastive_probs(sims: np.ndarray, tau: float):
+    """Both in-batch softmaxes of the scores and the contrastive loss."""
     p_i2t = inbatch_softmax(sims, IMAGE_TO_TEXT, tau)
     p_t2i = inbatch_softmax(sims, TEXT_TO_IMAGE, tau)
+    loss = _contrastive_value(np.diagonal(p_i2t), np.diagonal(p_t2i))
+    return p_i2t, p_t2i, loss
 
-    diag = np.arange(n)
-    loss = -(np.log(p_i2t[diag, diag]).sum() + np.log(p_t2i[diag, diag]).sum()) / (2 * n)
+
+def _diagonal_contrastive(forward, tau: float) -> float:
+    """Contrastive loss of a forward from the softmax diagonals alone."""
+    sims = _similarities(forward)
+    return _contrastive_value(
+        _softmax_diagonal(sims, IMAGE_TO_TEXT, tau),
+        _softmax_diagonal(sims, TEXT_TO_IMAGE, tau),
+    )
+
+
+def _contrastive_loss(batch: Batch, forward, tau: float):
+    texts, _, images, _ = forward
+    n = batch.size
+    sims = _similarities(forward)
+    p_i2t, p_t2i, loss = _contrastive_probs(sims, tau)
 
     eye = np.eye(n)
     g_sims = ((p_i2t - eye) + (p_t2i - eye).T) / (2 * n * tau)
     d_images = g_sims @ texts
     d_texts = g_sims.T @ images
 
-    grads = _grads_from_embedding_grads(
-        batch, d_texts, d_images, texts, t_norms, images, i_norms
-    )
+    grads = _grads_from_embedding_grads(batch, d_texts, d_images, forward)
     grads.temperature = float(-np.sum(g_sims * sims) / tau)
+    return loss, grads, p_i2t, p_t2i
 
-    if not np.isfinite(loss):
-        raise NonFiniteValue("contrastive loss is non-finite")
-    return float(loss), grads, p_i2t, p_t2i
+
+def contrastive_loss(batch: Batch, adapter: AdapterParams):
+    """Symmetric in-batch cross-entropy loss and its adapter gradients.
+
+    Returns (loss, AdapterGradients, image_to_text softmax, text_to_image
+    softmax); the softmax matrices feed hard-negative sampling. The gradient
+    includes temperature, which train_adapter never applies.
+    """
+    if batch.size < 2:
+        raise BatchTooSmall("contrastive loss needs at least 2 pairs")
+    forward = _adapter_forward(batch, adapter)
+    return _contrastive_loss(batch, forward, adapter.temperature)
 
 
 def sample_hard_negatives(
@@ -219,30 +257,73 @@ def sample_hard_negatives(
     """Draw one hard negative per anchor, proportionally to off-diagonal mass.
 
     For image i a negative text index is drawn from p_i2t row i with the
-    positive excluded; symmetrically for each text from p_t2i. Returns
-    (neg_text_idx, neg_image_idx), deterministic for a seeded generator.
+    positive excluded; symmetrically for each text from p_t2i. A row with no
+    off-diagonal mass draws uniformly among the other indices. Each side
+    takes n uniforms from rng, image rows first, and inverts each row's CDF.
+    Returns (neg_text_idx, neg_image_idx), deterministic for a seeded
+    generator.
     """
     n = p_i2t.shape[0]
     if n < 2:
         raise BatchTooSmall("hard-negative sampling needs at least 2 pairs")
+    diag = np.arange(n)
 
     def draw(probs: np.ndarray) -> np.ndarray:
-        picks = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            row = probs[i].astype(np.float64).copy()
-            row[i] = 0.0
-            total = row.sum()
-            if total <= 0:
-                row[:] = 1.0
-                row[i] = 0.0
-                total = row.sum()
-            cdf = np.cumsum(row / total)
-            picks[i] = int(np.searchsorted(cdf, rng.random(), side="right"))
-        return picks
+        rows = probs.astype(np.float64, order="C")
+        rows[diag, diag] = 0.0
+        totals = rows.sum(axis=1)
+        empty = totals <= 0
+        if empty.any():
+            rows[empty] = 1.0
+            rows[diag[empty], diag[empty]] = 0.0
+            totals[empty] = rows[empty].sum(axis=1)
+        rows /= totals[:, None]
+        cdf = np.cumsum(rows, axis=1, out=rows)
+        u = rng.random(n)
+        return (cdf <= u[:, None]).sum(axis=1)
 
     neg_text_idx = draw(p_i2t)
     neg_image_idx = draw(p_t2i)
     return neg_text_idx, neg_image_idx
+
+
+def _match_logits(forward, negatives, adapter: AdapterParams):
+    """BCE of the match head, with the pair indices, labels, cosines and
+    logits that its gradient needs."""
+    texts, _, images, _ = forward
+    n = len(texts)
+    neg_text_idx, neg_image_idx = negatives
+    pos = np.arange(n)
+    img_idx = np.concatenate([pos, pos, neg_image_idx])
+    txt_idx = np.concatenate([pos, neg_text_idx, pos])
+    labels = np.concatenate([np.ones(n), np.zeros(2 * n)])
+
+    cos = np.sum(images[img_idx] * texts[txt_idx], axis=1)
+    z = adapter.match_scale * cos + adapter.match_bias
+    # softplus(z) - y*z is the numerically stable BCE-on-logits form
+    loss = float(np.mean(np.logaddexp(0.0, z) - labels * z))
+    if not np.isfinite(loss):
+        raise NonFiniteValue("match loss is non-finite")
+    return loss, (img_idx, txt_idx, labels, cos, z)
+
+
+def _match_loss(batch: Batch, forward, negatives, adapter: AdapterParams):
+    texts, _, images, _ = forward
+    loss, (img_idx, txt_idx, labels, cos, z) = _match_logits(forward, negatives, adapter)
+
+    p = 1.0 / (1.0 + np.exp(-z))
+    dz = (p - labels) / len(labels)
+    d_cos = adapter.match_scale * dz
+
+    d_images = np.zeros_like(images)
+    d_texts = np.zeros_like(texts)
+    np.add.at(d_images, img_idx, d_cos[:, None] * texts[txt_idx])
+    np.add.at(d_texts, txt_idx, d_cos[:, None] * images[img_idx])
+
+    grads = _grads_from_embedding_grads(batch, d_texts, d_images, forward)
+    grads.match_scale = float(np.sum(dz * cos))
+    grads.match_bias = float(np.sum(dz))
+    return loss, grads
 
 
 def match_loss(
@@ -259,38 +340,7 @@ def match_loss(
     neg_text_idx, neg_image_idx = negatives
     if len(neg_text_idx) != n or len(neg_image_idx) != n:
         raise InvalidConfig("negatives must contain one index per batch row")
-    adapter.validate()
-    texts, t_norms, images, i_norms = _adapter_forward(batch, adapter)
-
-    pos = np.arange(n)
-    img_idx = np.concatenate([pos, pos, neg_image_idx])
-    txt_idx = np.concatenate([pos, neg_text_idx, pos])
-    labels = np.concatenate([np.ones(n), np.zeros(2 * n)])
-    m = 3 * n
-
-    cos = np.sum(images[img_idx] * texts[txt_idx], axis=1)
-    z = adapter.match_scale * cos + adapter.match_bias
-    # softplus(z) - y*z is the numerically stable BCE-on-logits form
-    loss = float(np.mean(np.logaddexp(0.0, z) - labels * z))
-
-    p = 1.0 / (1.0 + np.exp(-z))
-    dz = (p - labels) / m
-    d_cos = adapter.match_scale * dz
-
-    d_images = np.zeros_like(images)
-    d_texts = np.zeros_like(texts)
-    np.add.at(d_images, img_idx, d_cos[:, None] * texts[txt_idx])
-    np.add.at(d_texts, txt_idx, d_cos[:, None] * images[img_idx])
-
-    grads = _grads_from_embedding_grads(
-        batch, d_texts, d_images, texts, t_norms, images, i_norms
-    )
-    grads.match_scale = float(np.sum(dz * cos))
-    grads.match_bias = float(np.sum(dz))
-
-    if not np.isfinite(loss):
-        raise NonFiniteValue("match loss is non-finite")
-    return loss, grads
+    return _match_loss(batch, _adapter_forward(batch, adapter), negatives, adapter)
 
 
 def train_adapter(
@@ -305,9 +355,13 @@ def train_adapter(
     entry per epoch boundary: entry 0 is the pre-training loss, entry e the
     loss after epoch e, both measured on the full dataset with a fixed set
     of evaluation negatives so the trace reflects parameter movement rather
-    than shuffle noise. Projections start at identity, the match head at
-    (scale=10, bias=0); shuffling, hard-negative draws and updates all come
-    from seeded generators, so the result is bit-identical per seed.
+    than shuffle noise. The trace computes loss values only, from one
+    full-dataset forward per entry; the first also draws the evaluation
+    negatives. Projections start at identity, the match head at (scale=10,
+    bias=0) and temperature stays at cfg.temperature: its gradient is
+    computed with the others but never applied. Shuffling, hard-negative
+    draws and updates all come from seeded generators, so the result is
+    bit-identical per seed.
     """
     cfg.validate()
     if queries.dim != gallery.dim:
@@ -320,27 +374,27 @@ def train_adapter(
     ).astype(np.float64)
 
     params = AdapterParams.identity(dim)
-    params.temperature = cfg.temperature
+    params.temperature = tau = cfg.temperature
     trace: list[LossBreakdown] = []
     if cfg.epochs == 0:
         return params, trace
 
     full_batch = Batch(image_embeddings=images_all, text_embeddings=texts_all)
-    _, _, p_i2t0, p_t2i0 = contrastive_loss(full_batch, params)
-    eval_negatives = sample_hard_negatives(
-        p_i2t0, p_t2i0, np.random.default_rng([cfg.seed, 1])
-    )
 
-    def record() -> None:
-        c_loss, _, _, _ = contrastive_loss(full_batch, params)
-        m_loss, _ = match_loss(full_batch, eval_negatives, params)
+    def record(forward, c_loss: float) -> None:
+        m_loss, _ = _match_logits(forward, eval_negatives, params)
         trace.append(
             LossBreakdown(
                 contrastive=c_loss, match=m_loss, lambda_match=cfg.lambda_match
             )
         )
 
-    record()
+    forward = _adapter_forward(full_batch, params)
+    p_i2t, p_t2i, c_loss = _contrastive_probs(_similarities(forward), tau)
+    eval_negatives = sample_hard_negatives(
+        p_i2t, p_t2i, np.random.default_rng([cfg.seed, 1])
+    )
+    record(forward, c_loss)
 
     rng = np.random.default_rng([cfg.seed, 0])
     n = queries.rows
@@ -359,9 +413,10 @@ def train_adapter(
             batch = Batch(
                 image_embeddings=images_all[idx], text_embeddings=texts_all[idx]
             )
-            _, c_grads, p_i2t, p_t2i = contrastive_loss(batch, params)
+            forward = _adapter_forward(batch, params)
+            _, c_grads, p_i2t, p_t2i = _contrastive_loss(batch, forward, tau)
             negatives = sample_hard_negatives(p_i2t, p_t2i, rng)
-            _, m_grads = match_loss(batch, negatives, params)
+            _, m_grads = _match_loss(batch, forward, negatives, params)
 
             lr = cfg.step_size * (1.0 - step / total_steps)
             params.w_text -= lr * (
@@ -376,7 +431,8 @@ def train_adapter(
             params.match_bias -= lr * cfg.lambda_match * m_grads.match_bias
 
             step += 1
-        record()
+        forward = _adapter_forward(full_batch, params)
+        record(forward, _diagonal_contrastive(forward, tau))
     return params, trace
 
 

@@ -2,9 +2,9 @@
 
 When several queries retrieve the same gallery answer, the member with the
 highest score keeps it and every other member advances to its next-ranked
-candidate; rounds repeat until no conflicts remain (or a cap is hit).
-Members that run out of candidates keep their last entry and are flagged
-unresolved.
+candidate; rounds repeat until no conflicts remain (or a cap is hit, which
+the Resolution reports). Members that run out of candidates keep their last
+entry and are flagged unresolved.
 """
 from __future__ import annotations
 
@@ -55,12 +55,21 @@ class AuditEntry:
 
 @dataclass
 class Resolution:
-    """Final per-query assignment plus the full replacement audit trail."""
+    """Final per-query assignment plus the full replacement audit trail.
+
+    live_conflicts counts the conflict groups among queries still in play
+    when the round cap stopped the run; it is 0 when resolution converged.
+    """
 
     assignments: dict[int, tuple[int, float, int]]  # qid -> (gallery_id, score, source_rank)
     audit: list[AuditEntry] = field(default_factory=list)
     unresolved: set[int] = field(default_factory=set)
     rounds: int = 0
+    live_conflicts: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.live_conflicts == 0
 
 
 def _query_cosines(query_embeddings: np.ndarray, ids: list[int]) -> np.ndarray:
@@ -127,7 +136,9 @@ def resolve(
     Per group the highest-scoring member keeps the answer (score tie: lower
     query id); each loser whose pointer sits on the contested answer advances
     one rank. Exhausted queries keep their last entry, are flagged
-    unresolved, and stop participating. Deterministic for a given input.
+    unresolved, and stop participating. A run that reaches max_rounds with
+    groups still live records their number in live_conflicts (converged is
+    then False). Deterministic for a given input.
     """
     if not lists:
         raise EmptyList("no ranked lists to resolve")
@@ -145,9 +156,13 @@ def resolve(
     frozen: set[int] = set()
     resolution = Resolution(assignments={})
 
-    for round_index in range(1, max_rounds + 1):
+    # one detection past the cap tells whether the run stopped with conflicts
+    for round_index in range(1, max_rounds + 2):
         groups = detect_conflicts(lists, policy, positions, query_embeddings, frozen)
         if not groups:
+            break
+        if round_index > max_rounds:
+            resolution.live_conflicts = len(groups)
             break
         resolution.rounds = round_index
         for group in groups:

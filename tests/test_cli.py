@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -117,6 +118,32 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("split", ["query_path", "gallery_path"])
+    @pytest.mark.parametrize("damage", ["missing", "short"])
+    def test_validate_reports_bad_split_file(self, dataset_dir, capsys, split, damage):
+        manifest = dataset_dir / "manifest.json"
+        path = dataset_dir / json.loads(manifest.read_text())[split]
+        if damage == "missing":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes()[:-4])
+        assert run_cli("validate", manifest) == 2
+        captured = capsys.readouterr()
+        error = captured.err.removeprefix("data error: ").strip()
+        assert captured.out == f"FAIL  manifest  ({error})\n"
+
+    def test_resolve_summary_reports_round_cap(self, dataset_dir, tmp_path, capsys):
+        ranked = tmp_path / "ranked.tsv"
+        assert run_cli("search", dataset_dir / "manifest.json", "--k", 10, "--out", ranked) == 0
+        capsys.readouterr()
+        assert run_cli("resolve", ranked, "--out", tmp_path / "r.tsv", "--max-rounds", 1) == 0
+        capped = capsys.readouterr().out
+        assert run_cli("resolve", ranked, "--out", tmp_path / "r.tsv", "--max-rounds", 100) == 0
+        converged = capsys.readouterr().out
+        assert "stopped at the round cap with" in capped
+        assert "conflict group(s) still live" in capped
+        assert "stopped" not in converged
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("search", "manifest.json", "--nope") == 1
         assert "usage" in capsys.readouterr().err.lower()

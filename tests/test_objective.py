@@ -1,3 +1,4 @@
+import copy
 import math
 import struct
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embsearch import data, evaluation, similarity
+from embsearch import data, evaluation, objective, similarity
 from embsearch.errors import BatchTooSmall, InvalidConfig
 from embsearch.objective import (
     IMAGE_TO_TEXT,
@@ -197,6 +198,50 @@ class TestContrastiveLoss:
         )
 
 
+def reference_hard_negatives(p_i2t, p_t2i, rng):
+    """The per-row sampling loop that sample_hard_negatives vectorises."""
+    n = p_i2t.shape[0]
+
+    def draw(probs):
+        picks = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            row = probs[i].astype(np.float64).copy()
+            row[i] = 0.0
+            total = row.sum()
+            if total <= 0:
+                row[:] = 1.0
+                row[i] = 0.0
+                total = row.sum()
+            cdf = np.cumsum(row / total)
+            picks[i] = int(np.searchsorted(cdf, rng.random(), side="right"))
+        return picks
+
+    return draw(p_i2t), draw(p_t2i)
+
+
+def sampling_probs(gen, n, dtype, empty_fraction):
+    """Skewed row-stochastic matrix with exact zeros; some rows keep mass only
+    on the diagonal, so they have no off-diagonal mass."""
+    probs = gen.random((n, n)) ** gen.uniform(0.5, 8.0)
+    probs[gen.random((n, n)) < 0.2] = 0.0
+    probs[gen.random(n) < empty_fraction] = 0.0
+    probs[np.arange(n), np.arange(n)] = gen.random(n) + 0.01
+    return (probs / probs.sum(axis=1, keepdims=True)).astype(dtype)
+
+
+class FixedUniforms:
+    """Stands in for a Generator, handing out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
 class TestHardNegativeSampling:
     def test_n2_forced_choice(self):
         probs = np.array([[0.7, 0.3], [0.4, 0.6]])
@@ -233,6 +278,35 @@ class TestHardNegativeSampling:
     def test_too_small(self):
         with pytest.raises(BatchTooSmall):
             sample_hard_negatives(np.ones((1, 1)), np.ones((1, 1)), np.random.default_rng(0))
+
+    def test_uniform_on_a_cdf_step_takes_the_next_index(self):
+        probs = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        uniforms = [0.5, 0.5, 0.0, 0.0, 0.0, 0.5]
+        new = sample_hard_negatives(probs, probs, FixedUniforms(uniforms))
+        ref = reference_hard_negatives(probs, probs, FixedUniforms(uniforms))
+        assert [a.tolist() for a in new] == [a.tolist() for a in ref]
+        assert new[0].tolist() == [2, 2, 0]
+        assert new[1].tolist() == [1, 0, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 64),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        empty_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_matches_per_row_reference(self, seed, n, dtype, empty_fraction):
+        gen = np.random.default_rng(seed)
+        p_i2t = sampling_probs(gen, n, dtype, empty_fraction)
+        # text_to_image softmaxes are transposed views, as in training
+        p_t2i = sampling_probs(gen, n, dtype, empty_fraction).T
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        new = sample_hard_negatives(p_i2t, p_t2i, rng_new)
+        ref = reference_hard_negatives(p_i2t, p_t2i, rng_ref)
+        np.testing.assert_array_equal(new[0], ref[0])
+        np.testing.assert_array_equal(new[1], ref[1])
+        # the same number of draws was taken from the stream
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestMatchLoss:
@@ -306,6 +380,31 @@ class TestTrainAdapter:
             params, _ = train_adapter(q, g, manifest.ground_truth, cfg)
             save_adapter(tmp_path / name, params)
         assert (tmp_path / "a.adapter").read_bytes() == (tmp_path / "b.adapter").read_bytes()
+
+    def test_one_full_dataset_forward_per_trace_entry(self, make_dataset, monkeypatch):
+        manifest, q, g = self.normalized_pair(make_dataset)
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=4)
+        seen = []  # (full batch, parameters) at each full-dataset forward
+        forward = objective._adapter_forward
+
+        def recording_forward(batch, adapter):
+            if batch.size == q.rows:
+                seen.append((batch, copy.deepcopy(adapter)))
+            return forward(batch, adapter)
+
+        monkeypatch.setattr(objective, "_adapter_forward", recording_forward)
+        _, trace = train_adapter(q, g, manifest.ground_truth, cfg)
+        monkeypatch.undo()
+
+        assert len(seen) == cfg.epochs + 1
+        full_batch, initial = seen[0]
+        _, _, p_i2t, p_t2i = contrastive_loss(full_batch, initial)
+        eval_negatives = sample_hard_negatives(
+            p_i2t, p_t2i, np.random.default_rng([cfg.seed, 1])
+        )
+        for entry, (batch, params) in zip(trace, seen):
+            assert entry.contrastive == contrastive_loss(batch, params)[0]
+            assert entry.match == match_loss(batch, eval_negatives, params)[0]
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):

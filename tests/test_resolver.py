@@ -163,8 +163,8 @@ class TestResolve:
 
 class TestRoundCap:
     def test_seed7_depth1_stops_at_cap_with_live_conflicts(self, seed7_dataset):
-        """Pins the silent exit at the default round cap (the list depth, 10):
-        one query ends unresolved and two conflict groups are still live."""
+        """Pins the exit at the default round cap (the list depth, 10): one
+        query ends unresolved and two conflict groups are still live."""
         _, manifest = seed7_dataset
         q = data.l2_normalize(data.load_embeddings(manifest, "query"))
         g = data.l2_normalize(data.load_embeddings(manifest, "gallery"))
@@ -179,6 +179,25 @@ class TestRoundCap:
             if qid not in res.unresolved
         }
         assert len(detect_conflicts(lists, policy, pointers)) == 2
+        assert res.live_conflicts == 2
+        assert not res.converged
+
+    def test_converged_run_reports_no_live_conflicts(self, seed7_dataset):
+        _, manifest = seed7_dataset
+        q = data.l2_normalize(data.load_embeddings(manifest, "query"))
+        g = data.l2_normalize(data.load_embeddings(manifest, "gallery"))
+        lists = similarity.top_k(similarity.similarity_matrix(q, g), 10)
+        res = resolve(lists, ResolutionPolicy(depth=1, max_rounds=100))
+        assert res.rounds < 100
+        assert res.live_conflicts == 0
+        assert res.converged
+
+    def test_cap_reached_exactly_at_convergence(self):
+        # one round settles the conflict; a cap of 1 must not read as stopped
+        lists = [rl(0, (5, 0.9), (6, 0.1)), rl(1, (5, 0.8), (7, 0.2))]
+        res = resolve(lists, ResolutionPolicy(max_rounds=1))
+        assert res.rounds == 1
+        assert res.converged and res.live_conflicts == 0
 
 
 class TestAssignmentOracle:

@@ -26,7 +26,7 @@ from .objective import (
     train_adapter,
 )
 from .resolver import Resolution, ResolutionPolicy, resolve
-from .similarity import RankedList, similarity_matrix, top_k
+from .similarity import RankedList, Ranking, similarity_matrix, top_k
 
 __all__ = [
     "AdapterParams",
@@ -35,6 +35,7 @@ __all__ = [
     "EmbeddingMatrix",
     "EvalReport",
     "RankedList",
+    "Ranking",
     "Resolution",
     "ResolutionPolicy",
     "SynthConfig",

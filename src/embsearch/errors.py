@@ -57,6 +57,14 @@ class EmptyList(PipelineError):
     pass
 
 
+class InvalidRanking(PipelineError):
+    pass
+
+
+class MissingEmbedding(PipelineError):
+    pass
+
+
 class MissingGroundTruth(PipelineError):
     pass
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .data import _read_text
 from .errors import (
     EmptyList,
@@ -18,7 +20,7 @@ from .errors import (
     MissingGroundTruth,
     ParseError,
 )
-from .similarity import RankedList
+from .similarity import RankedList, Ranking
 
 
 @dataclass
@@ -43,35 +45,40 @@ class DeltaReport:
 
 
 def recall_at_k(
-    lists: list[RankedList],
+    lists: Ranking | list[RankedList],
     ground_truth: dict[int, int],
     ks: list[int],
     dataset: str = "",
     config: dict | None = None,
     timestamp: str | None = None,
 ) -> EvalReport:
-    """Hit rate at each cutoff in ks, averaged over queries."""
+    """Hit rate at each cutoff in ks, averaged over queries.
+
+    Every ranked query needs a ground-truth entry and every ground-truth
+    query a ranked list, so a partial file cannot report a partial recall.
+    """
     if not ks or any(k < 1 for k in ks):
         raise KOutOfRange("every k must be a positive integer")
-    if not lists:
+    ranking = Ranking.of(lists)
+    if not len(ranking):
         raise EmptyList("no ranked lists to evaluate")
     ks = sorted(set(ks))
-    min_depth = min(len(rl.entries) for rl in lists)
-    if max(ks) > min_depth:
-        raise KExceedsDepth(f"k={max(ks)} exceeds retrieval depth {min_depth}")
+    if max(ks) > ranking.k:
+        raise KExceedsDepth(f"k={max(ks)} exceeds retrieval depth {ranking.k}")
+    qids = ranking.query_ids.tolist()
+    missing = [q for q in qids if q not in ground_truth]
+    if missing:
+        raise MissingGroundTruth(f"query {missing[0]} has no ground-truth entry")
+    unranked = set(ground_truth).difference(qids)
+    if unranked:
+        raise EmptyList(f"query {min(unranked)} has ground truth but no ranked list")
 
-    hit_ranks = []
-    for rl in lists:
-        if rl.query_id not in ground_truth:
-            raise MissingGroundTruth(f"query {rl.query_id} has no ground-truth entry")
-        target = ground_truth[rl.query_id]
-        rank = next((j + 1 for j, (g, _) in enumerate(rl.entries) if g == target), None)
-        hit_ranks.append(rank)
-
-    n = len(lists)
-    recall = {
-        k: sum(1 for r in hit_ranks if r is not None and r <= k) / n for k in ks
-    }
+    targets = np.array([ground_truth[q] for q in qids], dtype=np.int64)
+    hits = ranking.ids == targets[:, None]
+    # 1-based rank of each query's first hit, k + 1 for a miss
+    hit_ranks = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, ranking.k + 1)
+    n = len(ranking)
+    recall = {k: int(np.count_nonzero(hit_ranks <= k)) / n for k in ks}
     return EvalReport(
         dataset=dataset,
         k_values=ks,

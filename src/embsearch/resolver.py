@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyList, InvalidConfig, PointerOutOfBounds
-from .similarity import RankedList, write_ranked_lists
+from .errors import EmptyList, InvalidConfig, MissingEmbedding, PointerOutOfBounds
+from .similarity import RankedList, Ranking, write_ranked_lists
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,64 @@ def _query_cosines(query_embeddings: np.ndarray, ids: list[int]) -> np.ndarray:
     return sub @ sub.T
 
 
+def _changes(*keys: np.ndarray) -> np.ndarray:
+    """True at each position whose keys differ from the previous position's."""
+    changed = np.zeros(len(keys[0]), dtype=bool)
+    changed[:1] = True
+    for key in keys:
+        changed[1:] |= key[1:] != key[:-1]
+    return changed
+
+
+def _detect(
+    ranking: Ranking,
+    policy: ResolutionPolicy,
+    pos: np.ndarray,
+    active: np.ndarray,
+    query_embeddings: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Conflict groups among the active rows, as member arrays.
+
+    Returns (answers, rows, cols, starts): one entry per member, ordered by
+    (answer id, query id), where cols is the member's 0-based rank of the
+    answer and group g spans starts[g]:starts[g + 1].
+    """
+    gate = policy.similarity_gate
+    if gate is not None and query_embeddings is not None:
+        outside = (ranking.query_ids < 0) | (ranking.query_ids >= len(query_embeddings))
+        if outside.any():
+            raise MissingEmbedding(
+                f"query {ranking.query_ids[outside][0]} has no embedding; "
+                f"the query embeddings hold {len(query_embeddings)} rows"
+            )
+    live = np.flatnonzero(active)
+    window = pos[live, None] + np.arange(policy.depth)
+    inside = window < ranking.k
+    rows = np.broadcast_to(live[:, None], window.shape)[inside]
+    cols = window[inside]
+    answers = ranking.ids[rows, cols]
+    # one order for grouping; within a window a repeated id keeps its first rank
+    order = np.lexsort((cols, rows, answers))
+    answers, rows, cols = answers[order], rows[order], cols[order]
+    first = _changes(answers, rows)
+    answers, rows, cols = answers[first], rows[first], cols[first]
+    starts = np.flatnonzero(_changes(answers))
+    sizes = np.diff(starts, append=len(answers))
+    keep = sizes >= 2
+    if gate is not None and keep.any():
+        if query_embeddings is None:
+            raise InvalidConfig("similarity_gate requires query embeddings")
+        for g in np.flatnonzero(keep):
+            ids = ranking.query_ids[rows[starts[g]:starts[g] + sizes[g]]].tolist()
+            cos = _query_cosines(query_embeddings, ids)
+            keep[g] = np.any(cos[np.triu_indices(len(ids), k=1)] > gate)
+    member = np.repeat(keep, sizes)
+    starts = np.r_[0, np.cumsum(sizes[keep])]
+    return answers[member], rows[member], cols[member], starts
+
+
 def detect_conflicts(
-    lists: list[RankedList],
+    lists: Ranking | list[RankedList],
     policy: ResolutionPolicy,
     positions: dict[int, int],
     query_embeddings: np.ndarray | None = None,
@@ -87,47 +143,38 @@ def detect_conflicts(
 ) -> list[ConflictGroup]:
     """Group queries whose current answers coincide, ascending by answer id.
 
-    positions maps query_id to a 0-based rank pointer. With depth > 1 a
-    query is also a member of a group when the answer occurs within its
-    window of `depth` entries starting at its pointer.
+    positions maps query_id to a 0-based rank pointer; only those queries,
+    minus the frozen ones, take part. With depth > 1 a query is also a
+    member of a group when the answer occurs within its window of `depth`
+    entries starting at its pointer.
     """
+    ranking = Ranking.of(lists)
     frozen = frozen or set()
-    by_query = {rl.query_id: rl for rl in lists}
-    occurrences: dict[int, list[tuple[int, float, int]]] = {}
+    row_of = {qid: row for row, qid in enumerate(ranking.query_ids.tolist())}
+    pos = np.zeros(len(ranking), dtype=np.int64)
+    active = np.zeros(len(ranking), dtype=bool)
     for qid in sorted(positions):
         if qid in frozen:
             continue
-        rl = by_query[qid]
-        pos = positions[qid]
-        if not 0 <= pos < len(rl.entries):
-            raise PointerOutOfBounds(f"query {qid}: pointer {pos} outside its list")
-        window = rl.entries[pos : pos + policy.depth]
-        seen = set()
-        for offset, (gid, score) in enumerate(window):
-            if gid in seen:
-                continue
-            seen.add(gid)
-            occurrences.setdefault(gid, []).append((qid, score, pos + offset + 1))
-
-    groups = []
-    for answer_id in sorted(occurrences):
-        members = occurrences[answer_id]
-        if len(members) < 2:
-            continue
-        if policy.similarity_gate is not None:
-            if query_embeddings is None:
-                raise InvalidConfig("similarity_gate requires query embeddings")
-            ids = [qid for qid, _, _ in members]
-            cos = _query_cosines(query_embeddings, ids)
-            iu = np.triu_indices(len(ids), k=1)
-            if not np.any(cos[iu] > policy.similarity_gate):
-                continue
-        groups.append(ConflictGroup(answer_id=answer_id, members=members))
-    return groups
+        if qid not in row_of or not 0 <= positions[qid] < ranking.k:
+            raise PointerOutOfBounds(f"query {qid}: pointer {positions[qid]} outside its list")
+        pos[row_of[qid]] = positions[qid]
+        active[row_of[qid]] = True
+    answers, rows, cols, starts = _detect(ranking, policy, pos, active, query_embeddings)
+    qids = ranking.query_ids[rows].tolist()
+    scores = ranking.scores[rows, cols].tolist()
+    ranks = (cols + 1).tolist()
+    return [
+        ConflictGroup(
+            answer_id=int(answers[lo]),
+            members=list(zip(qids[lo:hi], scores[lo:hi], ranks[lo:hi])),
+        )
+        for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
+    ]
 
 
 def resolve(
-    lists: list[RankedList],
+    lists: Ranking | list[RankedList],
     policy: ResolutionPolicy = ResolutionPolicy(),
     query_embeddings: np.ndarray | None = None,
 ) -> Resolution:
@@ -140,96 +187,105 @@ def resolve(
     groups still live records their number in live_conflicts (converged is
     then False). Deterministic for a given input.
     """
-    if not lists:
+    ranking = Ranking.of(lists)
+    k = ranking.k
+    if not len(ranking):
         raise EmptyList("no ranked lists to resolve")
-    for rl in lists:
-        if not rl.entries:
-            raise EmptyList(f"query {rl.query_id} has an empty ranked list")
-    lists = sorted(lists, key=lambda rl: rl.query_id)
+    if not k:
+        raise EmptyList(f"query {ranking.query_ids[0]} has an empty ranked list")
+    policy.validate(k)
+    max_rounds = policy.max_rounds if policy.max_rounds is not None else k
 
-    depth_n = max(len(rl.entries) for rl in lists)
-    policy.validate(depth_n)
-    max_rounds = policy.max_rounds if policy.max_rounds is not None else depth_n
-
-    by_query = {rl.query_id: rl for rl in lists}
-    positions = {rl.query_id: 0 for rl in lists}
-    frozen: set[int] = set()
+    qids = ranking.query_ids.tolist()
+    pos = np.zeros(len(ranking), dtype=np.int64)
+    active = np.ones(len(ranking), dtype=bool)
     resolution = Resolution(assignments={})
 
     # one detection past the cap tells whether the run stopped with conflicts
     for round_index in range(1, max_rounds + 2):
-        groups = detect_conflicts(lists, policy, positions, query_embeddings, frozen)
-        if not groups:
+        answers, rows, cols, starts = _detect(ranking, policy, pos, active, query_embeddings)
+        if len(starts) == 1:
             break
         if round_index > max_rounds:
-            resolution.live_conflicts = len(groups)
+            resolution.live_conflicts = len(starts) - 1
             break
         resolution.rounds = round_index
-        for group in groups:
-            winner_qid, winner_score, _ = max(
-                group.members, key=lambda m: (m[1], -m[0])
-            )
-            for qid, score, rank in group.members:
-                if qid == winner_qid:
-                    continue
-                resolution.audit.append(
-                    AuditEntry(
-                        round=round_index,
-                        answer_id=group.answer_id,
-                        winner=winner_qid,
-                        loser=qid,
-                        delta_s=winner_score - score,
-                    )
-                )
-                # only a loser sitting on the contested answer moves
-                if rank - 1 != positions[qid]:
-                    continue
-                if positions[qid] + 1 >= len(by_query[qid].entries):
-                    resolution.unresolved.add(qid)
-                    frozen.add(qid)
-                else:
-                    positions[qid] += 1
+        scores = ranking.scores[rows, cols]
+        sizes = np.diff(starts)
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        # winner: highest score, then lower query id (NaN never wins, but a
+        # group led by a NaN keeps its leader, as a running maximum would)
+        leaders = starts[:-1]
+        winners = np.lexsort((rows, -scores, group))[leaders]
+        led_by_nan = np.isnan(scores[leaders])
+        winners[led_by_nan] = leaders[led_by_nan]
+        winner = winners[group]
+        lose = np.flatnonzero(winner != np.arange(len(rows)))
+        for answer, winner_row, winner_score, row, score, col in zip(
+            answers[lose].tolist(), rows[winner[lose]].tolist(),
+            scores[winner[lose]].tolist(), rows[lose].tolist(),
+            scores[lose].tolist(), cols[lose].tolist(),
+        ):
+            resolution.audit.append(AuditEntry(
+                round=round_index, answer_id=answer, winner=qids[winner_row],
+                loser=qids[row], delta_s=winner_score - score,
+            ))
+            # only a loser sitting on the contested answer moves; with
+            # depth > 1 an earlier group of this round may have moved it
+            if col != pos[row]:
+                continue
+            if col + 1 >= k:
+                resolution.unresolved.add(qids[row])
+                active[row] = False
+            else:
+                pos[row] = col + 1
 
-    for rl in lists:
-        pos = positions[rl.query_id]
-        gid, score = rl.entries[pos]
-        resolution.assignments[rl.query_id] = (gid, score, pos + 1)
+    rows = np.arange(len(ranking))
+    resolution.assignments = dict(zip(qids, zip(
+        ranking.ids[rows, pos].tolist(), ranking.scores[rows, pos].tolist(), (pos + 1).tolist()
+    )))
     return resolution
 
 
+def _reordered(ranking: Ranking, resolution: Resolution) -> tuple[Ranking, np.ndarray]:
+    """The ranking with each assignment first, and every entry's source rank."""
+    lead = np.array(
+        [resolution.assignments[q][2] - 1 for q in ranking.query_ids.tolist()], dtype=np.int64
+    )[:, None]
+    cols = np.arange(ranking.k)
+    # new column 0 is the assigned entry; the rest keep their source order
+    order = np.where(cols == 0, lead, cols - (cols <= lead))
+    reordered = Ranking(
+        query_ids=ranking.query_ids,
+        ids=np.take_along_axis(ranking.ids, order, axis=1),
+        scores=np.take_along_axis(ranking.scores, order, axis=1),
+    )
+    return reordered, order + 1
+
+
 def resolution_to_lists(
-    lists: list[RankedList], resolution: Resolution
-) -> tuple[list[RankedList], dict[int, list[int]]]:
+    lists: Ranking | list[RankedList], resolution: Resolution
+) -> tuple[Ranking, dict[int, list[int]]]:
     """Reorder each list so the final assignment leads, others keep order.
 
-    Returns the reordered lists and, per query, the original rank of each
+    Returns the reordered ranking and, per query, the original rank of each
     entry (the source_rank column of the resolved file).
     """
-    out, source_ranks = [], {}
-    for rl in sorted(lists, key=lambda r: r.query_id):
-        gid, score, source_rank = resolution.assignments[rl.query_id]
-        entries = [(gid, score)]
-        ranks = [source_rank]
-        for j, (g, s) in enumerate(rl.entries):
-            if j + 1 == source_rank:
-                continue
-            entries.append((g, s))
-            ranks.append(j + 1)
-        out.append(RankedList(query_id=rl.query_id, entries=entries))
-        source_ranks[rl.query_id] = ranks
-    return out, source_ranks
+    ranking = Ranking.of(lists)
+    reordered, source_ranks = _reordered(ranking, resolution)
+    return reordered, dict(zip(ranking.query_ids.tolist(), source_ranks.tolist()))
 
 
 def write_resolution(
     path: str | Path,
-    lists: list[RankedList],
+    lists: Ranking | list[RankedList],
     resolution: Resolution,
     meta: dict | None = None,
 ) -> None:
     meta = dict(meta or {})
     if resolution.unresolved:
         meta["unresolved"] = ",".join(str(q) for q in sorted(resolution.unresolved))
-    reordered, source_ranks = resolution_to_lists(lists, resolution)
+    reordered, source_ranks = _reordered(Ranking.of(lists), resolution)
     write_ranked_lists(path, reordered, meta=meta, source_ranks=source_ranks)
 
 

@@ -8,8 +8,12 @@ Top-k is exact partial selection per block of query rows, after the tiled
 k-selection of flat exact indexes (Johnson, Douze & Jegou, arXiv:1702.08734):
 each row's k-th best score is found with a partition, every column at or
 above it is kept, and the kept columns are ordered by (-score, gallery id).
-Beyond the score matrix and the returned lists, its working memory is
+Beyond the score matrix and the returned ranking, its working memory is
 O(BLOCK_SCORES), i.e. O(block rows x n_gallery), never O(n_queries x n_gallery).
+
+Ranked lists are held as one columnar Ranking: ascending query ids and
+(n_queries, k) arrays of gallery ids and scores. Every query's list has the
+same length k.
 """
 from __future__ import annotations
 
@@ -19,12 +23,27 @@ from pathlib import Path
 import numpy as np
 
 from .data import EmbeddingMatrix, _read_text
-from .errors import DimensionMismatch, KOutOfRange, NonFiniteValue, NotNormalized, ParseError
+from .errors import (
+    DimensionMismatch,
+    InvalidRanking,
+    KOutOfRange,
+    NonFiniteValue,
+    NotNormalized,
+    ParseError,
+)
 
-# Scores top_k examines at once (1 MB of float32): a block holds
-# max(1, BLOCK_SCORES // n_gallery) query rows, which bounds top_k's working
-# memory independently of n_queries and keeps each block cache-sized.
+# Scores examined at once (1 MB of float32) by top_k and by the finiteness
+# check of similarity_matrix: a block holds max(1, BLOCK_SCORES // n_gallery)
+# query rows, which bounds working memory independently of n_queries and
+# keeps each block cache-sized.
 BLOCK_SCORES = 1 << 18
+
+# int64 range: ids outside it cannot be stored in a Ranking
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _block_rows(n_gallery: int) -> int:
+    return max(1, BLOCK_SCORES // max(1, n_gallery))
 
 
 @dataclass
@@ -35,6 +54,67 @@ class RankedList:
     entries: list[tuple[int, float]]
 
 
+@dataclass
+class Ranking:
+    """Ranked lists of every query, one row per query, best entry first.
+
+    query_ids (int64[n]) ascend strictly; ids (int64[n, k]) and scores
+    (float64[n, k]) hold each query's list. Indexing or iterating yields
+    the per-query RankedList rows.
+    """
+
+    query_ids: np.ndarray
+    ids: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.query_ids)
+        if self.ids.shape != self.scores.shape or self.ids.shape[:1] != (n,):
+            raise InvalidRanking(
+                f"ids {self.ids.shape} and scores {self.scores.shape} do not hold "
+                f"{n} equal-length lists"
+            )
+        if np.any(np.diff(self.query_ids) <= 0):
+            raise InvalidRanking("query ids must be strictly ascending")
+
+    @property
+    def k(self) -> int:
+        return self.ids.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.query_ids)
+
+    def __getitem__(self, i: int) -> RankedList:
+        return RankedList(
+            query_id=int(self.query_ids[i]),
+            entries=list(zip(self.ids[i].tolist(), self.scores[i].tolist())),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @classmethod
+    def of(cls, lists: Ranking | list[RankedList]) -> Ranking:
+        """The Ranking of lists, which may already be one; rows sorted by query id."""
+        if isinstance(lists, Ranking):
+            return lists
+        lists = sorted(lists, key=lambda rl: rl.query_id)
+        k = len(lists[0].entries) if lists else 0
+        for rl in lists:
+            if len(rl.entries) != k:
+                raise InvalidRanking(
+                    f"query {rl.query_id} has {len(rl.entries)} entries, query "
+                    f"{lists[0].query_id} has {k}: every list needs the same length"
+                )
+        return cls(
+            query_ids=np.array([rl.query_id for rl in lists], dtype=np.int64),
+            ids=np.array([[g for g, _ in rl.entries] for rl in lists],
+                         dtype=np.int64).reshape(len(lists), k),
+            scores=np.array([[s for _, s in rl.entries] for rl in lists],
+                            dtype=np.float64).reshape(len(lists), k),
+        )
+
+
 def similarity_matrix(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.ndarray:
     """Dense n_queries x n_gallery cosine score matrix (float32)."""
     if not queries.normalized or not gallery.normalized:
@@ -42,26 +122,31 @@ def similarity_matrix(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.
     if queries.dim != gallery.dim:
         raise DimensionMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     sims = queries.data @ gallery.data.T
-    if not np.all(np.isfinite(sims)):
-        raise NonFiniteValue("similarity matrix contains non-finite entries")
+    # per block, so the check never holds an n x n boolean mask
+    step = _block_rows(sims.shape[1])
+    for lo in range(0, len(sims), step):
+        if not np.isfinite(sims[lo:lo + step]).all():
+            raise NonFiniteValue("similarity matrix contains non-finite entries")
     return sims
 
 
-def top_k(sims: np.ndarray, k: int) -> list[RankedList]:
+def top_k(sims: np.ndarray, k: int) -> Ranking:
     """Per-query k best gallery ids; equal scores resolve to the lower id.
 
     The result equals a stable sort of each row by descending score, cut to
     k, including for non-finite scores: -0.0 ties with 0.0, +inf ranks
     first, -inf after every finite score, and NaN last of all, NaNs among
     themselves in ascending id. A row that holds a NaN is ordered in full,
-    because its k-th best score cannot be read from the partition.
+    because its k-th best score cannot be read from the partition. Scores
+    are widened to float64 exactly.
     """
     n_queries, n_gallery = sims.shape
     if not 1 <= k <= n_gallery:
         raise KOutOfRange(f"k={k} outside [1, {n_gallery}]")
-    step = max(1, BLOCK_SCORES // n_gallery)
+    step = _block_rows(n_gallery)
     kth = n_gallery - k
-    lists = []
+    ids = np.empty((n_queries, k), dtype=np.int64)
+    top = np.empty((n_queries, k), dtype=np.float64)
     for lo in range(0, n_queries, step):
         block = sims[lo:lo + step]
         # ascending partition puts each row's k best (NaN counted as largest)
@@ -76,55 +161,118 @@ def top_k(sims: np.ndarray, k: int) -> list[RankedList]:
         # every row keeps at least k columns; rows are contiguous in order
         starts = np.searchsorted(rows, np.arange(len(block)))
         pick = order[(starts[:, None] + np.arange(k)).ravel()]
-        ids = cols[pick].reshape(-1, k).tolist()
-        picked = scores[pick].reshape(-1, k).tolist()
-        lists.extend(
-            RankedList(query_id=lo + i, entries=list(zip(ids[i], picked[i])))
-            for i in range(len(ids))
-        )
-    return lists
+        ids[lo:lo + step] = cols[pick].reshape(-1, k)
+        top[lo:lo + step] = scores[pick].reshape(-1, k)
+    return Ranking(query_ids=np.arange(n_queries, dtype=np.int64), ids=ids, scores=top)
 
 
 def write_ranked_lists(
     path: str | Path,
-    lists: list[RankedList],
+    lists: Ranking | list[RankedList],
     meta: dict | None = None,
-    source_ranks: dict[int, list[int]] | None = None,
+    source_ranks: np.ndarray | None = None,
 ) -> None:
     """Serialize lists as `query_id TAB rank TAB gallery_id TAB score` lines.
 
     Scores carry 9 significant digits, enough to round-trip float32 exactly.
     An optional fifth column records each entry's rank in the pre-resolution
-    list. Metadata is embedded as leading `# key=value` comment lines.
+    list: source_ranks is an int array shaped like the ranking's ids.
+    Metadata is embedded as leading `# key=value` comment lines.
     """
-    out = []
-    for key, value in (meta or {}).items():
-        out.append(f"# {key}={value}")
-    for rl in lists:
-        ranks = source_ranks.get(rl.query_id) if source_ranks else None
-        for j, (gid, score) in enumerate(rl.entries):
-            line = f"{rl.query_id}\t{j + 1}\t{gid}\t{score:.9g}"
-            if ranks is not None:
-                line += f"\t{ranks[j]}"
-            out.append(line)
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    ranking = Ranking.of(lists)
+    n, k = ranking.ids.shape
+    columns = [
+        np.repeat(ranking.query_ids, k).tolist(),
+        np.tile(np.arange(1, k + 1), n).tolist(),
+        ranking.ids.ravel().tolist(),
+        ranking.scores.ravel().tolist(),
+    ]
+    line = "%d\t%d\t%d\t%.9g"
+    if source_ranks is not None:
+        columns.append(np.asarray(source_ranks).ravel().tolist())
+        line += "\t%d"
+    # '%.9g' % x formats a float exactly as f"{x:.9g}"; one % call per file
+    fields = [None] * (len(columns) * n * k)
+    for j, column in enumerate(columns):
+        fields[j::len(columns)] = column
+    head = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
+    text = head + ((line + "\n") * (n * k)) % tuple(fields)
+    Path(path).write_text(text or "\n", encoding="utf-8")
 
 
-def read_ranked_lists(path: str | Path) -> list[RankedList]:
-    """Parse a ranked-list file; extra columns (source_rank) are ignored."""
-    lists: dict[int, list[tuple[int, float]]] = {}
-    for lineno, line in enumerate(_read_text(path, "ranked-list file").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+def _parse_error(path, lines: list[str], body: list[int]) -> ParseError:
+    """The error for the first body line that cannot be parsed."""
+    for i in body:
+        parts = lines[i].split("\t")
         if len(parts) < 4:
-            raise ParseError(f"{path}:{lineno}: expected at least 4 tab-separated fields")
+            return ParseError(f"{path}:{i + 1}: expected at least 4 tab-separated fields")
         try:
-            qid, rank, gid, score = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            values = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        entries = lists.setdefault(qid, [])
-        if rank != len(entries) + 1:
-            raise ParseError(f"{path}:{lineno}: rank {rank} out of order for query {qid}")
-        entries.append((gid, score))
-    return [RankedList(query_id=q, entries=lists[q]) for q in sorted(lists)]
+            return ParseError(f"{path}:{i + 1}: {exc}")
+        if any(v not in _INT64 for v in values[:3]):
+            return ParseError(f"{path}:{i + 1}: integer outside the int64 range")
+    return ParseError(f"{path}: malformed ranked-list file")
+
+
+def read_ranked_lists(path: str | Path) -> Ranking:
+    """Parse a ranked-list file; extra columns (source_rank) are ignored.
+
+    A query's rows may be interleaved with other queries' rows but come in
+    rank order. Every query needs the same number of entries and no gallery
+    id twice: the first line that breaks a rule raises ParseError.
+    """
+    lines = _read_text(path, "ranked-list file").splitlines()
+    # skip blank, whitespace-only and '#' lines
+    body = [i for i, line in enumerate(lines) if line and line[0] != "#" and not line.isspace()]
+    if not body:
+        return Ranking.of([])
+    rows = [lines[i] for i in body]
+    tabs = [line.count("\t") for line in rows]
+    if min(tabs) < 3:
+        raise _parse_error(path, lines, body)
+    width = tabs[0] + 1
+    if max(tabs) != min(tabs):
+        rows, width = ["\t".join(line.split("\t", 4)[:4]) for line in rows], 4
+    # one split of the joined body, then Python's int and float per column
+    fields = "\t".join(rows).split("\t")
+    try:
+        qids, ranks, gids = (
+            np.array(list(map(int, fields[j::width])), dtype=np.int64) for j in range(3)
+        )
+        scores = np.array(list(map(float, fields[3::width])), dtype=np.float64)
+    except (ValueError, OverflowError):
+        raise _parse_error(path, lines, body) from None
+
+    def fail(row, message):
+        raise ParseError(f"{path}:{body[row] + 1}: {message}")
+
+    # rows grouped by query, file order kept within a query
+    order = np.argsort(qids, kind="stable")
+    grouped = qids[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    counts = np.diff(starts, append=len(rows))
+    within = np.arange(len(rows)) - np.repeat(starts, counts)
+    bad = order[ranks[order] != within + 1]
+    if bad.size:
+        i = bad.min()
+        fail(i, f"rank {ranks[i]} out of order for query {qids[i]}")
+    query_ids = grouped[starts]
+    k = int(counts[np.searchsorted(query_ids, qids[0])])
+    uneven = np.flatnonzero(counts != k)
+    if uneven.size:
+        # a short list fails on its last row, a long one on row k + 1
+        at = order[starts[uneven] + np.minimum(counts[uneven], k + 1) - 1]
+        j = int(np.argmin(at))
+        fail(at[j], f"query {query_ids[uneven[j]]} has {counts[uneven[j]]} entries, "
+                    f"query {qids[0]} has {k}: every list needs the same length")
+    ids = gids[order].reshape(-1, k)
+    by_id = np.argsort(ids, axis=1, kind="stable")
+    sorted_ids = np.take_along_axis(ids, by_id, axis=1)
+    rep_row, rep_col = np.nonzero(sorted_ids[:, 1:] == sorted_ids[:, :-1])
+    if rep_row.size:
+        # the repeat is the later of two equal ids, which stable order puts second
+        at = order[starts[rep_row] + by_id[rep_row, rep_col + 1]]
+        j = int(np.argmin(at))
+        fail(at[j], f"query {query_ids[rep_row[j]]} repeats gallery id {gids[at[j]]}")
+    return Ranking(query_ids=query_ids, ids=ids, scores=scores[order].reshape(-1, k))

@@ -162,6 +162,16 @@ class TestExitCodes:
             "eval", ranked, "--manifest", dataset_dir / "manifest.json", "--ks", "one"
         ) == 1
 
+    def test_gate_with_smaller_manifest_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds4"
+        assert run_cli("gen-synth", "--out", ds, "--seed", 3, "--n", 4, "--dim", 8) == 0
+        ranked = tmp_path / "ranked8.tsv"
+        ranked.write_text("".join(f"{q}\t1\t0\t0.{9 - q}\n" for q in range(8)))
+        argv = ["resolve", ranked, "--out", tmp_path / "o.tsv", "--gate", -1.0,
+                "--manifest", ds / "manifest.json"]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("data error: query 4 has no embedding")
+
     def test_gate_requires_manifest(self, tmp_path):
         ranked = tmp_path / "r.tsv"
         ranked.write_text("0\t1\t0\t0.5\n")
@@ -178,6 +188,12 @@ class TestExitCodes:
                      id="report-bad-recall"),
         pytest.param("report", GOOD_REPORT.replace(b"recall@5: 1\n", b""),
                      id="report-missing-recall"),
+        pytest.param("resolve", b"0\t1\t5\t0.5\n0\t2\t6\t0.4\n1\t1\t7\t0.5\n",
+                     id="resolve-unequal-lengths"),
+        pytest.param("resolve", b"0\t1\t5\t0.5\n0\t2\t5\t0.4\n1\t1\t5\t0.3\n1\t2\t6\t0.2\n",
+                     id="resolve-repeated-id"),
+        pytest.param("eval", b"".join(b"0\t%d\t%d\t0.5\n" % (r, r - 1) for r in range(1, 11)),
+                     id="eval-partial-file"),
     ])
     def test_bad_input_file_is_data_error(self, dataset_dir, tmp_path, capsys, command, content):
         path = tmp_path / "input.txt"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, evaluation, resolver, similarity
-from embsearch.errors import KExceedsDepth, MismatchedRuns, MissingGroundTruth
+from embsearch.errors import EmptyList, KExceedsDepth, MismatchedRuns, MissingGroundTruth
 from embsearch.similarity import RankedList
 
 
@@ -46,6 +46,12 @@ class TestRecallAtK:
         lists = lists_with_hit_ranks([1, 2])
         with pytest.raises(MissingGroundTruth):
             evaluation.recall_at_k(lists, {0: 0}, [1])
+
+    def test_ground_truth_query_without_list(self):
+        # a partial ranked file must not report the recall of its queries alone
+        lists = lists_with_hit_ranks([1, 1])
+        with pytest.raises(EmptyList, match="query 2 has ground truth but no ranked list"):
+            evaluation.recall_at_k(lists, {0: 0, 1: 1, 3: 3, 2: 2}, [1])
 
     def test_k_exceeds_depth(self):
         lists = lists_with_hit_ranks([1], depth=3)

@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, evaluation, similarity
-from embsearch.errors import EmptyList, InvalidConfig
+from embsearch.errors import EmptyList, InvalidConfig, InvalidRanking, PointerOutOfBounds
 from embsearch.resolver import (
+    AuditEntry,
+    ConflictGroup,
+    Resolution,
     ResolutionPolicy,
+    _query_cosines,
     detect_conflicts,
     resolve,
     resolution_to_lists,
@@ -19,6 +25,100 @@ from assignment_oracle import TooLarge, assignment_oracle
 
 def rl(qid, *pairs):
     return RankedList(query_id=qid, entries=[(g, float(s)) for g, s in pairs])
+
+
+def reference_detect_conflicts(lists, policy, positions, query_embeddings=None, frozen=None):
+    """The per-query loop the array detector replaced, kept as its reference."""
+    frozen = frozen or set()
+    by_query = {rl.query_id: rl for rl in lists}
+    occurrences = {}
+    for qid in sorted(positions):
+        if qid in frozen:
+            continue
+        rl = by_query[qid]
+        pos = positions[qid]
+        window = rl.entries[pos : pos + policy.depth]
+        seen = set()
+        for offset, (gid, score) in enumerate(window):
+            if gid in seen:
+                continue
+            seen.add(gid)
+            occurrences.setdefault(gid, []).append((qid, score, pos + offset + 1))
+
+    groups = []
+    for answer_id in sorted(occurrences):
+        members = occurrences[answer_id]
+        if len(members) < 2:
+            continue
+        if policy.similarity_gate is not None:
+            if query_embeddings is None:
+                raise InvalidConfig("similarity_gate requires query embeddings")
+            ids = [qid for qid, _, _ in members]
+            cos = _query_cosines(query_embeddings, ids)
+            iu = np.triu_indices(len(ids), k=1)
+            if not np.any(cos[iu] > policy.similarity_gate):
+                continue
+        groups.append(ConflictGroup(answer_id=answer_id, members=members))
+    return groups
+
+
+def reference_resolve(lists, policy=ResolutionPolicy(), query_embeddings=None):
+    """The per-query round loop the array resolver replaced, kept as its reference."""
+    lists = sorted(lists, key=lambda rl: rl.query_id)
+    depth_n = max(len(rl.entries) for rl in lists)
+    policy.validate(depth_n)
+    max_rounds = policy.max_rounds if policy.max_rounds is not None else depth_n
+    by_query = {rl.query_id: rl for rl in lists}
+    positions = {rl.query_id: 0 for rl in lists}
+    frozen = set()
+    resolution = Resolution(assignments={})
+    for round_index in range(1, max_rounds + 2):
+        groups = reference_detect_conflicts(lists, policy, positions, query_embeddings, frozen)
+        if not groups:
+            break
+        if round_index > max_rounds:
+            resolution.live_conflicts = len(groups)
+            break
+        resolution.rounds = round_index
+        for group in groups:
+            winner_qid, winner_score, _ = max(group.members, key=lambda m: (m[1], -m[0]))
+            for qid, score, rank in group.members:
+                if qid == winner_qid:
+                    continue
+                resolution.audit.append(AuditEntry(
+                    round=round_index, answer_id=group.answer_id, winner=winner_qid,
+                    loser=qid, delta_s=winner_score - score,
+                ))
+                if rank - 1 != positions[qid]:
+                    continue
+                if positions[qid] + 1 >= len(by_query[qid].entries):
+                    resolution.unresolved.add(qid)
+                    frozen.add(qid)
+                else:
+                    positions[qid] += 1
+    for rl in lists:
+        pos = positions[rl.query_id]
+        gid, score = rl.entries[pos]
+        resolution.assignments[rl.query_id] = (gid, score, pos + 1)
+    return resolution
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_same_resolution(got, want):
+    assert got.assignments.keys() == want.assignments.keys()
+    for qid, (gid, score, rank) in want.assignments.items():
+        g_gid, g_score, g_rank = got.assignments[qid]
+        assert (g_gid, g_rank) == (gid, rank) and same_float(g_score, score)
+    assert [(e.round, e.answer_id, e.winner, e.loser) for e in got.audit] == [
+        (e.round, e.answer_id, e.winner, e.loser) for e in want.audit
+    ]
+    assert all(same_float(a.delta_s, b.delta_s) for a, b in zip(got.audit, want.audit))
+    assert got.unresolved == want.unresolved
+    assert got.rounds == want.rounds
+    assert got.live_conflicts == want.live_conflicts
 
 
 class TestDetectConflicts:
@@ -159,6 +259,86 @@ class TestResolve:
         for rl_ in lists:
             if rl_.query_id not in touched:
                 assert res.assignments[rl_.query_id][0] == rl_.entries[0][0]
+
+
+class TestAgainstReference:
+    """The array resolver against the per-query loops it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 12),
+        cap=st.sampled_from([None, 1, 2, 3]),
+        gate=st.sampled_from([None, -0.5, 0.0, 0.5, 0.9]),
+        data_=st.data(),
+    )
+    def test_top_k_lists(self, seed, n, cap, gate, data_):
+        rng = np.random.default_rng(seed)
+        n_gallery = data_.draw(st.integers(1, 12))
+        k = data_.draw(st.integers(1, n_gallery))
+        depth = data_.draw(st.integers(1, k))
+        # scores on a 0.1 grid tie often, within and across queries
+        sims = np.round(rng.random((n, n_gallery)), 1).astype(np.float32)
+        lists = similarity.top_k(sims, k)
+        embeddings = rng.standard_normal((n, 3)).astype(np.float32)
+        policy = ResolutionPolicy(depth=depth, max_rounds=cap, similarity_gate=gate)
+        assert_same_resolution(
+            resolve(lists, policy, embeddings),
+            reference_resolve(list(lists), policy, embeddings),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        qids=st.lists(st.integers(-5, 40), min_size=2, max_size=10, unique=True),
+        k=st.integers(1, 6),
+        cap=st.sampled_from([None, 1, 2, 3]),
+        data_=st.data(),
+    )
+    def test_hand_built_lists(self, qids, k, cap, data_):
+        """Unsorted query ids, repeated ids within a list, signed zeros,
+        infinities and NaN scores."""
+        score = st.sampled_from([0.5, 0.25, 0.0, -0.0, 1.0, math.inf, -math.inf, math.nan])
+        lists = [
+            RankedList(q, [(data_.draw(st.integers(0, 4)), data_.draw(score)) for _ in range(k)])
+            for q in qids
+        ]
+        policy = ResolutionPolicy(depth=data_.draw(st.integers(1, k)), max_rounds=cap)
+        assert_same_resolution(resolve(lists, policy), reference_resolve(lists, policy))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 10), data_=st.data())
+    def test_detect_conflicts(self, seed, n, data_):
+        rng = np.random.default_rng(seed)
+        k = data_.draw(st.integers(1, 6))
+        sims = np.round(rng.random((n, 6)), 1).astype(np.float32)
+        lists = list(similarity.top_k(sims, k))
+        positions = {q: int(rng.integers(k)) for q in range(n) if rng.random() < 0.8}
+        frozen = {q for q in range(n) if rng.random() < 0.2}
+        gate = data_.draw(st.sampled_from([None, 0.0, 0.5]))
+        embeddings = rng.standard_normal((n, 3)).astype(np.float32)
+        policy = ResolutionPolicy(depth=data_.draw(st.integers(1, k)), similarity_gate=gate)
+        assert detect_conflicts(lists, policy, positions, embeddings, frozen) == (
+            reference_detect_conflicts(lists, policy, positions, embeddings, frozen)
+        )
+
+    def test_nan_leader_keeps_answer(self):
+        # a running maximum never replaces a NaN leader, nor picks a NaN later
+        lists = [rl(0, (5, math.nan), (6, 0.1)), rl(1, (5, 0.9), (7, 0.2)),
+                 rl(2, (5, 0.3), (8, math.nan))]
+        res = resolve(lists)
+        assert_same_resolution(res, reference_resolve(lists))
+        assert res.assignments[0][0] == 5
+
+    def test_pointer_outside_list(self):
+        lists = [rl(0, (5, 0.9)), rl(1, (5, 0.8))]
+        with pytest.raises(PointerOutOfBounds):
+            detect_conflicts(lists, ResolutionPolicy(), {0: 0, 1: 1})
+        with pytest.raises(PointerOutOfBounds):
+            detect_conflicts(lists, ResolutionPolicy(), {0: 0, 2: 0})
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(InvalidRanking):
+            resolve([rl(0, (5, 0.9), (6, 0.1)), rl(1, (5, 0.8))])
 
 
 class TestRoundCap:

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, similarity
-from embsearch.errors import DimensionMismatch, KOutOfRange, NotNormalized
+from embsearch.errors import (
+    DimensionMismatch,
+    InvalidRanking,
+    KOutOfRange,
+    NonFiniteValue,
+    NotNormalized,
+    ParseError,
+)
 from conftest import unit_rows
 
 
@@ -17,6 +25,30 @@ def norm_matrix(arr):
 def sort_oracle(scores):
     """Naive full sort of one score row, ties toward the lower gallery id."""
     return sorted(range(len(scores)), key=lambda g: (-scores[g], g))
+
+
+def reference_read_ranked_lists(path):
+    """The per-line parser the columnar one replaced, kept as its reference."""
+    lists = {}
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 4:
+            raise ParseError(f"{path}:{lineno}: expected at least 4 tab-separated fields")
+        try:
+            qid, rank, gid, score = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        entries = lists.setdefault(qid, [])
+        if rank != len(entries) + 1:
+            raise ParseError(f"{path}:{lineno}: rank {rank} out of order for query {qid}")
+        entries.append((gid, score))
+    return [similarity.RankedList(query_id=q, entries=lists[q]) for q in sorted(lists)]
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
 
 
 def assert_equals_reference(lists, sims, k):
@@ -272,6 +304,159 @@ class TestTopKBlocks:
         # full argsort holds a negated copy plus int64 indices, 3x nbytes,
         # and even an n x n boolean mask would be nbytes // 4
         assert peak - kept < sims.nbytes // 16
+
+
+class TestSimilarityMatrixFinite:
+    """The finiteness check runs per block of query rows."""
+
+    @pytest.mark.parametrize("row", [0, 3, 4, 6])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_block_raises(self, rows_per_block, row, bad):
+        rng = np.random.default_rng(13)
+        q = unit_rows(7, 4, rng).astype(np.float32)
+        q[row, 1] = bad
+        rows_per_block(2, 5)
+        with pytest.raises(NonFiniteValue):
+            similarity.similarity_matrix(norm_matrix(q), norm_matrix(unit_rows(5, 4, rng)))
+
+    def test_working_memory_stays_below_a_mask(self):
+        rng = np.random.default_rng(14)
+        q = norm_matrix(unit_rows(1500, 8, rng))
+        g = norm_matrix(unit_rows(1500, 8, rng))
+        tracemalloc.start()
+        try:
+            sims = similarity.similarity_matrix(q, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an n x n boolean mask alone would be nbytes // 4
+        assert peak - sims.nbytes < sims.nbytes // 8
+
+
+class TestRanking:
+    def test_top_k_widens_scores_exactly(self):
+        sims = np.random.default_rng(15).random((4, 9)).astype(np.float32)
+        ranking = similarity.top_k(sims, 3)
+        assert ranking.ids.dtype == np.int64 and ranking.scores.dtype == np.float64
+        assert ranking.query_ids.tolist() == [0, 1, 2, 3]
+        expected = np.take_along_axis(sims, ranking.ids, axis=1)
+        assert ranking.scores.tobytes() == expected.astype(np.float64).tobytes()
+
+    def test_of_lists_sorts_by_query_id(self):
+        lists = [similarity.RankedList(7, [(1, 0.5), (2, 0.25)]),
+                 similarity.RankedList(-2, [(3, 0.75), (1, 0.5)])]
+        ranking = similarity.Ranking.of(lists)
+        assert ranking.query_ids.tolist() == [-2, 7]
+        assert list(ranking) == sorted(lists, key=lambda rl: rl.query_id)
+        assert similarity.Ranking.of(ranking) is ranking
+
+    @pytest.mark.parametrize("lists", [
+        [similarity.RankedList(0, [(1, 0.5)]), similarity.RankedList(1, [(1, 0.5), (2, 0.1)])],
+        [similarity.RankedList(0, [(1, 0.5)]), similarity.RankedList(0, [(2, 0.5)])],
+    ], ids=["unequal-lengths", "repeated-query"])
+    def test_rejects_what_it_cannot_hold(self, lists):
+        with pytest.raises(InvalidRanking):
+            similarity.Ranking.of(lists)
+
+
+SCORE_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=32).map(lambda x: f"{x:.9g}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0", "0", "+0.5", "1e-3", "1E+2", "-2.5e-310", "inf", "-inf",
+                     "Infinity", "nan", "NaN", "-nan", " 0.25", "0.125 ", "1_000.5"]),
+)
+
+
+class TestReadAgainstReference:
+    """The columnar parser against the per-line one it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        qids=st.lists(st.integers(-3, 10**12), min_size=1, max_size=6, unique=True),
+        k=st.integers(1, 5),
+        source_rank=st.booleans(),
+        data_=st.data(),
+    )
+    def test_valid_files(self, tmp_path_factory, qids, k, source_rank, data_):
+        rows = {
+            q: [(r, g, data_.draw(SCORE_TEXT))
+                for r, g in enumerate(data_.draw(st.permutations(range(-2, 2 * k))), 1)][:k]
+            for q in qids
+        }
+        # interleave the queries' rows, each query's ranks in order
+        lines = []
+        while any(rows.values()):
+            q = data_.draw(st.sampled_from([q for q in qids if rows[q]]))
+            r, g, score = rows[q].pop(0)
+            line = f"{q}\t{r}\t{g}\t{score}" + (f"\t{data_.draw(st.integers(1, k))}"
+                                                if source_rank else "")
+            lines.append(line)
+            if data_.draw(st.booleans()):
+                lines.append(data_.draw(st.sampled_from(["", "# k=3", "   ", "#"])))
+        path = tmp_path_factory.mktemp("read") / "ranked.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = similarity.read_ranked_lists(path)
+        want = reference_read_ranked_lists(path)
+        assert [rl.query_id for rl in got] == [rl.query_id for rl in want]
+        for a, b in zip(got, want):
+            assert [g for g, _ in a.entries] == [g for g, _ in b.entries]
+            assert [float_bits(x) for _, x in a.entries] == [float_bits(x) for _, x in b.entries]
+
+    @pytest.mark.parametrize("text", [
+        "0\t1\t5\n",
+        "0\t1\t5\t0.5\n1\t1\t6\n",
+        "# k=1\n\nx\t1\t5\t0.5\n",
+        "0\t1\t5\t0.5\n1\t1.0\t6\t0.5\n",
+        "0\t1\t5\t0.5\n1\t1\tsix\tx\n",
+        "0\t1\t5\t0.5\n1\t1\t6\tpoint five\n",
+        "0\t1\t5\t0.5\n0\t3\t6\t0.5\n",
+        "0\t1\t5\t0.5\n1\t1\t6\t0.5\n1\t1\t7\t0.5\n0\t2\t8\t0.5\n",
+        "0\t2\t5\t0.5\t1\n",
+    ])
+    def test_same_errors(self, tmp_path, text):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as want:
+            reference_read_ranked_lists(path)
+        with pytest.raises(ParseError) as got:
+            similarity.read_ranked_lists(path)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("0\t1\t5\t0.5\n0\t2\t6\t0.4\n1\t1\t7\t0.5\n", 3),
+        ("0\t1\t5\t0.5\n1\t1\t7\t0.5\n1\t2\t8\t0.4\n", 3),
+        ("1\t1\t7\t0.5\n0\t1\t5\t0.5\n# c\n0\t2\t6\t0.4\n1\t2\t8\t0.4\n"
+         "1\t3\t9\t0.3\n", 4),
+    ])
+    def test_rejects_unequal_lengths(self, tmp_path, text, lineno):
+        # the first line's query sets the length; a short list fails on its
+        # last line, a long one on the line past that length
+        path = tmp_path / "ragged.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f":{lineno}: .*same length"):
+            similarity.read_ranked_lists(path)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("0\t1\t5\t0.5\n0\t2\t5\t0.4\n", 2),
+        ("0\t1\t5\t0.5\t1\n1\t1\t6\t0.5\t1\n1\t2\t7\t0.4\t2\n"
+         "0\t2\t8\t0.4\t2\n1\t3\t6\t0.3\t3\n0\t3\t5\t0.3\t3\n", 5),
+    ])
+    def test_rejects_repeated_gallery_id(self, tmp_path, text, lineno):
+        path = tmp_path / "repeat.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f":{lineno}: .*repeats gallery id"):
+            similarity.read_ranked_lists(path)
+
+    def test_rejects_ids_outside_int64(self, tmp_path):
+        path = tmp_path / "huge.tsv"
+        path.write_text(f"0\t1\t5\t0.5\n1\t1\t{2 ** 63}\t0.5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":2: .*int64"):
+            similarity.read_ranked_lists(path)
+
+    def test_mixed_field_counts(self, tmp_path):
+        path = tmp_path / "mixed.tsv"
+        path.write_text("0\t1\t5\t0.5\t1\t9\n1\t1\t6\t0.25\n", encoding="utf-8")
+        assert list(similarity.read_ranked_lists(path)) == reference_read_ranked_lists(path)
 
 
 class TestRankedListIO:

@@ -54,8 +54,13 @@ def main() -> None:
     delta = evaluation.compare_reports(before, after)
     print("conflict resolution:")
     print(evaluation.render_delta_table(delta))
+    stopped = "" if res.converged else (
+        f"; stopped at the round cap with {res.live_conflicts} "
+        "conflict group(s) still live"
+    )
     print(f"rounds={res.rounds} replacements={len(res.audit)} "
-          f"unresolved={sorted(res.unresolved)}")
+          f"unresolved={sorted(res.unresolved)} converged={res.converged} "
+          f"live_conflicts={res.live_conflicts}{stopped}")
 
     train_cfg = objective.TrainConfig(seed=args.seed)
     params, trace = objective.train_adapter(queries, gallery,

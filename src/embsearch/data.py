@@ -214,11 +214,13 @@ def load_embeddings(manifest: DatasetManifest, split: str) -> EmbeddingMatrix:
 
 def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
     """Scale every row to unit L2 norm. Idempotent; rejects near-zero rows."""
-    norms = np.linalg.norm(m.data.astype(np.float64), axis=1)
+    wide = m.data.astype(np.float64)
+    norms = np.linalg.norm(wide, axis=1)
     small = np.nonzero(norms <= ZERO_NORM_THRESHOLD)[0]
     if small.size:
         raise ZeroVector(f"row {int(small[0])} has norm <= {ZERO_NORM_THRESHOLD}")
-    out = (m.data.astype(np.float64) / norms[:, None]).astype(np.float32)
+    wide /= norms[:, None]
+    out = wide.astype(np.float32)
     return EmbeddingMatrix(data=out, normalized=True)
 
 

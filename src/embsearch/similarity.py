@@ -4,12 +4,20 @@ Inputs must be unit-normalized so the dense product is cosine similarity.
 Ties are always broken toward the lower gallery id, which makes ranked
 lists reproducible bit-for-bit across runs.
 
-Top-k is exact partial selection per block of query rows, after the tiled
-k-selection of flat exact indexes (Johnson, Douze & Jegou, arXiv:1702.08734):
-each row's k-th best score is found with a partition, every column at or
-above it is kept, and the kept columns are ordered by (-score, gallery id).
-Beyond the score matrix and the returned ranking, its working memory is
+Top-k is exact selection per block of query rows, after the tiled
+k-selection of flat exact indexes (Johnson, Douze & Jegou, arXiv:1702.08734).
+Each row's columns are cut into about 4k disjoint chunks; the k-th largest
+chunk maximum is a floor that at least k of the row's scores reach, so every
+column at or above it holds the row's true top k. Only those columns are
+ordered by (-score, gallery id). This reads each score twice (chunk maxima,
+then the floor comparison) and partitions only the ~4k maxima, never a whole
+row. Beyond the score matrix and the returned ranking, its working memory is
 O(BLOCK_SCORES), i.e. O(block rows x n_gallery), never O(n_queries x n_gallery).
+
+similarity_matrix proves finiteness from its inputs when it can: no dot
+product of d terms can exceed d * max|q| * max|g|. Only when that bound does
+not rule out overflow, or an input holds NaN or inf, does it scan the scores
+block by block.
 
 Ranked lists are held as one columnar Ranking: ascending query ids and
 (n_queries, k) arrays of gallery ids and scores. Every query's list has the
@@ -32,11 +40,16 @@ from .errors import (
     ParseError,
 )
 
-# Scores examined at once (1 MB of float32) by top_k and by the finiteness
-# check of similarity_matrix: a block holds max(1, BLOCK_SCORES // n_gallery)
-# query rows, which bounds working memory independently of n_queries and
-# keeps each block cache-sized.
+# Scores examined at once (1 MB of float32) by top_k and by the fallback
+# finiteness scan of similarity_matrix: a block holds
+# max(1, BLOCK_SCORES // n_gallery) query rows, which bounds working memory
+# independently of n_queries and keeps each block cache-sized.
 BLOCK_SCORES = 1 << 18
+
+# Below 2**22 terms, float32 rounding grows a dot product's magnitude by
+# less than (1 + 2**-24)**(2**22) < 2 over the exact sum of |terms|
+_MAX_PROVEN_DIM = 1 << 22
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # int64 range: ids outside it cannot be stored in a Ranking
 _INT64 = range(-(1 << 63), 1 << 63)
@@ -115,6 +128,26 @@ class Ranking:
         )
 
 
+def _abs_max(a: np.ndarray) -> float:
+    """max |a|, NaN if a holds one (numpy's max and min propagate NaN)."""
+    return float(np.maximum(a.max(), -a.min()))
+
+
+def _scores_bounded(q: np.ndarray, g: np.ndarray) -> bool:
+    """Whether every entry of the float32 product q @ g.T is provably finite.
+
+    Each entry sums d products of magnitude at most max|q| * max|g|, so it
+    stays below 2 * d * max|q| * max|g| after rounding. False when an input
+    is empty or not float32, holds NaN or inf, or the bound reaches
+    float32's maximum.
+    """
+    d = q.shape[1]
+    if not (q.dtype == g.dtype == np.float32 and q.size and g.size and d < _MAX_PROVEN_DIM):
+        return False
+    # a NaN or inf maximum makes the comparison False
+    return 2.0 * d * _abs_max(q) * _abs_max(g) < _FLOAT32_MAX
+
+
 def similarity_matrix(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.ndarray:
     """Dense n_queries x n_gallery cosine score matrix (float32)."""
     if not queries.normalized or not gallery.normalized:
@@ -122,6 +155,8 @@ def similarity_matrix(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.
     if queries.dim != gallery.dim:
         raise DimensionMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     sims = queries.data @ gallery.data.T
+    if _scores_bounded(queries.data, gallery.data):
+        return sims
     # per block, so the check never holds an n x n boolean mask
     step = _block_rows(sims.shape[1])
     for lo in range(0, len(sims), step):
@@ -137,21 +172,31 @@ def top_k(sims: np.ndarray, k: int) -> Ranking:
     k, including for non-finite scores: -0.0 ties with 0.0, +inf ranks
     first, -inf after every finite score, and NaN last of all, NaNs among
     themselves in ascending id. A row that holds a NaN is ordered in full,
-    because its k-th best score cannot be read from the partition. Scores
-    are widened to float64 exactly.
+    because its k-th best score cannot be read from the chunk maxima.
+    Scores are widened to float64 exactly.
     """
     n_queries, n_gallery = sims.shape
     if not 1 <= k <= n_gallery:
         raise KOutOfRange(f"k={k} outside [1, {n_gallery}]")
     step = _block_rows(n_gallery)
-    kth = n_gallery - k
+    # chunks of `width` columns, the leftover columns one chunk each: at
+    # least k chunks, about 4k when n_gallery >= 8k, every column when narrow
+    width = max(1, n_gallery // (4 * k))
+    split = n_gallery - n_gallery % width
+    kth = split // width + (n_gallery - split) - k
     ids = np.empty((n_queries, k), dtype=np.int64)
     top = np.empty((n_queries, k), dtype=np.float64)
     for lo in range(0, n_queries, step):
         block = sims[lo:lo + step]
-        # ascending partition puts each row's k best (NaN counted as largest)
-        # at kth and after, so a NaN anywhere in a row shows up in that tail
-        tail = np.partition(block, kth, axis=1)[:, kth:]
+        # max propagates NaN, so a NaN anywhere in a row is a chunk maximum
+        maxima = np.concatenate(
+            (block[:, :split].reshape(len(block), -1, width).max(axis=2), block[:, split:]),
+            axis=1,
+        )
+        # k distinct chunks reach the k-th largest maximum, so at least k
+        # scores do and the row's top k lie at or above it; the ascending
+        # partition counts NaN as largest, so a NaN row has NaN in its tail
+        tail = np.partition(maxima, kth, axis=1)[:, kth:]
         keep = block >= tail[:, :1]
         keep[np.isnan(tail).any(axis=1)] = True
         # flat indices: 2-D nonzero is several times slower on wide rows

@@ -290,6 +290,51 @@ class TestTopKBlocks:
         for k in range(1, 6):
             assert_equals_reference(similarity.top_k(sims, k), sims, k)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_q=st.integers(1, 6),
+        k=st.integers(1, 12),
+        rows=st.integers(1, 4),
+        decimals=st.sampled_from([1, 3]),
+        data_=st.data(),
+    )
+    def test_wide_rows_with_planted_values(self, seed, n_q, k, rows, decimals, data_):
+        # at least 8k columns, so chunks of n_gallery // 4k are wider than
+        # one column; the n_gallery % width columns past them stand alone
+        n_g = data_.draw(st.integers(8 * k, 400))
+        width = n_g // (4 * k)
+        split = n_g - n_g % width
+        column = st.integers(0, split - 1)
+        if split < n_g:
+            column |= st.integers(split, n_g - 1)
+        plants = data_.draw(st.lists(
+            st.tuples(st.integers(0, n_q - 1), column,
+                      st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])),
+            max_size=8,
+        ))
+        rng = np.random.default_rng(seed)
+        sims = np.round(rng.random((n_q, n_g)) * 2 - 1, decimals).astype(np.float32)
+        for row, col, value in plants:
+            sims[row, col] = value
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(similarity, "BLOCK_SCORES", rows * n_g)
+            lists = similarity.top_k(sims, k)
+        assert_equals_reference(lists, sims, k)
+
+    def test_only_nan_in_a_leftover_column(self):
+        n_g = 103
+        for k in range(1, 13):
+            # column 102 lies past the last whole chunk for every k here
+            assert n_g % (n_g // (4 * k)) != 0
+        rng = np.random.default_rng(15)
+        sims = np.round(rng.random((4, n_g)), 1).astype(np.float32)
+        sims[1] = 0.5
+        sims[2, :20] = np.inf
+        sims[:3, 102] = np.nan
+        for k in range(1, 13):
+            assert_equals_reference(similarity.top_k(sims, k), sims, k)
+
     def test_working_memory_stays_below_score_matrix(self, rows_per_block):
         sims = np.random.default_rng(12).random((2000, 2000)).astype(np.float32)
         rows_per_block(16, 2000)
@@ -331,6 +376,48 @@ class TestSimilarityMatrixFinite:
             tracemalloc.stop()
         # an n x n boolean mask alone would be nbytes // 4
         assert peak - sims.nbytes < sims.nbytes // 8
+
+    @pytest.mark.parametrize("side", ["query", "gallery"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, side, bad):
+        rng = np.random.default_rng(15)
+        q, g = unit_rows(6, 4, rng), unit_rows(5, 4, rng)
+        (q if side == "query" else g)[2, 3] = bad
+        with pytest.raises(NonFiniteValue):
+            similarity.similarity_matrix(norm_matrix(q), norm_matrix(g))
+
+    @pytest.mark.parametrize("q_scale, g_scale", [(1e20, 1e20), (1e37, 1e3)])
+    def test_finite_inputs_whose_products_overflow_raise(self, q_scale, g_scale):
+        # flagged normalized but scaled: the input bound proves nothing, so
+        # the scan runs and finds the overflowed scores
+        rng = np.random.default_rng(16)
+        q = norm_matrix(unit_rows(6, 4, rng) * q_scale)
+        g = norm_matrix(unit_rows(5, 4, rng) * g_scale)
+        assert np.isfinite(q.data).all() and np.isfinite(g.data).all()
+        with pytest.raises(NonFiniteValue), np.errstate(over="ignore"):
+            similarity.similarity_matrix(q, g)
+
+    def test_large_finite_scores_pass_the_scan(self):
+        # 2 * d * max|q| * max|g| passes float32's maximum, yet every
+        # score is at most 1e38
+        rng = np.random.default_rng(17)
+        q = norm_matrix(unit_rows(6, 4, rng) * 1e19)
+        g = norm_matrix(unit_rows(5, 4, rng) * 1e19)
+        sims = similarity.similarity_matrix(q, g)
+        assert sims.tobytes() == (q.data @ g.data.T).tobytes()
+
+    def test_bounded_inputs_skip_the_scan(self):
+        rng = np.random.default_rng(18)
+        q = norm_matrix(unit_rows(1500, 8, rng))
+        g = norm_matrix(unit_rows(1500, 8, rng))
+        tracemalloc.start()
+        try:
+            sims = similarity.similarity_matrix(q, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block's boolean mask of the scan would be about 256 KB
+        assert peak - sims.nbytes < sims.nbytes // 64
 
 
 class TestRanking:

@@ -212,21 +212,22 @@ def load_embeddings(manifest: DatasetManifest, split: str) -> EmbeddingMatrix:
     return EmbeddingMatrix(data=arr, normalized=False)
 
 
-def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale every row to unit L2 norm. Idempotent; rejects near-zero rows."""
-    wide = m.data.astype(np.float64)
-    norms = np.linalg.norm(wide, axis=1)
+def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide the rows of a caller-owned float64 array by their L2 norms in
+    place; returns (rows, norms). A row with norm <= ZERO_NORM_THRESHOLD
+    raises ZeroVector."""
+    norms = np.linalg.norm(rows, axis=1)
     small = np.nonzero(norms <= ZERO_NORM_THRESHOLD)[0]
     if small.size:
         raise ZeroVector(f"row {int(small[0])} has norm <= {ZERO_NORM_THRESHOLD}")
-    wide /= norms[:, None]
-    out = wide.astype(np.float32)
-    return EmbeddingMatrix(data=out, normalized=True)
+    rows /= norms[:, None]
+    return rows, norms
 
 
-def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    v = rng.standard_normal((n, dim))
-    return v / np.linalg.norm(v, axis=1)[:, None]
+def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
+    """Scale every row to unit L2 norm. Idempotent; rejects near-zero rows."""
+    wide, _ = _normalize_rows(m.data.astype(np.float64))
+    return EmbeddingMatrix(data=wide.astype(np.float32), normalized=True)
 
 
 def _orthogonal_unit(rng: np.random.Generator, anchor: np.ndarray) -> np.ndarray:
@@ -260,7 +261,7 @@ def generate_synthetic(
 
     n, dim = cfg.n_identities, cfg.dim
     rng_gallery = np.random.default_rng([cfg.seed, 0])
-    gallery = _unit_rows(rng_gallery, n, dim)
+    gallery, _ = _normalize_rows(rng_gallery.standard_normal((n, dim)))
 
     n_pairs = int(round(cfg.confusable_fraction * n / 2))
     if n_pairs:
@@ -273,12 +274,8 @@ def generate_synthetic(
             gallery[b] = math.cos(theta) * gallery[a] + math.sin(theta) * ortho
 
     def make_queries(stream: int) -> np.ndarray:
-        rng = np.random.default_rng([cfg.seed, stream])
-        q = gallery + cfg.noise_sigma * rng.standard_normal((n, dim))
-        norms = np.linalg.norm(q, axis=1)
-        if np.any(norms <= ZERO_NORM_THRESHOLD):
-            raise ZeroVector("noise collapsed a query row to zero")
-        return q / norms[:, None]
+        noise = np.random.default_rng([cfg.seed, stream]).standard_normal((n, dim))
+        return _normalize_rows(gallery + cfg.noise_sigma * noise)[0]
 
     gallery_path = out_dir / "gallery.f32"
     write_embedding_file(gallery_path, gallery)

@@ -18,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingMatrix, ZERO_NORM_THRESHOLD, _require_file
+from .data import EmbeddingMatrix, _normalize_rows, _require_file
 from .errors import (
     BatchTooSmall,
     DimensionMismatch,
     InvalidConfig,
     NonFiniteValue,
     ParseError,
-    ZeroVector,
 )
 
 IMAGE_TO_TEXT = "image_to_text"
@@ -165,16 +164,6 @@ def _contrastive_value(diag_i2t: np.ndarray, diag_t2i: np.ndarray) -> float:
     return float(loss)
 
 
-def _project(x: np.ndarray, w: np.ndarray):
-    """Apply projection and row-normalize; returns (unit rows, norms)."""
-    a = x @ w
-    norms = np.linalg.norm(a, axis=1)
-    small = np.nonzero(norms <= ZERO_NORM_THRESHOLD)[0]
-    if small.size:
-        raise ZeroVector(f"projection collapsed row {int(small[0])}")
-    return a / norms[:, None], norms
-
-
 def _backprop_normalize(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Pull a gradient back through y = a / ||a||."""
     return (grad - unit * np.sum(grad * unit, axis=1, keepdims=True)) / norms[:, None]
@@ -183,8 +172,8 @@ def _backprop_normalize(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) -
 def _adapter_forward(batch: Batch, adapter: AdapterParams):
     """Validated adapter, then (texts, t_norms, images, i_norms) of the batch."""
     adapter.validate()
-    texts, t_norms = _project(batch.text_embeddings, adapter.w_text)
-    images, i_norms = _project(batch.image_embeddings, adapter.w_image)
+    texts, t_norms = _normalize_rows(batch.text_embeddings @ adapter.w_text)
+    images, i_norms = _normalize_rows(batch.image_embeddings @ adapter.w_image)
     return texts, t_norms, images, i_norms
 
 
@@ -398,18 +387,15 @@ def train_adapter(
 
     rng = np.random.default_rng([cfg.seed, 0])
     n = queries.rows
-    steps_per_epoch = sum(
-        1 for s in range(0, n, cfg.batch_size) if min(s + cfg.batch_size, n) - s >= 2
-    )
-    total_steps = cfg.epochs * steps_per_epoch
+    # a final batch of fewer than 2 rows is skipped (batch_size >= 2)
+    starts = [s for s in range(0, n, cfg.batch_size) if n - s >= 2]
+    total_steps = cfg.epochs * len(starts)
     step = 0
 
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
+        for start in starts:
             idx = perm[start : start + cfg.batch_size]
-            if len(idx) < 2:
-                continue
             batch = Batch(
                 image_embeddings=images_all[idx], text_embeddings=texts_all[idx]
             )
@@ -446,7 +432,7 @@ def apply_adapter(m: EmbeddingMatrix, params: AdapterParams, side: str) -> Embed
         raise InvalidConfig(f"side must be 'text' or 'image', got {side!r}")
     if m.dim != w.shape[0]:
         raise DimensionMismatch(f"matrix dim {m.dim} != adapter dim {w.shape[0]}")
-    projected, _ = _project(m.data.astype(np.float64), w)
+    projected, _ = _normalize_rows(m.data.astype(np.float64) @ w)
     return EmbeddingMatrix(data=projected.astype(np.float32), normalized=True)
 
 

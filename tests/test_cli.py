@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from embsearch.cli import run
 GOOD_REPORT = (
     b"dataset: d\nn_queries: 2\nk_values: 1,5\nrecall@1: 0.5\nrecall@5: 1\ntimestamp: -\n"
 )
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -218,3 +220,63 @@ def test_cli_imports_no_test_only_dependency():
         timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `embsearch` command in the README's CLI section."""
+    block = (REPO / "README.md").read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("embsearch ")]
+
+
+def run_benchmark_script(out, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_benchmark.py"), "--out", str(out), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestBenchmarkScript:
+    def test_script_runs_the_readme_pipeline(self, tmp_path, monkeypatch):
+        outs = [tmp_path / "a" / "out", tmp_path / "second" / "run"]
+        runs = [run_benchmark_script(out) for out in outs]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        script_files = files_under(outs[0])
+        assert script_files == files_under(outs[1])
+
+        readme_dir = tmp_path / "readme"
+        readme_dir.mkdir()
+        monkeypatch.chdir(readme_dir)
+        for argv in readme_commands():
+            assert run(argv) == 0, argv
+        readme_files = files_under(readme_dir)
+        for name in ("ds/manifest.json", "ds/manifest_heldout.json", "ds/gallery.f32",
+                     "ds/queries.f32", "ds/queries_heldout.f32", "ranked.tsv",
+                     "resolved.tsv", "audit.tsv", "model.adapter", "trace.tsv"):
+            assert name in readme_files, name
+        for name, body in readme_files.items():
+            assert script_files.get(name) == body, name
+
+        stdout = runs[0].stdout
+        before = stdout.index("recall@1: 0.4688")
+        assert stdout.index("recall@1: 0.5312") > before
+        assert "stopped at the round cap with 2 conflict group(s) still live" in stdout
+
+    def test_script_caps_cutoffs_at_k(self, tmp_path):
+        out = tmp_path / "out"
+        result = run_benchmark_script(out, "--k", "3")
+        assert result.returncode == 0, result.stderr
+        assert evaluation.read_report(out / "before.txt").k_values == [1, 3]
+
+    def test_script_exits_with_the_failing_command_code(self, tmp_path):
+        result = run_benchmark_script(tmp_path / "out", "--k", "0")
+        assert result.returncode == 2
+        assert result.stderr.startswith("data error: ")
+        assert "$ embsearch train-adapter" not in result.stdout

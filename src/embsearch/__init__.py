@@ -26,7 +26,7 @@ from .objective import (
     train_adapter,
 )
 from .resolver import Resolution, ResolutionPolicy, resolve
-from .similarity import RankedList, Ranking, similarity_matrix, top_k
+from .similarity import Ranking, similarity_matrix, top_k
 
 __all__ = [
     "AdapterParams",
@@ -34,7 +34,6 @@ __all__ = [
     "DatasetManifest",
     "EmbeddingMatrix",
     "EvalReport",
-    "RankedList",
     "Ranking",
     "Resolution",
     "ResolutionPolicy",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,7 +148,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
 
     try:
-        gt_pairs = raw["ground_truth"]
+        gt_pairs = [(int(q), int(g)) for q, g in raw["ground_truth"]]
         manifest = DatasetManifest(
             name=str(raw["name"]),
             dim=int(raw["dim"]),
@@ -155,11 +156,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             gallery_count=int(raw["gallery_count"]),
             query_path=(path.parent / raw["query_path"]).resolve(),
             gallery_path=(path.parent / raw["gallery_path"]).resolve(),
-            ground_truth={int(q): int(g) for q, g in gt_pairs},
+            ground_truth=dict(gt_pairs),
             seed=None if raw.get("seed") is None else int(raw["seed"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"manifest {path} has a malformed field: {exc}") from exc
+    if len(manifest.ground_truth) != len(gt_pairs):
+        repeated = next(q for q, n in Counter(q for q, _ in gt_pairs).items() if n > 1)
+        raise GroundTruthOutOfRange(f"query {repeated} is listed more than once in ground_truth")
 
     manifest.validate()
 

@@ -20,7 +20,7 @@ from .errors import (
     MissingGroundTruth,
     ParseError,
 )
-from .similarity import RankedList, Ranking
+from .similarity import Ranking
 
 
 @dataclass
@@ -45,7 +45,7 @@ class DeltaReport:
 
 
 def recall_at_k(
-    lists: Ranking | list[RankedList],
+    ranking: Ranking,
     ground_truth: dict[int, int],
     ks: list[int],
     dataset: str = "",
@@ -59,7 +59,6 @@ def recall_at_k(
     """
     if not ks or any(k < 1 for k in ks):
         raise KOutOfRange("every k must be a positive integer")
-    ranking = Ranking.of(lists)
     if not len(ranking):
         raise EmptyList("no ranked lists to evaluate")
     ks = sorted(set(ks))

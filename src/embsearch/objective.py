@@ -22,7 +22,9 @@ from .data import EmbeddingMatrix, _normalize_rows, _require_file
 from .errors import (
     BatchTooSmall,
     DimensionMismatch,
+    GroundTruthOutOfRange,
     InvalidConfig,
+    MissingGroundTruth,
     NonFiniteValue,
     ParseError,
 )
@@ -350,17 +352,27 @@ def train_adapter(
     bias=0) and temperature stays at cfg.temperature: its gradient is
     computed with the others but never applied. Shuffling, hard-negative
     draws and updates all come from seeded generators, so the result is
-    bit-identical per seed.
+    bit-identical per seed. Every query row needs a ground_truth entry that
+    names a gallery row (MissingGroundTruth, GroundTruthOutOfRange).
     """
     cfg.validate()
     if queries.dim != gallery.dim:
         raise DimensionMismatch("query and gallery dims differ")
 
+    missing = [q for q in range(queries.rows) if q not in ground_truth]
+    if missing:
+        raise MissingGroundTruth(f"query row {missing[0]} has no ground-truth entry")
+    targets = np.array([ground_truth[q] for q in range(queries.rows)], dtype=np.int64)
+    outside = np.flatnonzero((targets < 0) | (targets >= gallery.rows))
+    if outside.size:
+        q = int(outside[0])
+        raise GroundTruthOutOfRange(
+            f"ground_truth[{q}] = {targets[q]} outside [0, {gallery.rows})"
+        )
+
     dim = queries.dim
     texts_all = queries.data.astype(np.float64)
-    images_all = np.stack(
-        [gallery.data[ground_truth[q]] for q in range(queries.rows)]
-    ).astype(np.float64)
+    images_all = gallery.data[targets].astype(np.float64)
 
     params = AdapterParams.identity(dim)
     params.temperature = tau = cfg.temperature

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyList, InvalidConfig, MissingEmbedding, PointerOutOfBounds
-from .similarity import RankedList, Ranking, write_ranked_lists
+from .similarity import Ranking, write_ranked_lists
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,6 @@ class ResolutionPolicy:
             raise InvalidConfig(f"depth must be in [1, {list_length}]")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise InvalidConfig("max_rounds must be >= 1")
-
-
-@dataclass
-class ConflictGroup:
-    answer_id: int
-    members: list[tuple[int, float, int]]  # (query_id, score, rank starting at 1)
 
 
 @dataclass
@@ -87,19 +81,36 @@ def _changes(*keys: np.ndarray) -> np.ndarray:
     return changed
 
 
-def _detect(
+def detect_conflicts(
     ranking: Ranking,
     policy: ResolutionPolicy,
     pos: np.ndarray,
     active: np.ndarray,
-    query_embeddings: np.ndarray | None,
+    query_embeddings: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Conflict groups among the active rows, as member arrays.
+    """Group the active rows whose current answers coincide.
 
-    Returns (answers, rows, cols, starts): one entry per member, ordered by
-    (answer id, query id), where cols is the member's 0-based rank of the
-    answer and group g spans starts[g]:starts[g + 1].
+    pos holds each row's 0-based rank pointer and active (bool) which rows
+    take part, one entry per row; an active pointer outside [0, k) raises
+    PointerOutOfBounds. With depth > 1 a row is also a member of a group
+    when the answer occurs within its window of `depth` entries starting at
+    its pointer. Returns (answers, rows, cols, starts): one entry per
+    member, ordered by (answer id, query id), where cols is the member's
+    0-based rank of the answer and group g spans starts[g]:starts[g + 1].
     """
+    pos, active = np.asarray(pos), np.asarray(active)
+    if pos.shape != (len(ranking),) or active.shape != (len(ranking),):
+        raise PointerOutOfBounds(
+            f"pointers {pos.shape} and active flags {active.shape} need one entry "
+            f"for each of the {len(ranking)} rows"
+        )
+    live = np.flatnonzero(active)
+    stray = live[(pos[live] < 0) | (pos[live] >= ranking.k)]
+    if stray.size:
+        row = stray[0]
+        raise PointerOutOfBounds(
+            f"query {ranking.query_ids[row]}: pointer {pos[row]} outside its list of {ranking.k}"
+        )
     gate = policy.similarity_gate
     if gate is not None and query_embeddings is not None:
         outside = (ranking.query_ids < 0) | (ranking.query_ids >= len(query_embeddings))
@@ -108,7 +119,6 @@ def _detect(
                 f"query {ranking.query_ids[outside][0]} has no embedding; "
                 f"the query embeddings hold {len(query_embeddings)} rows"
             )
-    live = np.flatnonzero(active)
     window = pos[live, None] + np.arange(policy.depth)
     inside = window < ranking.k
     rows = np.broadcast_to(live[:, None], window.shape)[inside]
@@ -134,60 +144,20 @@ def _detect(
     return answers[member], rows[member], cols[member], starts
 
 
-def detect_conflicts(
-    lists: Ranking | list[RankedList],
-    policy: ResolutionPolicy,
-    positions: dict[int, int],
-    query_embeddings: np.ndarray | None = None,
-    frozen: set[int] | None = None,
-) -> list[ConflictGroup]:
-    """Group queries whose current answers coincide, ascending by answer id.
-
-    positions maps query_id to a 0-based rank pointer; only those queries,
-    minus the frozen ones, take part. With depth > 1 a query is also a
-    member of a group when the answer occurs within its window of `depth`
-    entries starting at its pointer.
-    """
-    ranking = Ranking.of(lists)
-    frozen = frozen or set()
-    row_of = {qid: row for row, qid in enumerate(ranking.query_ids.tolist())}
-    pos = np.zeros(len(ranking), dtype=np.int64)
-    active = np.zeros(len(ranking), dtype=bool)
-    for qid in sorted(positions):
-        if qid in frozen:
-            continue
-        if qid not in row_of or not 0 <= positions[qid] < ranking.k:
-            raise PointerOutOfBounds(f"query {qid}: pointer {positions[qid]} outside its list")
-        pos[row_of[qid]] = positions[qid]
-        active[row_of[qid]] = True
-    answers, rows, cols, starts = _detect(ranking, policy, pos, active, query_embeddings)
-    qids = ranking.query_ids[rows].tolist()
-    scores = ranking.scores[rows, cols].tolist()
-    ranks = (cols + 1).tolist()
-    return [
-        ConflictGroup(
-            answer_id=int(answers[lo]),
-            members=list(zip(qids[lo:hi], scores[lo:hi], ranks[lo:hi])),
-        )
-        for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
-    ]
-
-
 def resolve(
-    lists: Ranking | list[RankedList],
+    ranking: Ranking,
     policy: ResolutionPolicy = ResolutionPolicy(),
     query_embeddings: np.ndarray | None = None,
 ) -> Resolution:
     """Iterate conflict rounds to a fixpoint and return final assignments.
 
-    Per group the highest-scoring member keeps the answer (score tie: lower
+    Each round runs detect_conflicts on the current pointers. Per group the highest-scoring member keeps the answer (score tie: lower
     query id); each loser whose pointer sits on the contested answer advances
     one rank. Exhausted queries keep their last entry, are flagged
     unresolved, and stop participating. A run that reaches max_rounds with
     groups still live records their number in live_conflicts (converged is
     then False). Deterministic for a given input.
     """
-    ranking = Ranking.of(lists)
     k = ranking.k
     if not len(ranking):
         raise EmptyList("no ranked lists to resolve")
@@ -203,7 +173,9 @@ def resolve(
 
     # one detection past the cap tells whether the run stopped with conflicts
     for round_index in range(1, max_rounds + 2):
-        answers, rows, cols, starts = _detect(ranking, policy, pos, active, query_embeddings)
+        answers, rows, cols, starts = detect_conflicts(
+            ranking, policy, pos, active, query_embeddings
+        )
         if len(starts) == 1:
             break
         if round_index > max_rounds:
@@ -247,8 +219,12 @@ def resolve(
     return resolution
 
 
-def _reordered(ranking: Ranking, resolution: Resolution) -> tuple[Ranking, np.ndarray]:
-    """The ranking with each assignment first, and every entry's source rank."""
+def resolution_to_lists(ranking: Ranking, resolution: Resolution) -> tuple[Ranking, np.ndarray]:
+    """Reorder each list so the final assignment leads, others keep order.
+
+    Returns the reordered ranking and each entry's rank in the original
+    list (int[n, k], the source_rank column of the resolved file).
+    """
     lead = np.array(
         [resolution.assignments[q][2] - 1 for q in ranking.query_ids.tolist()], dtype=np.int64
     )[:, None]
@@ -263,29 +239,16 @@ def _reordered(ranking: Ranking, resolution: Resolution) -> tuple[Ranking, np.nd
     return reordered, order + 1
 
 
-def resolution_to_lists(
-    lists: Ranking | list[RankedList], resolution: Resolution
-) -> tuple[Ranking, dict[int, list[int]]]:
-    """Reorder each list so the final assignment leads, others keep order.
-
-    Returns the reordered ranking and, per query, the original rank of each
-    entry (the source_rank column of the resolved file).
-    """
-    ranking = Ranking.of(lists)
-    reordered, source_ranks = _reordered(ranking, resolution)
-    return reordered, dict(zip(ranking.query_ids.tolist(), source_ranks.tolist()))
-
-
 def write_resolution(
     path: str | Path,
-    lists: Ranking | list[RankedList],
+    ranking: Ranking,
     resolution: Resolution,
     meta: dict | None = None,
 ) -> None:
     meta = dict(meta or {})
     if resolution.unresolved:
         meta["unresolved"] = ",".join(str(q) for q in sorted(resolution.unresolved))
-    reordered, source_ranks = _reordered(Ranking.of(lists), resolution)
+    reordered, source_ranks = resolution_to_lists(ranking, resolution)
     write_ranked_lists(path, reordered, meta=meta, source_ranks=source_ranks)
 
 

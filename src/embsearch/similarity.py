@@ -60,20 +60,14 @@ def _block_rows(n_gallery: int) -> int:
 
 
 @dataclass
-class RankedList:
-    """Retrieved gallery ids for one query, best first, scores non-increasing."""
-
-    query_id: int
-    entries: list[tuple[int, float]]
-
-
-@dataclass
 class Ranking:
     """Ranked lists of every query, one row per query, best entry first.
 
     query_ids (int64[n]) ascend strictly; ids (int64[n, k]) and scores
-    (float64[n, k]) hold each query's list. Indexing or iterating yields
-    the per-query RankedList rows.
+    (float64[n, k]) hold each query's list, so every list has the same
+    length k. The fields are coerced to those dtypes (no copy when they
+    already have them); input that cannot take this form raises
+    InvalidRanking.
     """
 
     query_ids: np.ndarray
@@ -81,11 +75,17 @@ class Ranking:
     scores: np.ndarray
 
     def __post_init__(self):
-        n = len(self.query_ids)
-        if self.ids.shape != self.scores.shape or self.ids.shape[:1] != (n,):
+        try:
+            self.query_ids = np.asarray(self.query_ids, dtype=np.int64)
+            self.ids = np.asarray(self.ids, dtype=np.int64)
+            self.scores = np.asarray(self.scores, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidRanking(f"ranked lists do not form int64/float64 arrays: {exc}") from None
+        if (self.query_ids.ndim != 1 or self.ids.ndim != 2 or self.ids.shape != self.scores.shape
+                or len(self.ids) != len(self.query_ids)):
             raise InvalidRanking(
-                f"ids {self.ids.shape} and scores {self.scores.shape} do not hold "
-                f"{n} equal-length lists"
+                f"query ids {self.query_ids.shape}, ids {self.ids.shape} and scores "
+                f"{self.scores.shape} do not hold one equal-length list per query"
             )
         if np.any(np.diff(self.query_ids) <= 0):
             raise InvalidRanking("query ids must be strictly ascending")
@@ -96,36 +96,6 @@ class Ranking:
 
     def __len__(self) -> int:
         return len(self.query_ids)
-
-    def __getitem__(self, i: int) -> RankedList:
-        return RankedList(
-            query_id=int(self.query_ids[i]),
-            entries=list(zip(self.ids[i].tolist(), self.scores[i].tolist())),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @classmethod
-    def of(cls, lists: Ranking | list[RankedList]) -> Ranking:
-        """The Ranking of lists, which may already be one; rows sorted by query id."""
-        if isinstance(lists, Ranking):
-            return lists
-        lists = sorted(lists, key=lambda rl: rl.query_id)
-        k = len(lists[0].entries) if lists else 0
-        for rl in lists:
-            if len(rl.entries) != k:
-                raise InvalidRanking(
-                    f"query {rl.query_id} has {len(rl.entries)} entries, query "
-                    f"{lists[0].query_id} has {k}: every list needs the same length"
-                )
-        return cls(
-            query_ids=np.array([rl.query_id for rl in lists], dtype=np.int64),
-            ids=np.array([[g for g, _ in rl.entries] for rl in lists],
-                         dtype=np.int64).reshape(len(lists), k),
-            scores=np.array([[s for _, s in rl.entries] for rl in lists],
-                            dtype=np.float64).reshape(len(lists), k),
-        )
 
 
 def _abs_max(a: np.ndarray) -> float:
@@ -213,18 +183,17 @@ def top_k(sims: np.ndarray, k: int) -> Ranking:
 
 def write_ranked_lists(
     path: str | Path,
-    lists: Ranking | list[RankedList],
+    ranking: Ranking,
     meta: dict | None = None,
     source_ranks: np.ndarray | None = None,
 ) -> None:
-    """Serialize lists as `query_id TAB rank TAB gallery_id TAB score` lines.
+    """Serialize a ranking as `query_id TAB rank TAB gallery_id TAB score` lines.
 
     Scores carry 9 significant digits, enough to round-trip float32 exactly.
     An optional fifth column records each entry's rank in the pre-resolution
     list: source_ranks is an int array shaped like the ranking's ids.
     Metadata is embedded as leading `# key=value` comment lines.
     """
-    ranking = Ranking.of(lists)
     n, k = ranking.ids.shape
     columns = [
         np.repeat(ranking.query_ids, k).tolist(),
@@ -271,7 +240,7 @@ def read_ranked_lists(path: str | Path) -> Ranking:
     # skip blank, whitespace-only and '#' lines
     body = [i for i, line in enumerate(lines) if line and line[0] != "#" and not line.isspace()]
     if not body:
-        return Ranking.of([])
+        return Ranking(np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
     rows = [lines[i] for i in body]
     tabs = [line.count("\t") for line in rows]
     if min(tabs) < 3:

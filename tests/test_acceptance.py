@@ -10,6 +10,7 @@ from embsearch import data, evaluation, objective, resolver, similarity
 from embsearch.objective import AdapterParams, Batch, TrainConfig
 from assignment_oracle import assignment_oracle
 from conftest import SEED7_CONFIG
+from rankings import ranking
 from test_objective import (
     assert_gradient_matches,
     random_adapter,
@@ -48,7 +49,7 @@ def test_top_k_oracle_equivalence():
         lists = similarity.top_k(sims, k)
         for qid in range(n_q):
             expected = sorted(range(n_g), key=lambda g: (-sims[qid, g], g))[:k]
-            assert [g for g, _ in lists[qid].entries] == expected
+            assert lists.ids[qid].tolist() == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 30
     print(f"\nACCEPTANCE PASS: top-k oracle equivalence, 50 instances in {elapsed:.1f}s")
@@ -99,20 +100,20 @@ def test_closed_form_losses():
 
 def test_conflict_resolution_hand_traces():
     """Two-query and cascading three-query fixtures resolve exactly as traced."""
-    two = [
-        similarity.RankedList(1, [(100, 0.9), (102, 0.6)]),
-        similarity.RankedList(2, [(100, 0.8), (101, 0.7)]),
-    ]
+    two = ranking([
+        (1, [(100, 0.9), (102, 0.6)]),
+        (2, [(100, 0.8), (101, 0.7)]),
+    ])
     res = resolver.resolve(two)
     assert res.assignments[1] == (100, 0.9, 1)
     assert res.assignments[2] == (101, 0.7, 2)
     assert len(res.audit) == 1 and res.audit[0].delta_s == pytest.approx(0.1)
 
-    cascade = [
-        similarity.RankedList(1, [(100, 0.9), (103, 0.5), (104, 0.4)]),
-        similarity.RankedList(2, [(100, 0.8), (101, 0.7), (105, 0.3)]),
-        similarity.RankedList(3, [(101, 0.75), (102, 0.5), (106, 0.2)]),
-    ]
+    cascade = ranking([
+        (1, [(100, 0.9), (103, 0.5), (104, 0.4)]),
+        (2, [(100, 0.8), (101, 0.7), (105, 0.3)]),
+        (3, [(101, 0.75), (102, 0.5), (106, 0.2)]),
+    ])
     res = resolver.resolve(cascade)
     assert res.assignments[2] == (105, 0.3, 3)
     assert [(e.round, e.winner, e.loser) for e in res.audit] == [(1, 1, 2), (2, 3, 2)]

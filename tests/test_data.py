@@ -63,6 +63,18 @@ class TestManifest:
         with pytest.raises(GroundTruthOutOfRange):
             data.load_manifest(path)
 
+    def test_query_listed_twice(self, tmp_path, capsys):
+        # a dict built from the pairs would keep only the last target of query 0
+        path = write_manifest_fixture(
+            tmp_path, n_query=3, n_gallery=3, gt=[[0, 2], [0, 0], [1, 1], [2, 2]]
+        )
+        with pytest.raises(GroundTruthOutOfRange, match="query 0 is listed more than once"):
+            data.load_manifest(path)
+        assert run(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        error = captured.err.removeprefix("data error: ").strip()
+        assert captured.out == f"FAIL  manifest  ({error})\n"
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFile):
             data.load_manifest(tmp_path / "nope.json")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from embsearch import data, evaluation, resolver, similarity
 from embsearch.errors import EmptyList, KExceedsDepth, MismatchedRuns, MissingGroundTruth
-from embsearch.similarity import RankedList
+from rankings import ranking
 
 
 def lists_with_hit_ranks(ranks, depth=10):
@@ -17,8 +17,8 @@ def lists_with_hit_ranks(ranks, depth=10):
         for r in range(1, depth + 1):
             gid = qid if r == hit else next(decoys)
             entries.append((gid, 1.0 - r * 0.05))
-        out.append(RankedList(query_id=qid, entries=entries))
-    return out
+        out.append((qid, entries))
+    return ranking(out)
 
 
 class TestRecallAtK:
@@ -94,10 +94,10 @@ class TestRecallAtK:
             assert report.recall[k_val] == hits / n
 
     def test_resolution_recall_uses_reordered_lists(self):
-        lists = [
-            RankedList(0, [(1, 0.9), (2, 0.5), (3, 0.3)]),
-            RankedList(1, [(1, 0.7), (4, 0.6), (5, 0.2)]),
-        ]
+        lists = ranking([
+            (0, [(1, 0.9), (2, 0.5), (3, 0.3)]),
+            (1, [(1, 0.7), (4, 0.6), (5, 0.2)]),
+        ])
         res = resolver.resolve(lists)
         reordered, _ = resolver.resolution_to_lists(lists, res)
         report = evaluation.recall_at_k(reordered, {0: 1, 1: 4}, [1])

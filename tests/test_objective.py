@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, evaluation, objective, similarity
-from embsearch.errors import BatchTooSmall, InvalidConfig
+from embsearch.errors import (
+    BatchTooSmall,
+    GroundTruthOutOfRange,
+    InvalidConfig,
+    MissingGroundTruth,
+)
 from embsearch.objective import (
     IMAGE_TO_TEXT,
     TEXT_TO_IMAGE,
@@ -406,6 +411,17 @@ class TestTrainAdapter:
             assert entry.contrastive == contrastive_loss(batch, params)[0]
             assert entry.match == match_loss(batch, eval_negatives, params)[0]
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_ground_truth_checked_against_inputs(self, make_dataset, epochs):
+        _, q, g = self.normalized_pair(make_dataset)
+        cfg = TrainConfig(epochs=epochs, batch_size=8, seed=0)
+        full = {i: i for i in range(q.rows)}
+        with pytest.raises(MissingGroundTruth, match="query row 3 "):
+            train_adapter(q, g, {i: i for i in full if i != 3}, cfg)
+        for bad in (g.rows, 9 * g.rows, -1):
+            with pytest.raises(GroundTruthOutOfRange, match=f"ground_truth\\[5\\] = {bad} "):
+                train_adapter(q, g, {**full, 5: bad}, cfg)
+
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
             TrainConfig(epochs=-1).validate()
@@ -447,8 +463,7 @@ class TestApplyAdapter:
         g2 = apply_adapter(g, adapter, "image")
         base = similarity.top_k(similarity.similarity_matrix(q, g), 10)
         scaled = similarity.top_k(similarity.similarity_matrix(q2, g2), 10)
-        for a, b in zip(base, scaled):
-            assert [x for x, _ in a.entries] == [x for x, _ in b.entries]
+        assert np.array_equal(base.ids, scaled.ids)
 
     def test_bad_side(self):
         m = data.EmbeddingMatrix(np.eye(2, dtype=np.float32), normalized=True)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embsearch import data, evaluation, similarity
+from embsearch import data, evaluation, resolver, similarity
 from embsearch.errors import EmptyList, InvalidConfig, InvalidRanking, PointerOutOfBounds
 from embsearch.resolver import (
     AuditEntry,
-    ConflictGroup,
     Resolution,
     ResolutionPolicy,
     _query_cosines,
@@ -19,25 +18,27 @@ from embsearch.resolver import (
     write_audit,
     write_resolution,
 )
-from embsearch.similarity import RankedList
 from assignment_oracle import TooLarge, assignment_oracle
+from rankings import ranking, rows_of
 
 
 def rl(qid, *pairs):
-    return RankedList(query_id=qid, entries=[(g, float(s)) for g, s in pairs])
+    return (qid, [(g, float(s)) for g, s in pairs])
 
 
 def reference_detect_conflicts(lists, policy, positions, query_embeddings=None, frozen=None):
-    """The per-query loop the array detector replaced, kept as its reference."""
+    """The per-query loop the array detector replaced, kept as its reference.
+
+    lists are (query_id, entries) rows; groups are (answer_id, members)
+    with members (query_id, score, rank starting at 1)."""
     frozen = frozen or set()
-    by_query = {rl.query_id: rl for rl in lists}
+    by_query = dict(lists)
     occurrences = {}
     for qid in sorted(positions):
         if qid in frozen:
             continue
-        rl = by_query[qid]
         pos = positions[qid]
-        window = rl.entries[pos : pos + policy.depth]
+        window = by_query[qid][pos : pos + policy.depth]
         seen = set()
         for offset, (gid, score) in enumerate(window):
             if gid in seen:
@@ -58,18 +59,18 @@ def reference_detect_conflicts(lists, policy, positions, query_embeddings=None, 
             iu = np.triu_indices(len(ids), k=1)
             if not np.any(cos[iu] > policy.similarity_gate):
                 continue
-        groups.append(ConflictGroup(answer_id=answer_id, members=members))
+        groups.append((answer_id, members))
     return groups
 
 
 def reference_resolve(lists, policy=ResolutionPolicy(), query_embeddings=None):
     """The per-query round loop the array resolver replaced, kept as its reference."""
-    lists = sorted(lists, key=lambda rl: rl.query_id)
-    depth_n = max(len(rl.entries) for rl in lists)
+    lists = sorted(lists, key=lambda row: row[0])
+    depth_n = max(len(entries) for _, entries in lists)
     policy.validate(depth_n)
     max_rounds = policy.max_rounds if policy.max_rounds is not None else depth_n
-    by_query = {rl.query_id: rl for rl in lists}
-    positions = {rl.query_id: 0 for rl in lists}
+    by_query = dict(lists)
+    positions = {qid: 0 for qid, _ in lists}
     frozen = set()
     resolution = Resolution(assignments={})
     for round_index in range(1, max_rounds + 2):
@@ -80,27 +81,45 @@ def reference_resolve(lists, policy=ResolutionPolicy(), query_embeddings=None):
             resolution.live_conflicts = len(groups)
             break
         resolution.rounds = round_index
-        for group in groups:
-            winner_qid, winner_score, _ = max(group.members, key=lambda m: (m[1], -m[0]))
-            for qid, score, rank in group.members:
+        for answer_id, members in groups:
+            winner_qid, winner_score, _ = max(members, key=lambda m: (m[1], -m[0]))
+            for qid, score, rank in members:
                 if qid == winner_qid:
                     continue
                 resolution.audit.append(AuditEntry(
-                    round=round_index, answer_id=group.answer_id, winner=winner_qid,
+                    round=round_index, answer_id=answer_id, winner=winner_qid,
                     loser=qid, delta_s=winner_score - score,
                 ))
                 if rank - 1 != positions[qid]:
                     continue
-                if positions[qid] + 1 >= len(by_query[qid].entries):
+                if positions[qid] + 1 >= len(by_query[qid]):
                     resolution.unresolved.add(qid)
                     frozen.add(qid)
                 else:
                     positions[qid] += 1
-    for rl in lists:
-        pos = positions[rl.query_id]
-        gid, score = rl.entries[pos]
-        resolution.assignments[rl.query_id] = (gid, score, pos + 1)
+    for qid, entries in lists:
+        gid, score = entries[positions[qid]]
+        resolution.assignments[qid] = (gid, score, positions[qid] + 1)
     return resolution
+
+
+def detect_groups(lists, policy, positions, query_embeddings=None, frozen=frozenset()):
+    """detect_conflicts on a Ranking with pointers given as a positions dict
+    and a frozen set, its member arrays turned into the reference's groups."""
+    row_of = {qid: row for row, qid in enumerate(lists.query_ids.tolist())}
+    pos = np.zeros(len(lists), dtype=np.int64)
+    active = np.zeros(len(lists), dtype=bool)
+    for qid, pointer in positions.items():
+        if qid not in frozen:
+            pos[row_of[qid]], active[row_of[qid]] = pointer, True
+    answers, rows, cols, starts = detect_conflicts(lists, policy, pos, active, query_embeddings)
+    qids = lists.query_ids[rows].tolist()
+    scores = lists.scores[rows, cols].tolist()
+    ranks = (cols + 1).tolist()
+    return [
+        (int(answers[lo]), list(zip(qids[lo:hi], scores[lo:hi], ranks[lo:hi])))
+        for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
+    ]
 
 
 def same_float(a, b):
@@ -123,45 +142,46 @@ def assert_same_resolution(got, want):
 
 class TestDetectConflicts:
     def test_shared_rank1_answer(self):
-        lists = [rl(0, (5, 0.9)), rl(1, (5, 0.8)), rl(2, (3, 0.7))]
-        groups = detect_conflicts(lists, ResolutionPolicy(), {0: 0, 1: 0, 2: 0})
+        lists = ranking([rl(0, (5, 0.9)), rl(1, (5, 0.8)), rl(2, (3, 0.7))])
+        groups = detect_groups(lists, ResolutionPolicy(), {0: 0, 1: 0, 2: 0})
         assert len(groups) == 1
-        assert groups[0].answer_id == 5
-        assert [m[0] for m in groups[0].members] == [0, 1]
+        answer_id, members = groups[0]
+        assert answer_id == 5
+        assert [m[0] for m in members] == [0, 1]
 
     def test_all_distinct(self):
-        lists = [rl(0, (1, 0.9)), rl(1, (2, 0.8))]
-        assert detect_conflicts(lists, ResolutionPolicy(), {0: 0, 1: 0}) == []
+        lists = ranking([rl(0, (1, 0.9)), rl(1, (2, 0.8))])
+        assert detect_groups(lists, ResolutionPolicy(), {0: 0, 1: 0}) == []
 
     def test_group_of_three(self):
-        lists = [rl(0, (4, 0.9)), rl(1, (4, 0.8)), rl(2, (4, 0.7))]
-        groups = detect_conflicts(lists, ResolutionPolicy(), {0: 0, 1: 0, 2: 0})
+        lists = ranking([rl(0, (4, 0.9)), rl(1, (4, 0.8)), rl(2, (4, 0.7))])
+        groups = detect_groups(lists, ResolutionPolicy(), {0: 0, 1: 0, 2: 0})
         assert len(groups) == 1
-        assert len(groups[0].members) == 3
+        assert len(groups[0][1]) == 3
 
     def test_similarity_gate_filters_groups(self):
-        lists = [rl(0, (4, 0.9)), rl(1, (4, 0.8))]
+        lists = ranking([rl(0, (4, 0.9)), rl(1, (4, 0.8))])
         # orthogonal query texts: gate excludes the group
         emb = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
         policy = ResolutionPolicy(similarity_gate=0.5)
-        assert detect_conflicts(lists, policy, {0: 0, 1: 0}, query_embeddings=emb) == []
+        assert detect_groups(lists, policy, {0: 0, 1: 0}, query_embeddings=emb) == []
         # near-parallel texts: group survives
         emb2 = np.array([[1.0, 0.0], [0.99, 0.1]], dtype=np.float32)
-        groups = detect_conflicts(lists, policy, {0: 0, 1: 0}, query_embeddings=emb2)
+        groups = detect_groups(lists, policy, {0: 0, 1: 0}, query_embeddings=emb2)
         assert len(groups) == 1
 
     def test_gate_without_embeddings(self):
-        lists = [rl(0, (4, 0.9)), rl(1, (4, 0.8))]
+        lists = ranking([rl(0, (4, 0.9)), rl(1, (4, 0.8))])
         with pytest.raises(InvalidConfig):
-            detect_conflicts(lists, ResolutionPolicy(similarity_gate=0.5), {0: 0, 1: 0})
+            detect_groups(lists, ResolutionPolicy(similarity_gate=0.5), {0: 0, 1: 0})
 
 
 class TestResolve:
     def test_two_query_hand_trace(self):
-        lists = [
+        lists = ranking([
             rl(1, (100, 0.9), (102, 0.6)),
             rl(2, (100, 0.8), (101, 0.7)),
-        ]
+        ])
         res = resolve(lists)
         assert res.assignments[1] == (100, 0.9, 1)
         assert res.assignments[2] == (101, 0.7, 2)
@@ -172,11 +192,11 @@ class TestResolve:
         assert not res.unresolved
 
     def test_cascading_three_query_trace(self):
-        lists = [
+        lists = ranking([
             rl(1, (100, 0.9), (103, 0.5), (104, 0.4)),
             rl(2, (100, 0.8), (101, 0.7), (105, 0.3)),
             rl(3, (101, 0.75), (102, 0.5), (106, 0.2)),
-        ]
+        ])
         res = resolve(lists)
         # round 1: q2 loses answer 100 to q1; round 2: q2 loses 101 to q3
         assert res.assignments[1] == (100, 0.9, 1)
@@ -190,30 +210,30 @@ class TestResolve:
         assert res.audit[1].delta_s == pytest.approx(0.05)
 
     def test_no_collisions_is_identity(self):
-        lists = [rl(0, (1, 0.9), (2, 0.5)), rl(1, (3, 0.8), (4, 0.4))]
+        lists = ranking([rl(0, (1, 0.9), (2, 0.5)), rl(1, (3, 0.8), (4, 0.4))])
         res = resolve(lists)
         assert res.assignments == {0: (1, 0.9, 1), 1: (3, 0.8, 1)}
         assert res.audit == []
         assert res.rounds == 0
 
     def test_score_tie_lower_query_id_keeps(self):
-        lists = [rl(5, (9, 0.8), (1, 0.5)), rl(2, (9, 0.8), (3, 0.5))]
+        lists = ranking([rl(5, (9, 0.8), (1, 0.5)), rl(2, (9, 0.8), (3, 0.5))])
         res = resolve(lists)
         assert res.assignments[2][0] == 9
         assert res.assignments[5][0] == 1
         assert res.audit[0].delta_s == 0.0
 
     def test_exhaustion_keeps_last_entry_and_flags(self):
-        lists = [rl(0, (7, 0.9)), rl(1, (7, 0.8))]
+        lists = ranking([rl(0, (7, 0.9)), rl(1, (7, 0.8))])
         res = resolve(lists)
         assert res.assignments[1] == (7, 0.8, 1)
         assert res.unresolved == {1}
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyList):
-            resolve([])
+            resolve(ranking([]))
         with pytest.raises(EmptyList):
-            resolve([RankedList(query_id=0, entries=[])])
+            resolve(ranking([(0, [])]))
 
     def test_input_order_invariance(self):
         lists = [
@@ -221,8 +241,8 @@ class TestResolve:
             rl(1, (1, 0.9), (4, 0.2)),
             rl(2, (1, 0.7), (5, 0.4)),
         ]
-        a = resolve(lists)
-        b = resolve(list(reversed(lists)))
+        a = resolve(ranking(lists))
+        b = resolve(ranking(reversed(lists)))
         assert a.assignments == b.assignments
         assert [(e.round, e.answer_id, e.winner, e.loser) for e in a.audit] == [
             (e.round, e.answer_id, e.winner, e.loser) for e in b.audit
@@ -234,10 +254,10 @@ class TestResolve:
         sims = np.random.default_rng(seed).random((n, n)).astype(np.float32)
         lists = similarity.top_k(sims, n)
         res = resolve(lists)
-        originals = {rl_.query_id: set(g for g, _ in rl_.entries) for rl_ in lists}
+        originals = dict(rows_of(lists))
         for qid, (gid, score, source_rank) in res.assignments.items():
-            assert gid in originals[qid]
-            assert lists[qid].entries[source_rank - 1] == (gid, score)
+            assert gid in {g for g, _ in originals[qid]}
+            assert originals[qid][source_rank - 1] == (gid, score)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
@@ -256,9 +276,9 @@ class TestResolve:
         lists = similarity.top_k(sims, 8)
         res = resolve(lists)
         touched = {e.loser for e in res.audit}
-        for rl_ in lists:
-            if rl_.query_id not in touched:
-                assert res.assignments[rl_.query_id][0] == rl_.entries[0][0]
+        for qid, entries in rows_of(lists):
+            if qid not in touched:
+                assert res.assignments[qid][0] == entries[0][0]
 
 
 class TestAgainstReference:
@@ -284,7 +304,7 @@ class TestAgainstReference:
         policy = ResolutionPolicy(depth=depth, max_rounds=cap, similarity_gate=gate)
         assert_same_resolution(
             resolve(lists, policy, embeddings),
-            reference_resolve(list(lists), policy, embeddings),
+            reference_resolve(rows_of(lists), policy, embeddings),
         )
 
     @settings(max_examples=150, deadline=None)
@@ -299,11 +319,11 @@ class TestAgainstReference:
         infinities and NaN scores."""
         score = st.sampled_from([0.5, 0.25, 0.0, -0.0, 1.0, math.inf, -math.inf, math.nan])
         lists = [
-            RankedList(q, [(data_.draw(st.integers(0, 4)), data_.draw(score)) for _ in range(k)])
+            (q, [(data_.draw(st.integers(0, 4)), data_.draw(score)) for _ in range(k)])
             for q in qids
         ]
         policy = ResolutionPolicy(depth=data_.draw(st.integers(1, k)), max_rounds=cap)
-        assert_same_resolution(resolve(lists, policy), reference_resolve(lists, policy))
+        assert_same_resolution(resolve(ranking(lists), policy), reference_resolve(lists, policy))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 10), data_=st.data())
@@ -311,34 +331,41 @@ class TestAgainstReference:
         rng = np.random.default_rng(seed)
         k = data_.draw(st.integers(1, 6))
         sims = np.round(rng.random((n, 6)), 1).astype(np.float32)
-        lists = list(similarity.top_k(sims, k))
+        lists = similarity.top_k(sims, k)
         positions = {q: int(rng.integers(k)) for q in range(n) if rng.random() < 0.8}
         frozen = {q for q in range(n) if rng.random() < 0.2}
         gate = data_.draw(st.sampled_from([None, 0.0, 0.5]))
         embeddings = rng.standard_normal((n, 3)).astype(np.float32)
         policy = ResolutionPolicy(depth=data_.draw(st.integers(1, k)), similarity_gate=gate)
-        assert detect_conflicts(lists, policy, positions, embeddings, frozen) == (
-            reference_detect_conflicts(lists, policy, positions, embeddings, frozen)
+        assert detect_groups(lists, policy, positions, embeddings, frozen) == (
+            reference_detect_conflicts(rows_of(lists), policy, positions, embeddings, frozen)
         )
 
     def test_nan_leader_keeps_answer(self):
         # a running maximum never replaces a NaN leader, nor picks a NaN later
         lists = [rl(0, (5, math.nan), (6, 0.1)), rl(1, (5, 0.9), (7, 0.2)),
                  rl(2, (5, 0.3), (8, math.nan))]
-        res = resolve(lists)
+        res = resolve(ranking(lists))
         assert_same_resolution(res, reference_resolve(lists))
         assert res.assignments[0][0] == 5
 
     def test_pointer_outside_list(self):
-        lists = [rl(0, (5, 0.9)), rl(1, (5, 0.8))]
+        lists = ranking([rl(0, (5, 0.9)), rl(1, (5, 0.8))])
+        policy = ResolutionPolicy()
+        for pos in ([0, 1], [-1, 0]):
+            with pytest.raises(PointerOutOfBounds):
+                detect_conflicts(lists, policy, np.array(pos), np.array([True, True]))
+        # an inactive row's pointer is not read
+        detect_conflicts(lists, policy, np.array([0, 1]), np.array([True, False]))
+        # one pointer and one flag per row
         with pytest.raises(PointerOutOfBounds):
-            detect_conflicts(lists, ResolutionPolicy(), {0: 0, 1: 1})
+            detect_conflicts(lists, policy, np.array([0]), np.array([True, True]))
         with pytest.raises(PointerOutOfBounds):
-            detect_conflicts(lists, ResolutionPolicy(), {0: 0, 2: 0})
+            detect_conflicts(lists, policy, np.array([0, 0]), np.array([True, True, True]))
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(InvalidRanking):
-            resolve([rl(0, (5, 0.9), (6, 0.1)), rl(1, (5, 0.8))])
+            resolve(ranking([rl(0, (5, 0.9), (6, 0.1)), rl(1, (5, 0.8))]))
 
 
 class TestRoundCap:
@@ -358,7 +385,7 @@ class TestRoundCap:
             for qid, (_, _, source_rank) in res.assignments.items()
             if qid not in res.unresolved
         }
-        assert len(detect_conflicts(lists, policy, pointers)) == 2
+        assert len(detect_groups(lists, policy, pointers)) == 2
         assert res.live_conflicts == 2
         assert not res.converged
 
@@ -374,10 +401,32 @@ class TestRoundCap:
 
     def test_cap_reached_exactly_at_convergence(self):
         # one round settles the conflict; a cap of 1 must not read as stopped
-        lists = [rl(0, (5, 0.9), (6, 0.1)), rl(1, (5, 0.8), (7, 0.2))]
+        lists = ranking([rl(0, (5, 0.9), (6, 0.1)), rl(1, (5, 0.8), (7, 0.2))])
         res = resolve(lists, ResolutionPolicy(max_rounds=1))
         assert res.rounds == 1
         assert res.converged and res.live_conflicts == 0
+
+    @pytest.mark.parametrize("max_rounds", [None, 100])
+    def test_one_detection_per_round_and_one_past_it(self, seed7_dataset, monkeypatch, max_rounds):
+        """resolve runs the public detector, found through the module, once
+        per round plus once more: at the default cap the extra call finds
+        the live groups, with a cap of 100 it finds none."""
+        _, manifest = seed7_dataset
+        q = data.l2_normalize(data.load_embeddings(manifest, "query"))
+        g = data.l2_normalize(data.load_embeddings(manifest, "gallery"))
+        lists = similarity.top_k(similarity.similarity_matrix(q, g), 10)
+        calls = []
+        detect = resolver.detect_conflicts
+
+        def counting(*args, **kwargs):
+            calls.append(detect(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(resolver, "detect_conflicts", counting)
+        res = resolve(lists, ResolutionPolicy(depth=1, max_rounds=max_rounds))
+        assert res.converged == (max_rounds is not None)
+        assert len(calls) == res.rounds + 1
+        assert len(calls[-1][3]) - 1 == res.live_conflicts
 
 
 class TestAssignmentOracle:
@@ -424,20 +473,20 @@ class TestAssignmentOracle:
 
 class TestResolutionOutput:
     def test_resolved_lists_lead_with_assignment(self):
-        lists = [
+        lists = ranking([
             rl(0, (1, 0.9), (2, 0.5), (3, 0.1)),
             rl(1, (1, 0.7), (4, 0.6), (5, 0.2)),
-        ]
+        ])
         res = resolve(lists)
         out, source_ranks = resolution_to_lists(lists, res)
-        assert out[1].entries[0] == (4, 0.6)
-        assert source_ranks[1] == [2, 1, 3]
+        assert rows_of(out)[1][1][0] == (4, 0.6)
+        assert source_ranks[1].tolist() == [2, 1, 3]
         # untouched query keeps its order
-        assert out[0].entries == lists[0].entries
-        assert source_ranks[0] == [1, 2, 3]
+        assert rows_of(out)[0] == rows_of(lists)[0]
+        assert source_ranks[0].tolist() == [1, 2, 3]
 
     def test_write_files(self, tmp_path):
-        lists = [rl(0, (1, 0.9), (2, 0.5)), rl(1, (1, 0.7), (4, 0.6))]
+        lists = ranking([rl(0, (1, 0.9), (2, 0.5)), rl(1, (1, 0.7), (4, 0.6))])
         res = resolve(lists)
         write_resolution(tmp_path / "resolved.tsv", lists, res, meta={"depth": 1})
         write_audit(tmp_path / "audit.tsv", res, meta={"depth": 1})
@@ -458,4 +507,4 @@ class TestResolutionOutput:
         res = resolve(lists)
         assert res.audit == []
         out, _ = resolution_to_lists(lists, res)
-        assert [o.entries for o in out] == [l.entries for l in lists]
+        assert rows_of(out) == rows_of(lists)

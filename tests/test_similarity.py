@@ -16,6 +16,7 @@ from embsearch.errors import (
     ParseError,
 )
 from conftest import unit_rows
+from rankings import ranking, rows_of
 
 
 def norm_matrix(arr):
@@ -44,7 +45,7 @@ def reference_read_ranked_lists(path):
         if rank != len(entries) + 1:
             raise ParseError(f"{path}:{lineno}: rank {rank} out of order for query {qid}")
         entries.append((gid, score))
-    return [similarity.RankedList(query_id=q, entries=lists[q]) for q in sorted(lists)]
+    return [(q, lists[q]) for q in sorted(lists)]
 
 
 def float_bits(x):
@@ -56,12 +57,10 @@ def assert_equals_reference(lists, sims, k):
     NaN and signed zeros included."""
     order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     picked = np.take_along_axis(sims, order, axis=1)
-    assert [rl.query_id for rl in lists] == list(range(sims.shape[0]))
-    for rl in lists:
-        assert [g for g, _ in rl.entries] == order[rl.query_id].tolist()
-        # compare bit patterns so -0.0 against 0.0 and NaN count
-        got = np.array([s for _, s in rl.entries], dtype=sims.dtype)
-        assert got.tobytes() == picked[rl.query_id].tobytes()
+    assert lists.query_ids.tolist() == list(range(sims.shape[0]))
+    assert np.array_equal(lists.ids, order)
+    # compare bit patterns so -0.0 against 0.0 and NaN count
+    assert lists.scores.astype(sims.dtype).tobytes() == picked.tobytes()
 
 
 @pytest.fixture
@@ -123,15 +122,14 @@ class TestSimilarityMatrix:
 class TestTopK:
     def test_tie_break_lower_gallery_id(self):
         sims = np.array([[0.2, 0.9, 0.9, 0.1]], dtype=np.float32)
-        [rl] = similarity.top_k(sims, 2)
-        assert [g for g, _ in rl.entries] == [1, 2]
+        assert similarity.top_k(sims, 2).ids.tolist() == [[1, 2]]
 
     def test_full_depth_is_permutation(self):
         rng = np.random.default_rng(5)
         sims = rng.random((4, 6)).astype(np.float32)
         lists = similarity.top_k(sims, 6)
-        for rl in lists:
-            assert sorted(g for g, _ in rl.entries) == list(range(6))
+        for q, entries in rows_of(lists):
+            assert sorted(g for g, _ in entries) == list(range(6))
 
     def test_k_out_of_range(self):
         sims = np.zeros((1, 3), dtype=np.float32)
@@ -144,9 +142,9 @@ class TestTopK:
         # quantized scores force plenty of ties
         sims = np.round(rng.random((100, 50)), 2).astype(np.float32)
         lists = similarity.top_k(sims, 10)
-        for rl in lists:
-            expected = sort_oracle(sims[rl.query_id])[:10]
-            assert [g for g, _ in rl.entries] == expected
+        for q, entries in rows_of(lists):
+            expected = sort_oracle(sims[q])[:10]
+            assert [g for g, _ in entries] == expected
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -160,14 +158,13 @@ class TestTopK:
         rng = np.random.default_rng(seed)
         sims = np.round(rng.random((n_q, n_g)), 1).astype(np.float32)
         lists = similarity.top_k(sims, k)
-        for rl in lists:
-            assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+        for q, entries in rows_of(lists):
+            assert [g for g, _ in entries] == sort_oracle(sims[q])[:k]
 
     def test_scores_non_increasing(self):
         rng = np.random.default_rng(7)
         sims = rng.random((10, 20)).astype(np.float32)
-        for rl in similarity.top_k(sims, 20):
-            scores = [s for _, s in rl.entries]
+        for scores in similarity.top_k(sims, 20).scores.tolist():
             assert all(a >= b for a, b in zip(scores, scores[1:]))
 
     def test_zero_noise_returns_ground_truth(self, make_dataset):
@@ -176,8 +173,8 @@ class TestTopK:
         q = data.l2_normalize(data.load_embeddings(manifest, "query"))
         g = data.l2_normalize(data.load_embeddings(manifest, "gallery"))
         lists = similarity.top_k(similarity.similarity_matrix(q, g), 1)
-        for rl in lists:
-            assert rl.entries[0][0] == manifest.ground_truth[rl.query_id]
+        for q, entries in rows_of(lists):
+            assert entries[0][0] == manifest.ground_truth[q]
 
 
 class TestTopKBlocks:
@@ -188,8 +185,8 @@ class TestTopKBlocks:
         sims = np.full((7, 6), 0.25, dtype=np.float32)
         for k in (1, 4, 6):
             lists = similarity.top_k(sims, k)
-            for rl in lists:
-                assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+            for q, entries in rows_of(lists):
+                assert [g for g, _ in entries] == sort_oracle(sims[q])[:k]
             assert_equals_reference(lists, sims, k)
 
     def test_ties_straddle_rank_k(self, rows_per_block):
@@ -206,8 +203,8 @@ class TestTopKBlocks:
         )
         for k in range(1, 8):
             lists = similarity.top_k(sims, k)
-            for rl in lists:
-                assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+            for q, entries in rows_of(lists):
+                assert [g for g, _ in entries] == sort_oracle(sims[q])[:k]
 
     def test_signed_zero_ties(self, rows_per_block):
         rows_per_block(1, 6)
@@ -221,8 +218,8 @@ class TestTopKBlocks:
         )
         for k in range(1, 7):
             lists = similarity.top_k(sims, k)
-            for rl in lists:
-                assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+            for q, entries in rows_of(lists):
+                assert [g for g, _ in entries] == sort_oracle(sims[q])[:k]
             assert_equals_reference(lists, sims, k)
 
     def test_k_extremes(self, rows_per_block):
@@ -231,12 +228,12 @@ class TestTopKBlocks:
         rows_per_block(4, 8)
         for k in (1, 8):
             lists = similarity.top_k(sims, k)
-            for rl in lists:
-                assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+            for q, entries in rows_of(lists):
+                assert [g for g, _ in entries] == sort_oracle(sims[q])[:k]
         column = sims[:, :1]
         rows_per_block(4, 1)
         lists = similarity.top_k(column, 1)
-        assert [rl.entries for rl in lists] == [[(0, float(s))] for s in column[:, 0]]
+        assert [entries for _, entries in rows_of(lists)] == [[(0, float(s))] for s in column[:, 0]]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -255,8 +252,8 @@ class TestTopKBlocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(similarity, "BLOCK_SCORES", rows * n_g)
             lists = similarity.top_k(sims, k)
-        for rl in lists:
-            assert [g for g, _ in rl.entries] == sort_oracle(sims[rl.query_id])[:k]
+        for q, entries in rows_of(lists):
+            assert [g for g, _ in entries] == sort_oracle(sims[q])[:k]
         assert_equals_reference(lists, sims, k)
 
     def test_non_finite_with_finite_kth_score(self, rows_per_block):
@@ -429,21 +426,35 @@ class TestRanking:
         expected = np.take_along_axis(sims, ranking.ids, axis=1)
         assert ranking.scores.tobytes() == expected.astype(np.float64).tobytes()
 
-    def test_of_lists_sorts_by_query_id(self):
-        lists = [similarity.RankedList(7, [(1, 0.5), (2, 0.25)]),
-                 similarity.RankedList(-2, [(3, 0.75), (1, 0.5)])]
-        ranking = similarity.Ranking.of(lists)
-        assert ranking.query_ids.tolist() == [-2, 7]
-        assert list(ranking) == sorted(lists, key=lambda rl: rl.query_id)
-        assert similarity.Ranking.of(ranking) is ranking
+    def test_top_k_arrays_are_kept(self):
+        ranked = similarity.top_k(np.random.default_rng(16).random((3, 5)).astype(np.float32), 2)
+        again = similarity.Ranking(ranked.query_ids, ranked.ids, ranked.scores)
+        assert again.query_ids is ranked.query_ids
+        assert again.ids is ranked.ids and again.scores is ranked.scores
 
-    @pytest.mark.parametrize("lists", [
-        [similarity.RankedList(0, [(1, 0.5)]), similarity.RankedList(1, [(1, 0.5), (2, 0.1)])],
-        [similarity.RankedList(0, [(1, 0.5)]), similarity.RankedList(0, [(2, 0.5)])],
-    ], ids=["unequal-lengths", "repeated-query"])
-    def test_rejects_what_it_cannot_hold(self, lists):
+    def test_of_lists_sorts_by_query_id(self):
+        lists = [(7, [(1, 0.5), (2, 0.25)]), (-2, [(3, 0.75), (1, 0.5)])]
+        ranked = ranking(lists)
+        assert ranked.query_ids.tolist() == [-2, 7]
+        assert rows_of(ranked) == sorted(lists)
+        assert ranked.ids.dtype == np.int64 and ranked.scores.dtype == np.float64
+
+    @pytest.mark.parametrize("query_ids, ids, scores", [
+        ([0, 1], [[1], [1, 2]], [[0.5], [0.5, 0.1]]),
+        ([0, 0], [[1], [2]], [[0.5], [0.5]]),
+        ([1, 0], [[1], [2]], [[0.5], [0.5]]),
+        ([0, 1], [[1, 2], [3, 4]], [[0.5], [0.5]]),
+        ([0, 1], [[1, 2], [3, 4]], [[0.5, 0.4], [0.5, 0.4], [0.3, 0.2]]),
+        ([0, 1], [[1, 2]], [[0.5, 0.4]]),
+        ([0], [1, 2], [0.5, 0.4]),
+        ([[0]], [[1, 2]], [[0.5, 0.4]]),
+        ([0], [[1, "two"]], [[0.5, 0.4]]),
+    ], ids=["unequal-lengths", "repeated-query", "descending-query", "scores-narrower",
+            "scores-taller", "fewer-lists-than-queries", "one-dimensional-ids",
+            "two-dimensional-query-ids", "non-integer-id"])
+    def test_rejects_what_it_cannot_hold(self, query_ids, ids, scores):
         with pytest.raises(InvalidRanking):
-            similarity.Ranking.of(lists)
+            similarity.Ranking(query_ids, ids, scores)
 
 
 SCORE_TEXT = st.one_of(
@@ -484,10 +495,11 @@ class TestReadAgainstReference:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         got = similarity.read_ranked_lists(path)
         want = reference_read_ranked_lists(path)
-        assert [rl.query_id for rl in got] == [rl.query_id for rl in want]
-        for a, b in zip(got, want):
-            assert [g for g, _ in a.entries] == [g for g, _ in b.entries]
-            assert [float_bits(x) for _, x in a.entries] == [float_bits(x) for _, x in b.entries]
+        got = rows_of(got)
+        assert [q for q, _ in got] == [q for q, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert [g for g, _ in a] == [g for g, _ in b]
+            assert [float_bits(x) for _, x in a] == [float_bits(x) for _, x in b]
 
     @pytest.mark.parametrize("text", [
         "0\t1\t5\n",
@@ -543,7 +555,7 @@ class TestReadAgainstReference:
     def test_mixed_field_counts(self, tmp_path):
         path = tmp_path / "mixed.tsv"
         path.write_text("0\t1\t5\t0.5\t1\t9\n1\t1\t6\t0.25\n", encoding="utf-8")
-        assert list(similarity.read_ranked_lists(path)) == reference_read_ranked_lists(path)
+        assert rows_of(similarity.read_ranked_lists(path)) == reference_read_ranked_lists(path)
 
 
 class TestRankedListIO:
@@ -555,11 +567,11 @@ class TestRankedListIO:
         similarity.write_ranked_lists(path, lists, meta={"seed": 8})
         back = similarity.read_ranked_lists(path)
         assert len(back) == len(lists)
-        for a, b in zip(lists, back):
-            assert a.query_id == b.query_id
-            assert [g for g, _ in a.entries] == [g for g, _ in b.entries]
+        for (qa, a), (qb, b) in zip(rows_of(lists), rows_of(back)):
+            assert qa == qb
+            assert [g for g, _ in a] == [g for g, _ in b]
             # 9 significant digits round-trip float32 exactly
-            for (_, sa), (_, sb) in zip(a.entries, b.entries):
+            for (_, sa), (_, sb) in zip(a, b):
                 assert np.float32(sa) == np.float32(sb)
 
     def test_write_is_deterministic(self, tmp_path):

@@ -36,19 +36,19 @@ def _parse_ks(text: str) -> list[int]:
     return ks
 
 
+def _config(cls, args):
+    """cls from the flags that name its fields; a flag left unset is absent
+    from args (argparse.SUPPRESS), so its field keeps the class default."""
+    fields = [f.name for f in dataclasses.fields(cls)]
+    return cls(**{name: getattr(args, name) for name in fields if name in args})
+
+
 def _load_normalized(manifest: data.DatasetManifest, split: str) -> data.EmbeddingMatrix:
     return data.l2_normalize(data.load_embeddings(manifest, split))
 
 
 def cmd_gen_synth(args) -> int:
-    cfg = data.SynthConfig(
-        n_identities=args.n,
-        dim=args.dim,
-        noise_sigma=args.sigma,
-        confusable_fraction=args.confusable_fraction,
-        confusable_gap=args.confusable_gap,
-        seed=args.seed,
-    )
+    cfg = _config(data.SynthConfig, args)
     manifest = data.generate_synthetic(cfg, args.out, name=args.name, heldout=args.heldout)
     print(f"wrote {manifest.name}: {manifest.query_count} queries, "
           f"{manifest.gallery_count} gallery rows, dim {manifest.dim} -> {args.out}")
@@ -92,15 +92,7 @@ def cmd_train_adapter(args) -> int:
     manifest = data.load_manifest(args.manifest)
     queries = _load_normalized(manifest, "query")
     gallery = _load_normalized(manifest, "gallery")
-    cfg = objective.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        step_size=args.step_size,
-        weight_decay=args.weight_decay,
-        lambda_match=args.lambda_match,
-        temperature=args.temperature,
-        seed=args.seed,
-    )
+    cfg = _config(objective.TrainConfig, args)
     params, trace = objective.train_adapter(queries, gallery, manifest.ground_truth, cfg)
     objective.save_adapter(args.out, params)
     meta = {"dataset": manifest.name, **dataclasses.asdict(cfg)}
@@ -115,11 +107,9 @@ def cmd_train_adapter(args) -> int:
 
 def cmd_resolve(args) -> int:
     lists = similarity.read_ranked_lists(args.ranked)
-    policy = resolver.ResolutionPolicy(
-        depth=args.depth, max_rounds=args.max_rounds, similarity_gate=args.gate
-    )
+    policy = _config(resolver.ResolutionPolicy, args)
     query_embeddings = None
-    if args.gate is not None:
+    if policy.similarity_gate is not None:
         if not args.manifest:
             raise UsageError("--gate requires --manifest for query embeddings")
         manifest = data.load_manifest(args.manifest)
@@ -177,14 +167,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="embsearch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a config flag's default is SUPPRESS, so _config keeps its field's default
+    unset = argparse.SUPPRESS
     p = sub.add_parser("gen-synth", help="generate a seeded synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--sigma", type=float, default=0.4)
-    p.add_argument("--confusable-fraction", type=float, default=0.5)
-    p.add_argument("--confusable-gap", type=float, default=0.02)
+    p.add_argument("--n", type=int, dest="n_identities", metavar="N", default=unset)
+    p.add_argument("--dim", type=int, default=unset)
+    p.add_argument("--sigma", type=float, dest="noise_sigma", metavar="SIGMA", default=unset)
+    p.add_argument("--confusable-fraction", type=float, default=unset)
+    p.add_argument("--confusable-gap", type=float, default=unset)
     p.add_argument("--name", default="synthetic")
     p.add_argument("--heldout", action="store_true",
                    help="also write a held-out query split sharing the gallery")
@@ -205,22 +197,17 @@ def build_parser() -> _Parser:
     p.add_argument("manifest")
     p.add_argument("--out", required=True)
     p.add_argument("--trace")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--step-size", type=float, default=3e-5)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--lambda-match", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(objective.TrainConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=unset)
     p.set_defaults(func=cmd_train_adapter)
 
     p = sub.add_parser("resolve", help="resolve shared-answer conflicts")
     p.add_argument("ranked")
     p.add_argument("--out", required=True)
     p.add_argument("--audit")
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--max-rounds", type=int, default=None)
-    p.add_argument("--gate", type=float, default=None,
+    p.add_argument("--depth", type=int, default=unset)
+    p.add_argument("--max-rounds", type=int, default=unset)
+    p.add_argument("--gate", type=float, dest="similarity_gate", metavar="GATE", default=unset,
                    help="query-query cosine threshold gating conflict groups")
     p.add_argument("--manifest", help="needed by --gate to load query embeddings")
     p.set_defaults(func=cmd_resolve)

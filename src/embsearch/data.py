@@ -76,14 +76,15 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Parameters for a deterministic synthetic retrieval benchmark."""
+    """Parameters for a deterministic synthetic retrieval benchmark.
+    `embsearch gen-synth` takes its flag defaults from here; seed has none."""
 
-    n_identities: int
-    dim: int
-    noise_sigma: float
-    confusable_fraction: float
-    confusable_gap: float
-    seed: int
+    n_identities: int = 64
+    dim: int = 32
+    noise_sigma: float = 0.4
+    confusable_fraction: float = 0.5
+    confusable_gap: float = 0.02
+    seed: int = field(kw_only=True)
 
     def validate(self) -> None:
         if self.n_identities < 1 or self.dim < 1:
@@ -216,14 +217,15 @@ def load_embeddings(manifest: DatasetManifest, split: str) -> EmbeddingMatrix:
     return EmbeddingMatrix(data=arr, normalized=False)
 
 
-def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalize_rows(rows: np.ndarray, ids=None, what="row") -> tuple[np.ndarray, np.ndarray]:
     """Divide the rows of a caller-owned float64 array by their L2 norms in
     place; returns (rows, norms). A row with norm <= ZERO_NORM_THRESHOLD
-    raises ZeroVector."""
+    raises ZeroVector, naming `what` and the row's index (or entry of ids)."""
     norms = np.linalg.norm(rows, axis=1)
     small = np.nonzero(norms <= ZERO_NORM_THRESHOLD)[0]
     if small.size:
-        raise ZeroVector(f"row {int(small[0])} has norm <= {ZERO_NORM_THRESHOLD}")
+        row = int(small[0]) if ids is None else ids[small[0]]
+        raise ZeroVector(f"{what} {row} has norm <= {ZERO_NORM_THRESHOLD}")
     rows /= norms[:, None]
     return rows, norms
 

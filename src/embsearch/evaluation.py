@@ -30,7 +30,6 @@ class EvalReport:
     recall: dict[int, float]
     n_queries: int
     config: dict = field(default_factory=dict)
-    timestamp: str | None = None
 
 
 @dataclass
@@ -50,7 +49,6 @@ def recall_at_k(
     ks: list[int],
     dataset: str = "",
     config: dict | None = None,
-    timestamp: str | None = None,
 ) -> EvalReport:
     """Hit rate at each cutoff in ks, averaged over queries.
 
@@ -84,7 +82,6 @@ def recall_at_k(
         recall=recall,
         n_queries=n,
         config=dict(config or {}),
-        timestamp=timestamp,
     )
 
 
@@ -120,7 +117,8 @@ def write_report(path: str | Path, report: EvalReport) -> None:
         lines.append(f"recall@{k}: {report.recall[k]:.10g}")
     for key in sorted(report.config):
         lines.append(f"config.{key}: {report.config[key]}")
-    lines.append(f"timestamp: {report.timestamp if report.timestamp else '-'}")
+    # a constant line, kept so report files keep their bytes
+    lines.append("timestamp: -")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -146,7 +144,6 @@ def read_report(path: str | Path) -> EvalReport:
             recall={k: float(fields[f"recall@{k}"]) for k in k_values},
             n_queries=int(fields["n_queries"]),
             config=config,
-            timestamp=None if fields.get("timestamp", "-") == "-" else fields["timestamp"],
         )
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed field: {exc}") from exc

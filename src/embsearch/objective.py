@@ -13,7 +13,7 @@ step-size decay, deterministic per seed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _normalize_rows
 from .errors import EmptyList, InvalidConfig, MissingEmbedding, PointerOutOfBounds
 from .similarity import Ranking, write_ranked_lists
 
@@ -67,8 +68,7 @@ class Resolution:
 
 
 def _query_cosines(query_embeddings: np.ndarray, ids: list[int]) -> np.ndarray:
-    sub = query_embeddings[ids].astype(np.float64)
-    sub = sub / np.linalg.norm(sub, axis=1)[:, None]
+    sub, _ = _normalize_rows(query_embeddings[ids].astype(np.float64), ids, "query")
     return sub @ sub.T
 
 

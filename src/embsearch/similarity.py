@@ -59,6 +59,18 @@ def _block_rows(n_gallery: int) -> int:
     return max(1, BLOCK_SCORES // max(1, n_gallery))
 
 
+def _int64_ids(values) -> np.ndarray:
+    """values as int64; InvalidRanking if the cast changes an entry (NaN, inf
+    and out-of-range floats cast to garbage, their warning silenced)."""
+    ids = raw = np.asarray(values)
+    if raw.dtype != np.int64:
+        with np.errstate(invalid="ignore"):
+            ids = raw.astype(np.int64)
+        if not np.array_equal(ids, raw):
+            raise InvalidRanking("ids must be finite integral values within the int64 range")
+    return ids
+
+
 @dataclass
 class Ranking:
     """Ranked lists of every query, one row per query, best entry first.
@@ -66,8 +78,8 @@ class Ranking:
     query_ids (int64[n]) ascend strictly; ids (int64[n, k]) and scores
     (float64[n, k]) hold each query's list, so every list has the same
     length k. The fields are coerced to those dtypes (no copy when they
-    already have them); input that cannot take this form raises
-    InvalidRanking.
+    already have them); input that cannot take this form, such as an id
+    that is not a finite integral value, raises InvalidRanking.
     """
 
     query_ids: np.ndarray
@@ -76,8 +88,8 @@ class Ranking:
 
     def __post_init__(self):
         try:
-            self.query_ids = np.asarray(self.query_ids, dtype=np.int64)
-            self.ids = np.asarray(self.ids, dtype=np.int64)
+            self.query_ids = _int64_ids(self.query_ids)
+            self.ids = _int64_ids(self.ids)
             self.scores = np.asarray(self.scores, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidRanking(f"ranked lists do not form int64/float64 arrays: {exc}") from None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import embsearch
-from embsearch import evaluation
+from embsearch import data, evaluation, objective
 from embsearch.cli import run
 
 
@@ -117,6 +118,64 @@ class TestDeterminism:
             a = (outputs[0] / fname).read_bytes()
             b = (outputs[1] / fname).read_bytes()
             assert a == b, fname
+
+
+def meta_lines(path: Path) -> dict[str, str]:
+    """The `# key=value` lines at the head of a pipeline output file."""
+    lines = [l[2:] for l in path.read_text().splitlines() if l.startswith("# ")]
+    return dict(line.split("=", 1) for line in lines)
+
+
+class TestConfigFlags:
+    """Flags left out take the config dataclasses' defaults; each flag sets its field."""
+
+    SYNTH_FLAGS = [("--n", "n_identities", 12), ("--dim", "dim", 8),
+                   ("--sigma", "noise_sigma", 0.1),
+                   ("--confusable-fraction", "confusable_fraction", 1.0),
+                   ("--confusable-gap", "confusable_gap", 0.3)]
+
+    def test_gen_synth_defaults_are_synth_config_defaults(self, tmp_path):
+        assert run_cli("gen-synth", "--out", tmp_path / "cli", "--seed", 3) == 0
+        data.generate_synthetic(data.SynthConfig(seed=3), tmp_path / "lib")
+        assert files_under(tmp_path / "cli") == files_under(tmp_path / "lib")
+
+    @pytest.mark.parametrize("flag, field, value", SYNTH_FLAGS, ids=[f[1] for f in SYNTH_FLAGS])
+    def test_gen_synth_flag_sets_its_field(self, tmp_path, flag, field, value):
+        assert run_cli("gen-synth", "--out", tmp_path / "cli", "--seed", 3, flag, value) == 0
+        data.generate_synthetic(data.SynthConfig(seed=3, **{field: value}), tmp_path / "lib")
+        data.generate_synthetic(data.SynthConfig(seed=3), tmp_path / "default")
+        assert files_under(tmp_path / "cli") == files_under(tmp_path / "lib")
+        assert files_under(tmp_path / "cli") != files_under(tmp_path / "default")
+
+    TRAIN_VALUES = {"epochs": 2, "batch_size": 8, "step_size": 1e-4, "weight_decay": 0.5,
+                    "lambda_match": 0.25, "temperature": 0.5, "seed": 3}
+
+    def test_every_train_config_field_is_checked(self):
+        fields = [f.name for f in dataclasses.fields(objective.TrainConfig)]
+        assert list(self.TRAIN_VALUES) == fields
+
+    @pytest.mark.parametrize("field, value", TRAIN_VALUES.items())
+    def test_train_adapter_flag_reaches_trace_metadata(self, dataset_dir, tmp_path, field, value):
+        trace = tmp_path / "trace.tsv"
+        assert run_cli(
+            "train-adapter", dataset_dir / "manifest.json", "--out", tmp_path / "model.adapter",
+            "--trace", trace, "--" + field.replace("_", "-"), value,
+        ) == 0
+        expected = {**dataclasses.asdict(objective.TrainConfig()), field: value}
+        assert meta_lines(trace) == {"dataset": "synthetic",
+                                     **{k: str(v) for k, v in expected.items()}}
+
+    @pytest.mark.parametrize("flags, meta", [
+        ((), {"depth": "1", "max_rounds": "auto", "gate": "off"}),
+        (("--depth", 2, "--max-rounds", 3), {"depth": "2", "max_rounds": "3", "gate": "off"}),
+        (("--gate", 0.5), {"depth": "1", "max_rounds": "auto", "gate": "0.5"}),
+    ], ids=["defaults", "depth-and-cap", "gate"])
+    def test_resolve_policy_metadata(self, dataset_dir, tmp_path, flags, meta):
+        manifest = dataset_dir / "manifest.json"
+        ranked, resolved = tmp_path / "ranked.tsv", tmp_path / "resolved.tsv"
+        assert run_cli("search", manifest, "--k", 5, "--out", ranked) == 0
+        assert run_cli("resolve", ranked, "--out", resolved, "--manifest", manifest, *flags) == 0
+        assert {**meta, "source": "ranked.tsv"}.items() <= meta_lines(resolved).items()
 
 
 class TestExitCodes:

@@ -166,7 +166,7 @@ class TestReportIO:
         assert back.recall == report.recall
         assert back.n_queries == report.n_queries
         assert back.config == report.config
-        assert back.timestamp is None
+        assert back == report
 
     def test_fixed_field_order(self, tmp_path):
         report = evaluation.EvalReport("d", [1], {1: 1.0}, 2, config={"b": 1, "a": 2})

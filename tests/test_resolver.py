@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, evaluation, resolver, similarity
-from embsearch.errors import EmptyList, InvalidConfig, InvalidRanking, PointerOutOfBounds
+from embsearch.errors import (
+    EmptyList,
+    InvalidConfig,
+    InvalidRanking,
+    PointerOutOfBounds,
+    ZeroVector,
+)
 from embsearch.resolver import (
     AuditEntry,
     Resolution,
@@ -174,6 +180,14 @@ class TestDetectConflicts:
         lists = ranking([rl(0, (4, 0.9)), rl(1, (4, 0.8))])
         with pytest.raises(InvalidConfig):
             detect_groups(lists, ResolutionPolicy(similarity_gate=0.5), {0: 0, 1: 0})
+
+    def test_gate_rejects_zero_query_row(self):
+        # the zero row is query 5's, second in its group
+        lists = ranking([rl(3, (4, 0.9)), rl(5, (4, 0.8))])
+        emb = np.zeros((6, 2), dtype=np.float32)
+        emb[3] = [1.0, 0.0]
+        with pytest.raises(ZeroVector, match="^query 5 has norm"):
+            resolve(lists, ResolutionPolicy(similarity_gate=0.5), emb)
 
 
 class TestResolve:

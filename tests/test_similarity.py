@@ -449,12 +449,28 @@ class TestRanking:
         ([0], [1, 2], [0.5, 0.4]),
         ([[0]], [[1, 2]], [[0.5, 0.4]]),
         ([0], [[1, "two"]], [[0.5, 0.4]]),
+        ([0, 1], [[1.7, 2.2], [3.9, 4.0]], [[0.5, 0.4], [0.3, 0.2]]),
+        ([0.9, 1.2], [[1, 2], [3, 4]], [[0.5, 0.4], [0.3, 0.2]]),
+        ([0, 1], [[np.nan, 2], [3, 4]], [[0.5, 0.4], [0.3, 0.2]]),
+        ([0, np.inf], [[1, 2], [3, 4]], [[0.5, 0.4], [0.3, 0.2]]),
+        ([0, 1], [[1e300, 2], [3, 4]], [[0.5, 0.4], [0.3, 0.2]]),
+        (np.array([0, 1 << 63], np.uint64), [[1, 2], [3, 4]], [[0.5, 0.4], [0.3, 0.2]]),
     ], ids=["unequal-lengths", "repeated-query", "descending-query", "scores-narrower",
             "scores-taller", "fewer-lists-than-queries", "one-dimensional-ids",
-            "two-dimensional-query-ids", "non-integer-id"])
+            "two-dimensional-query-ids", "non-integer-id", "fractional-id",
+            "fractional-query-id", "nan-id", "inf-query-id", "id-beyond-int64",
+            "query-id-beyond-int64"])
     def test_rejects_what_it_cannot_hold(self, query_ids, ids, scores):
         with pytest.raises(InvalidRanking):
             similarity.Ranking(query_ids, ids, scores)
+
+    def test_keeps_integral_ids_of_any_dtype(self):
+        ranked = similarity.Ranking(np.array([0.0, 1.0]), np.array([[1, 2], [3, 4]], np.int32),
+                                    [[0.5, 0.4], [0.3, 0.2]])
+        assert ranked.query_ids.dtype == ranked.ids.dtype == np.int64
+        assert ranked.query_ids.tolist() == [0, 1] and ranked.ids.tolist() == [[1, 2], [3, 4]]
+        empty = similarity.Ranking(np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
+        assert empty.ids.dtype == np.int64 and empty.ids.shape == (0, 0)
 
 
 SCORE_TEXT = st.one_of(

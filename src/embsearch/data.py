@@ -140,8 +140,15 @@ def _read_text(path: str | Path, what: str) -> str:
         raise ParseError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:  # a bool is an int subclass: not isinstance
+        raise ValueError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Parse and fully validate a dataset manifest, including file sizes."""
+    """Parse and fully validate a dataset manifest, including file sizes;
+    an integer field that holds no JSON integer raises ParseError naming it."""
     path = Path(path)
     try:
         raw = json.loads(_read_text(path, "manifest"))
@@ -149,16 +156,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
 
     try:
-        gt_pairs = [(int(q), int(g)) for q, g in raw["ground_truth"]]
+        gt_pairs = [(_json_int(q, "ground_truth"), _json_int(g, "ground_truth"))
+                    for q, g in raw["ground_truth"]]
         manifest = DatasetManifest(
             name=str(raw["name"]),
-            dim=int(raw["dim"]),
-            query_count=int(raw["query_count"]),
-            gallery_count=int(raw["gallery_count"]),
+            dim=_json_int(raw["dim"], "dim"),
+            query_count=_json_int(raw["query_count"], "query_count"),
+            gallery_count=_json_int(raw["gallery_count"], "gallery_count"),
             query_path=(path.parent / raw["query_path"]).resolve(),
             gallery_path=(path.parent / raw["gallery_path"]).resolve(),
             ground_truth=dict(gt_pairs),
-            seed=None if raw.get("seed") is None else int(raw["seed"]),
+            seed=None if raw.get("seed") is None else _json_int(raw["seed"], "seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"manifest {path} has a malformed field: {exc}") from exc
@@ -190,6 +198,18 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         "seed": manifest.seed,
     }
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_table(path: str | Path, meta: dict | None, line: str, columns: list, tail="") -> None:
+    """Write `# key=value` lines for meta, `line % row` for each row of the
+    equal-length columns (one `%` call over their interleaved fields; '%.9g'
+    % x formats a float as f"{x:.9g}" does), then tail: else one newline."""
+    fields = [None] * sum(map(len, columns))
+    for j, column in enumerate(columns):
+        fields[j::len(columns)] = column
+    head = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
+    text = head + (line + "\n") * len(columns[0]) % tuple(fields) + tail
+    Path(path).write_text(text or "\n", encoding="utf-8")
 
 
 def read_embedding_file(path: str | Path, rows: int, dim: int) -> np.ndarray:
@@ -269,7 +289,7 @@ def generate_synthetic(
     rng_gallery = np.random.default_rng([cfg.seed, 0])
     gallery, _ = _normalize_rows(rng_gallery.standard_normal((n, dim)))
 
-    n_pairs = int(round(cfg.confusable_fraction * n / 2))
+    n_pairs = min(int(round(cfg.confusable_fraction * n / 2)), n // 2)
     if n_pairs:
         perm = rng_gallery.permutation(n)
         # cosine of the planted pair is 1 - gap/2, safely above 1 - gap

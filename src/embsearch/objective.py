@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingMatrix, _normalize_rows, _require_file
+from .data import EmbeddingMatrix, _normalize_rows, _require_file, _write_table
 from .errors import (
     BatchTooSmall,
     DimensionMismatch,
@@ -492,7 +492,7 @@ def load_adapter(path: str | Path) -> AdapterParams:
 
 def write_trace(path: str | Path, trace: list[LossBreakdown], meta: dict | None = None) -> None:
     """Training trace as `epoch TAB contrastive TAB match TAB total` lines."""
-    out = [f"# {k}={v}" for k, v in (meta or {}).items()]
-    for epoch, t in enumerate(trace):
-        out.append(f"{epoch}\t{t.contrastive:.12g}\t{t.match:.12g}\t{t.total:.12g}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_table(path, meta, "%d\t%.12g\t%.12g\t%.12g", [
+        list(range(len(trace))), [t.contrastive for t in trace], [t.match for t in trace],
+        [t.total for t in trace],
+    ])

@@ -4,16 +4,17 @@ When several queries retrieve the same gallery answer, the member with the
 highest score keeps it and every other member advances to its next-ranked
 candidate; rounds repeat until no conflicts remain (or a cap is hit, which
 the Resolution reports). Members that run out of candidates keep their last
-entry and are flagged unresolved.
+entry and are flagged unresolved. A Resolution holds arrays: each row's final
+rank, the unresolved query ids and one audit record per replacement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import _normalize_rows
+from .data import _normalize_rows, _write_table
 from .errors import EmptyList, InvalidConfig, MissingEmbedding, PointerOutOfBounds
 from .similarity import Ranking, write_ranked_lists
 
@@ -39,26 +40,25 @@ class ResolutionPolicy:
             raise InvalidConfig("max_rounds must be >= 1")
 
 
-@dataclass
-class AuditEntry:
-    round: int
-    answer_id: int
-    winner: int
-    loser: int
-    delta_s: float
+# an audit record: winner and loser are query ids
+AUDIT_DTYPE = np.dtype([("round", np.int64), ("answer_id", np.int64), ("winner", np.int64),
+                        ("loser", np.int64), ("delta_s", np.float64)])
 
 
 @dataclass
 class Resolution:
-    """Final per-query assignment plus the full replacement audit trail.
+    """The outcome of resolve, aligned with the rows of the resolved Ranking.
 
-    live_conflicts counts the conflict groups among queries still in play
-    when the round cap stopped the run; it is 0 when resolution converged.
+    ranks (int64[n]) holds each row's final 0-based pointer; unresolved the
+    ascending ids of the queries that ran out of candidates; audit one
+    AUDIT_DTYPE record per replacement, in the order made. live_conflicts
+    counts the conflict groups among queries still in play when the round
+    cap stopped the run; it is 0 when resolution converged.
     """
 
-    assignments: dict[int, tuple[int, float, int]]  # qid -> (gallery_id, score, source_rank)
-    audit: list[AuditEntry] = field(default_factory=list)
-    unresolved: set[int] = field(default_factory=set)
+    ranks: np.ndarray
+    unresolved: np.ndarray
+    audit: np.ndarray
     rounds: int = 0
     live_conflicts: int = 0
 
@@ -112,7 +112,9 @@ def detect_conflicts(
             f"query {ranking.query_ids[row]}: pointer {pos[row]} outside its list of {ranking.k}"
         )
     gate = policy.similarity_gate
-    if gate is not None and query_embeddings is not None:
+    if gate is not None:
+        if query_embeddings is None:
+            raise InvalidConfig("similarity_gate requires query embeddings")
         outside = (ranking.query_ids < 0) | (ranking.query_ids >= len(query_embeddings))
         if outside.any():
             raise MissingEmbedding(
@@ -132,9 +134,7 @@ def detect_conflicts(
     starts = np.flatnonzero(_changes(answers))
     sizes = np.diff(starts, append=len(answers))
     keep = sizes >= 2
-    if gate is not None and keep.any():
-        if query_embeddings is None:
-            raise InvalidConfig("similarity_gate requires query embeddings")
+    if gate is not None:
         for g in np.flatnonzero(keep):
             ids = ranking.query_ids[rows[starts[g]:starts[g] + sizes[g]]].tolist()
             cos = _query_cosines(query_embeddings, ids)
@@ -151,12 +151,13 @@ def resolve(
 ) -> Resolution:
     """Iterate conflict rounds to a fixpoint and return final assignments.
 
-    Each round runs detect_conflicts on the current pointers. Per group the highest-scoring member keeps the answer (score tie: lower
-    query id); each loser whose pointer sits on the contested answer advances
-    one rank. Exhausted queries keep their last entry, are flagged
-    unresolved, and stop participating. A run that reaches max_rounds with
-    groups still live records their number in live_conflicts (converged is
-    then False). Deterministic for a given input.
+    Each round runs detect_conflicts on the current pointers. Per group the
+    highest-scoring member keeps the answer (score tie: lower query id);
+    each loser whose pointer sits on the contested answer advances one rank.
+    Exhausted queries keep their last entry, are flagged unresolved, and
+    stop participating. A run that reaches max_rounds with groups still
+    live records their number in live_conflicts (converged is then False).
+    Deterministic for a given input.
     """
     k = ranking.k
     if not len(ranking):
@@ -166,10 +167,11 @@ def resolve(
     policy.validate(k)
     max_rounds = policy.max_rounds if policy.max_rounds is not None else k
 
-    qids = ranking.query_ids.tolist()
+    qids = ranking.query_ids
     pos = np.zeros(len(ranking), dtype=np.int64)
     active = np.ones(len(ranking), dtype=bool)
-    resolution = Resolution(assignments={})
+    audit = [np.empty(0, AUDIT_DTYPE)]
+    rounds = live_conflicts = 0
 
     # one detection past the cap tells whether the run stopped with conflicts
     for round_index in range(1, max_rounds + 2):
@@ -179,9 +181,9 @@ def resolve(
         if len(starts) == 1:
             break
         if round_index > max_rounds:
-            resolution.live_conflicts = len(starts) - 1
+            live_conflicts = len(starts) - 1
             break
-        resolution.rounds = round_index
+        rounds = round_index
         scores = ranking.scores[rows, cols]
         sizes = np.diff(starts)
         group = np.repeat(np.arange(len(sizes)), sizes)
@@ -193,30 +195,20 @@ def resolve(
         winners[led_by_nan] = leaders[led_by_nan]
         winner = winners[group]
         lose = np.flatnonzero(winner != np.arange(len(rows)))
-        for answer, winner_row, winner_score, row, score, col in zip(
-            answers[lose].tolist(), rows[winner[lose]].tolist(),
-            scores[winner[lose]].tolist(), rows[lose].tolist(),
-            scores[lose].tolist(), cols[lose].tolist(),
-        ):
-            resolution.audit.append(AuditEntry(
-                round=round_index, answer_id=answer, winner=qids[winner_row],
-                loser=qids[row], delta_s=winner_score - score,
-            ))
-            # only a loser sitting on the contested answer moves; with
-            # depth > 1 an earlier group of this round may have moved it
-            if col != pos[row]:
-                continue
-            if col + 1 >= k:
-                resolution.unresolved.add(qids[row])
-                active[row] = False
-            else:
-                pos[row] = col + 1
+        made = np.empty(len(lose), AUDIT_DTYPE)
+        made["round"], made["answer_id"] = round_index, answers[lose]
+        made["winner"], made["loser"] = qids[rows[winner[lose]]], qids[rows[lose]]
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
+            made["delta_s"] = scores[winner[lose]] - scores[lose]
+        audit.append(made)
+        # only a loser sitting on the contested answer moves; with depth > 1
+        # an earlier group of this round may have moved it, so order matters
+        for row, col in zip(rows[lose].tolist(), cols[lose].tolist()):
+            if col == pos[row]:  # an exhausted row keeps its last entry, out of play
+                pos[row], active[row] = min(col + 1, k - 1), col + 1 < k
 
-    rows = np.arange(len(ranking))
-    resolution.assignments = dict(zip(qids, zip(
-        ranking.ids[rows, pos].tolist(), ranking.scores[rows, pos].tolist(), (pos + 1).tolist()
-    )))
-    return resolution
+    return Resolution(ranks=pos, unresolved=qids[~active], audit=np.concatenate(audit),
+                      rounds=rounds, live_conflicts=live_conflicts)
 
 
 def resolution_to_lists(ranking: Ranking, resolution: Resolution) -> tuple[Ranking, np.ndarray]:
@@ -225,9 +217,7 @@ def resolution_to_lists(ranking: Ranking, resolution: Resolution) -> tuple[Ranki
     Returns the reordered ranking and each entry's rank in the original
     list (int[n, k], the source_rank column of the resolved file).
     """
-    lead = np.array(
-        [resolution.assignments[q][2] - 1 for q in ranking.query_ids.tolist()], dtype=np.int64
-    )[:, None]
+    lead = resolution.ranks[:, None]
     cols = np.arange(ranking.k)
     # new column 0 is the assigned entry; the rest keep their source order
     order = np.where(cols == 0, lead, cols - (cols <= lead))
@@ -239,24 +229,19 @@ def resolution_to_lists(ranking: Ranking, resolution: Resolution) -> tuple[Ranki
     return reordered, order + 1
 
 
-def write_resolution(
-    path: str | Path,
-    ranking: Ranking,
-    resolution: Resolution,
-    meta: dict | None = None,
-) -> None:
+def write_resolution(path: str | Path, ranking: Ranking, resolution: Resolution,
+                     meta: dict | None = None) -> None:
+    """Resolved lists, assigned entry first, with a source_rank column and the
+    unresolved query ids in a `# unresolved=` line."""
     meta = dict(meta or {})
-    if resolution.unresolved:
-        meta["unresolved"] = ",".join(str(q) for q in sorted(resolution.unresolved))
+    if resolution.unresolved.size:
+        meta["unresolved"] = ",".join(map(str, resolution.unresolved.tolist()))
     reordered, source_ranks = resolution_to_lists(ranking, resolution)
     write_ranked_lists(path, reordered, meta=meta, source_ranks=source_ranks)
 
 
 def write_audit(path: str | Path, resolution: Resolution, meta: dict | None = None) -> None:
     """Audit sidecar: `round TAB answer_id TAB winner TAB loser TAB delta_s`."""
-    out = [f"# {k}={v}" for k, v in (meta or {}).items()]
-    for e in resolution.audit:
-        out.append(f"{e.round}\t{e.answer_id}\t{e.winner}\t{e.loser}\t{e.delta_s:.9g}")
-    for qid in sorted(resolution.unresolved):
-        out.append(f"# unresolved={qid}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_table(path, meta, "%d\t%d\t%d\t%d\t%.9g",
+                 [resolution.audit[name].tolist() for name in AUDIT_DTYPE.names],
+                 "".join(f"# unresolved={qid}\n" for qid in resolution.unresolved.tolist()))

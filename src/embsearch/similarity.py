@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingMatrix, _read_text
+from .data import EmbeddingMatrix, _read_text, _write_table
 from .errors import (
     DimensionMismatch,
     InvalidRanking,
@@ -99,7 +99,7 @@ class Ranking:
                 f"query ids {self.query_ids.shape}, ids {self.ids.shape} and scores "
                 f"{self.scores.shape} do not hold one equal-length list per query"
             )
-        if np.any(np.diff(self.query_ids) <= 0):
+        if np.any(self.query_ids[1:] <= self.query_ids[:-1]):  # np.diff can overflow
             raise InvalidRanking("query ids must be strictly ascending")
 
     @property
@@ -217,13 +217,7 @@ def write_ranked_lists(
     if source_ranks is not None:
         columns.append(np.asarray(source_ranks).ravel().tolist())
         line += "\t%d"
-    # '%.9g' % x formats a float exactly as f"{x:.9g}"; one % call per file
-    fields = [None] * (len(columns) * n * k)
-    for j, column in enumerate(columns):
-        fields[j::len(columns)] = column
-    head = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
-    text = head + ((line + "\n") * (n * k)) % tuple(fields)
-    Path(path).write_text(text or "\n", encoding="utf-8")
+    _write_table(path, meta, line, columns)
 
 
 def _parse_error(path, lines: list[str], body: list[int]) -> ParseError:

@@ -1,5 +1,6 @@
 """Ranked lists written as per-query rows, for building and reading Rankings
-in tests: a row is (query_id, [(gallery_id, score), ...])."""
+in tests: a row is (query_id, [(gallery_id, score), ...]). Resolutions are
+read back per query too."""
 import numpy as np
 
 from embsearch.similarity import Ranking
@@ -25,3 +26,15 @@ def rows_of(ranking):
             ranking.query_ids.tolist(), ranking.ids.tolist(), ranking.scores.tolist()
         )
     ]
+
+
+def resolved(ranking, resolution):
+    """A Resolution of ranking read back per query: ({query_id: (gallery_id,
+    score, source_rank)}, the audit as (round, answer_id, winner, loser,
+    delta_s) tuples, the set of unresolved query ids)."""
+    rows, ranks = np.arange(len(ranking)), resolution.ranks
+    assignments = dict(zip(ranking.query_ids.tolist(), zip(
+        ranking.ids[rows, ranks].tolist(), ranking.scores[rows, ranks].tolist(),
+        (ranks + 1).tolist(),
+    )))
+    return assignments, resolution.audit.tolist(), set(resolution.unresolved.tolist())

@@ -10,7 +10,7 @@ from embsearch import data, evaluation, objective, resolver, similarity
 from embsearch.objective import AdapterParams, Batch, TrainConfig
 from assignment_oracle import assignment_oracle
 from conftest import SEED7_CONFIG
-from rankings import ranking
+from rankings import ranking, resolved
 from test_objective import (
     assert_gradient_matches,
     random_adapter,
@@ -105,9 +105,10 @@ def test_conflict_resolution_hand_traces():
         (2, [(100, 0.8), (101, 0.7)]),
     ])
     res = resolver.resolve(two)
-    assert res.assignments[1] == (100, 0.9, 1)
-    assert res.assignments[2] == (101, 0.7, 2)
-    assert len(res.audit) == 1 and res.audit[0].delta_s == pytest.approx(0.1)
+    assignments, audit, _ = resolved(two, res)
+    assert assignments[1] == (100, 0.9, 1)
+    assert assignments[2] == (101, 0.7, 2)
+    assert len(audit) == 1 and audit[0][4] == pytest.approx(0.1)
 
     cascade = ranking([
         (1, [(100, 0.9), (103, 0.5), (104, 0.4)]),
@@ -115,8 +116,10 @@ def test_conflict_resolution_hand_traces():
         (3, [(101, 0.75), (102, 0.5), (106, 0.2)]),
     ])
     res = resolver.resolve(cascade)
-    assert res.assignments[2] == (105, 0.3, 3)
-    assert [(e.round, e.winner, e.loser) for e in res.audit] == [(1, 1, 2), (2, 3, 2)]
+    assignments, audit, _ = resolved(cascade, res)
+    assert assignments[2] == (105, 0.3, 3)
+    assert [(round_, winner, loser) for round_, _, winner, loser, _ in audit] == [
+        (1, 1, 2), (2, 3, 2)]
     print("\nACCEPTANCE PASS: conflict-resolution hand traces")
 
 
@@ -131,10 +134,11 @@ def test_resolved_conflict_answers_distinct():
             manifest = data.generate_synthetic(cfg, tmp)
             _, _, _, lists = run_search(manifest, k=24)
         res = resolver.resolve(lists)
-        if res.unresolved:
+        assignments, audit, unresolved = resolved(lists, res)
+        if unresolved:
             continue
-        conflicted = {e.loser for e in res.audit} | {e.winner for e in res.audit}
-        answers = [res.assignments[q][0] for q in conflicted]
+        conflicted = {q for _, _, winner, loser, _ in audit for q in (winner, loser)}
+        answers = [assignments[q][0] for q in conflicted]
         assert len(answers) == len(set(answers)), f"seed {seed}"
         checked += 1
     assert checked > 0
@@ -173,7 +177,7 @@ def test_greedy_bounded_by_optimal_assignment():
         sims = rng.random((n, n)).astype(np.float32)
         lists = similarity.top_k(sims, n)
         res = resolver.resolve(lists)
-        greedy_total = sum(v[1] for v in res.assignments.values())
+        greedy_total = sum(v[1] for v in resolved(lists, res)[0].values())
         _, optimal = assignment_oracle(sims, "matching")
         if n <= 8:
             _, exhaustive = assignment_oracle(sims, "exhaustive")

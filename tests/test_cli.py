@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import shlex
@@ -327,6 +328,21 @@ class TestBenchmarkScript:
         before = stdout.index("recall@1: 0.4688")
         assert stdout.index("recall@1: 0.5312") > before
         assert "stopped at the round cap with 2 conflict group(s) still live" in stdout
+
+    def test_readme_block_is_the_scripts_first_nine_commands(self, tmp_path, monkeypatch):
+        """The README's claim that the script runs exactly its CLI block."""
+        spec = importlib.util.spec_from_file_location(
+            "run_benchmark", REPO / "scripts" / "run_benchmark.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        commands = []
+        monkeypatch.setattr(script, "run", lambda argv: commands.append(argv) or 0)
+        monkeypatch.setattr(sys, "argv", ["run_benchmark.py", "--out", str(tmp_path)])
+        monkeypatch.chdir(tmp_path)  # main changes into --out; this restores the directory
+        assert script.main() == 0
+        readme = readme_commands()
+        assert len(readme) == 9
+        assert readme == commands[:9]
 
     def test_script_caps_cutoffs_at_k(self, tmp_path):
         out = tmp_path / "out"

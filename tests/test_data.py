@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from embsearch import data
+from embsearch import data, objective, resolver, similarity
 from embsearch.cli import run
 from embsearch.errors import (
     DimensionMismatch,
@@ -69,6 +70,29 @@ class TestManifest:
             tmp_path, n_query=3, n_gallery=3, gt=[[0, 2], [0, 0], [1, 1], [2, 2]]
         )
         with pytest.raises(GroundTruthOutOfRange, match="query 0 is listed more than once"):
+            data.load_manifest(path)
+        assert run(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        error = captured.err.removeprefix("data error: ").strip()
+        assert captured.out == f"FAIL  manifest  ({error})\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 8.0), ("dim", True), ("dim", "8"), ("query_count", 4.0),
+        ("gallery_count", False), ("seed", 7.0), ("seed", "7"),
+        ("ground_truth", [[0, 0], [1, 1.9], [2, 2], [3, 3]]),
+        ("ground_truth", [[0, 0], [True, 1], [2, 2], [3, 3]]),
+        ("ground_truth", [[0, 0], [1, 1], ["2", 2], [3, 3]]),
+    ], ids=["dim-float", "dim-bool", "dim-string", "query_count-float", "gallery_count-bool",
+            "seed-float", "seed-string", "ground_truth-float", "ground_truth-bool",
+            "ground_truth-string"])
+    def test_integer_fields_hold_json_integers(self, tmp_path, capsys, field, value):
+        """A float, bool or string is not read as an integer (a ground-truth
+        pair [1, 1.9] used to load as gallery id 1)."""
+        path = write_manifest_fixture(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"{field} must be a JSON integer"):
             data.load_manifest(path)
         assert run(["validate", str(path)]) == 2
         captured = capsys.readouterr()
@@ -182,6 +206,19 @@ class TestSynthetic:
         # every identity is in a planted pair, so its best neighbor is close
         assert np.all(cos.max(axis=1) >= 1 - 0.05)
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_odd_n_at_full_fraction_plants_n_half_pairs(self, tmp_path, n):
+        """Rounding fraction * n / 2 asks for more pairs than n rows hold (2
+        for n=3); the count is capped at n // 2, so one row stays unpaired."""
+        out = tmp_path / "ds"
+        assert run(["gen-synth", "--out", str(out), "--seed", "1", "--n", str(n),
+                    "--confusable-fraction", "1"]) == 0
+        g = data.load_embeddings(data.load_manifest(out / "manifest.json"), "gallery").data
+        g = g.astype(np.float64) / np.linalg.norm(g, axis=1)[:, None]
+        cos = g @ g.T
+        np.fill_diagonal(cos, -1)
+        assert np.count_nonzero(cos.max(axis=1) >= 1 - 0.02) == n - 1
+
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
             data.SynthConfig(1, 4, 0.1, 0.5, 0.1, seed=0).validate()
@@ -221,3 +258,72 @@ class TestValidateDataset:
         assert [c.name for c in failed] == ["gallery"]
         assert "non-finite" in failed[0].detail
         assert run(["validate", str(path)]) == 2
+
+
+INT64 = st.integers(-(1 << 63), (1 << 63) - 1) | st.sampled_from([-(1 << 63), (1 << 63) - 1])
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+METAS = st.sampled_from([None, {}, {"dataset": "d", "seed": 7}])
+WRITER_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def f_string_table(meta, rows, specs, tail=()):
+    """The f-string formatting the writers had before they shared
+    data._write_table: meta lines, one line per row with each value
+    formatted by its spec, the tail lines, all joined by newlines."""
+    out = [f"# {k}={v}" for k, v in (meta or {}).items()]
+    out += ["\t".join(format(v, spec) for v, spec in zip(row, specs)) for row in rows]
+    return "\n".join(out + list(tail)) + "\n"
+
+
+class TestTableWriters:
+    """Every file written through data._write_table is byte-equal to the
+    f-string form, for empty bodies, non-finite and signed-zero floats and
+    int64-extreme ids."""
+
+    @WRITER_SETTINGS
+    @given(qids=st.lists(INT64, unique=True, max_size=4), k=st.integers(0, 3),
+           meta=METAS, with_source=st.booleans(), data_=st.data())
+    def test_ranked_lists(self, tmp_path, qids, k, meta, with_source, data_):
+        qids, n = sorted(qids), len(qids)
+        cells = st.lists(st.lists(INT64, min_size=k, max_size=k), min_size=n, max_size=n)
+        ids = data_.draw(cells)
+        scores = data_.draw(st.lists(st.lists(FLOATS, min_size=k, max_size=k),
+                                     min_size=n, max_size=n))
+        sources = data_.draw(cells) if with_source else None
+        ranking = similarity.Ranking(np.array(qids, dtype=np.int64),
+                                     np.array(ids, dtype=np.int64).reshape(n, k),
+                                     np.array(scores, dtype=np.float64).reshape(n, k))
+        path = tmp_path / "ranked.tsv"
+        similarity.write_ranked_lists(path, ranking, meta=meta, source_ranks=(
+            None if sources is None else np.array(sources, dtype=np.int64).reshape(n, k)))
+        rows = [
+            (q, r + 1, ids[i][r], scores[i][r], *([sources[i][r]] if with_source else []))
+            for i, q in enumerate(qids) for r in range(k)
+        ]
+        assert path.read_text() == f_string_table(meta, rows, ["", "", "", ".9g", ""])
+
+    @WRITER_SETTINGS
+    @given(records=st.lists(st.tuples(st.integers(1, 50), INT64, INT64, INT64, FLOATS),
+                            max_size=5),
+           unresolved=st.sets(INT64, max_size=3), meta=METAS)
+    def test_audit(self, tmp_path, records, unresolved, meta):
+        resolution = resolver.Resolution(
+            ranks=np.zeros(0, dtype=np.int64),
+            unresolved=np.array(sorted(unresolved), dtype=np.int64),
+            audit=np.array(records, dtype=resolver.AUDIT_DTYPE),
+        )
+        path = tmp_path / "audit.tsv"
+        resolver.write_audit(path, resolution, meta=meta)
+        tail = [f"# unresolved={q}" for q in sorted(unresolved)]
+        assert path.read_text() == f_string_table(meta, records, ["", "", "", "", ".9g"], tail)
+
+    @WRITER_SETTINGS
+    @given(losses=st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=4), meta=METAS)
+    def test_trace(self, tmp_path, losses, meta):
+        trace = [objective.LossBreakdown(c, m, lam) for c, m, lam in losses]
+        path = tmp_path / "trace.tsv"
+        objective.write_trace(path, trace, meta=meta)
+        rows = [(epoch, t.contrastive, t.match, t.total) for epoch, t in enumerate(trace)]
+        assert path.read_text() == f_string_table(meta, rows, ["", ".12g", ".12g", ".12g"])

@@ -14,8 +14,6 @@ from embsearch.errors import (
     ZeroVector,
 )
 from embsearch.resolver import (
-    AuditEntry,
-    Resolution,
     ResolutionPolicy,
     _query_cosines,
     detect_conflicts,
@@ -25,7 +23,7 @@ from embsearch.resolver import (
     write_resolution,
 )
 from assignment_oracle import TooLarge, assignment_oracle
-from rankings import ranking, rows_of
+from rankings import ranking, resolved, rows_of
 
 
 def rl(qid, *pairs):
@@ -70,7 +68,9 @@ def reference_detect_conflicts(lists, policy, positions, query_embeddings=None, 
 
 
 def reference_resolve(lists, policy=ResolutionPolicy(), query_embeddings=None):
-    """The per-query round loop the array resolver replaced, kept as its reference."""
+    """The per-query round loop the array resolver replaced, kept as its
+    reference: (assignments, audit, unresolved) as rankings.resolved reads
+    them back, then rounds and live_conflicts."""
     lists = sorted(lists, key=lambda row: row[0])
     depth_n = max(len(entries) for _, entries in lists)
     policy.validate(depth_n)
@@ -78,35 +78,33 @@ def reference_resolve(lists, policy=ResolutionPolicy(), query_embeddings=None):
     by_query = dict(lists)
     positions = {qid: 0 for qid, _ in lists}
     frozen = set()
-    resolution = Resolution(assignments={})
+    assignments, audit, unresolved = {}, [], set()
+    rounds = live_conflicts = 0
     for round_index in range(1, max_rounds + 2):
         groups = reference_detect_conflicts(lists, policy, positions, query_embeddings, frozen)
         if not groups:
             break
         if round_index > max_rounds:
-            resolution.live_conflicts = len(groups)
+            live_conflicts = len(groups)
             break
-        resolution.rounds = round_index
+        rounds = round_index
         for answer_id, members in groups:
             winner_qid, winner_score, _ = max(members, key=lambda m: (m[1], -m[0]))
             for qid, score, rank in members:
                 if qid == winner_qid:
                     continue
-                resolution.audit.append(AuditEntry(
-                    round=round_index, answer_id=answer_id, winner=winner_qid,
-                    loser=qid, delta_s=winner_score - score,
-                ))
+                audit.append((round_index, answer_id, winner_qid, qid, winner_score - score))
                 if rank - 1 != positions[qid]:
                     continue
                 if positions[qid] + 1 >= len(by_query[qid]):
-                    resolution.unresolved.add(qid)
+                    unresolved.add(qid)
                     frozen.add(qid)
                 else:
                     positions[qid] += 1
     for qid, entries in lists:
         gid, score = entries[positions[qid]]
-        resolution.assignments[qid] = (gid, score, positions[qid] + 1)
-    return resolution
+        assignments[qid] = (gid, score, positions[qid] + 1)
+    return assignments, audit, unresolved, rounds, live_conflicts
 
 
 def detect_groups(lists, policy, positions, query_embeddings=None, frozen=frozenset()):
@@ -132,18 +130,20 @@ def same_float(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def assert_same_resolution(got, want):
-    assert got.assignments.keys() == want.assignments.keys()
-    for qid, (gid, score, rank) in want.assignments.items():
-        g_gid, g_score, g_rank = got.assignments[qid]
+def assert_same_resolution(lists, got, want):
+    """got is resolve's Resolution of the Ranking lists, want reference_resolve's result."""
+    assert got.ranks.shape == (len(lists),) and got.audit.dtype == resolver.AUDIT_DTYPE
+    assignments, audit, unresolved = resolved(lists, got)
+    want_assignments, want_audit, want_unresolved, rounds, live_conflicts = want
+    assert assignments.keys() == want_assignments.keys()
+    for qid, (gid, score, rank) in want_assignments.items():
+        g_gid, g_score, g_rank = assignments[qid]
         assert (g_gid, g_rank) == (gid, rank) and same_float(g_score, score)
-    assert [(e.round, e.answer_id, e.winner, e.loser) for e in got.audit] == [
-        (e.round, e.answer_id, e.winner, e.loser) for e in want.audit
-    ]
-    assert all(same_float(a.delta_s, b.delta_s) for a, b in zip(got.audit, want.audit))
-    assert got.unresolved == want.unresolved
-    assert got.rounds == want.rounds
-    assert got.live_conflicts == want.live_conflicts
+    assert [e[:4] for e in audit] == [e[:4] for e in want_audit]
+    assert all(same_float(a[4], b[4]) for a, b in zip(audit, want_audit))
+    assert unresolved == want_unresolved
+    assert got.rounds == rounds
+    assert got.live_conflicts == live_conflicts
 
 
 class TestDetectConflicts:
@@ -181,6 +181,15 @@ class TestDetectConflicts:
         with pytest.raises(InvalidConfig):
             detect_groups(lists, ResolutionPolicy(similarity_gate=0.5), {0: 0, 1: 0})
 
+    def test_gate_without_embeddings_on_conflict_free_lists(self):
+        # the check precedes grouping, so it does not depend on the data
+        lists = ranking([rl(0, (4, 0.9)), rl(1, (5, 0.8))])
+        policy = ResolutionPolicy(similarity_gate=0.5)
+        with pytest.raises(InvalidConfig, match="requires query embeddings"):
+            resolve(lists, policy)
+        with pytest.raises(InvalidConfig, match="requires query embeddings"):
+            detect_groups(lists, policy, {0: 0, 1: 0})
+
     def test_gate_rejects_zero_query_row(self):
         # the zero row is query 5's, second in its group
         lists = ranking([rl(3, (4, 0.9)), rl(5, (4, 0.8))])
@@ -196,14 +205,14 @@ class TestResolve:
             rl(1, (100, 0.9), (102, 0.6)),
             rl(2, (100, 0.8), (101, 0.7)),
         ])
-        res = resolve(lists)
-        assert res.assignments[1] == (100, 0.9, 1)
-        assert res.assignments[2] == (101, 0.7, 2)
-        assert len(res.audit) == 1
-        entry = res.audit[0]
-        assert entry.winner == 1 and entry.loser == 2 and entry.answer_id == 100
-        assert entry.delta_s == pytest.approx(0.1)
-        assert not res.unresolved
+        assignments, audit, unresolved = resolved(lists, resolve(lists))
+        assert assignments[1] == (100, 0.9, 1)
+        assert assignments[2] == (101, 0.7, 2)
+        assert len(audit) == 1
+        _, answer_id, winner, loser, delta_s = audit[0]
+        assert winner == 1 and loser == 2 and answer_id == 100
+        assert delta_s == pytest.approx(0.1)
+        assert not unresolved
 
     def test_cascading_three_query_trace(self):
         lists = ranking([
@@ -211,37 +220,38 @@ class TestResolve:
             rl(2, (100, 0.8), (101, 0.7), (105, 0.3)),
             rl(3, (101, 0.75), (102, 0.5), (106, 0.2)),
         ])
-        res = resolve(lists)
+        assignments, audit, _ = resolved(lists, resolve(lists))
         # round 1: q2 loses answer 100 to q1; round 2: q2 loses 101 to q3
-        assert res.assignments[1] == (100, 0.9, 1)
-        assert res.assignments[2] == (105, 0.3, 3)
-        assert res.assignments[3] == (101, 0.75, 1)
-        assert [(e.round, e.answer_id, e.winner, e.loser) for e in res.audit] == [
+        assert assignments[1] == (100, 0.9, 1)
+        assert assignments[2] == (105, 0.3, 3)
+        assert assignments[3] == (101, 0.75, 1)
+        assert [e[:4] for e in audit] == [
             (1, 100, 1, 2),
             (2, 101, 3, 2),
         ]
-        assert res.audit[0].delta_s == pytest.approx(0.1)
-        assert res.audit[1].delta_s == pytest.approx(0.05)
+        assert audit[0][4] == pytest.approx(0.1)
+        assert audit[1][4] == pytest.approx(0.05)
 
     def test_no_collisions_is_identity(self):
         lists = ranking([rl(0, (1, 0.9), (2, 0.5)), rl(1, (3, 0.8), (4, 0.4))])
         res = resolve(lists)
-        assert res.assignments == {0: (1, 0.9, 1), 1: (3, 0.8, 1)}
-        assert res.audit == []
+        assignments, audit, _ = resolved(lists, res)
+        assert assignments == {0: (1, 0.9, 1), 1: (3, 0.8, 1)}
+        assert audit == []
         assert res.rounds == 0
 
     def test_score_tie_lower_query_id_keeps(self):
         lists = ranking([rl(5, (9, 0.8), (1, 0.5)), rl(2, (9, 0.8), (3, 0.5))])
-        res = resolve(lists)
-        assert res.assignments[2][0] == 9
-        assert res.assignments[5][0] == 1
-        assert res.audit[0].delta_s == 0.0
+        assignments, audit, _ = resolved(lists, resolve(lists))
+        assert assignments[2][0] == 9
+        assert assignments[5][0] == 1
+        assert audit[0][4] == 0.0
 
     def test_exhaustion_keeps_last_entry_and_flags(self):
         lists = ranking([rl(0, (7, 0.9)), rl(1, (7, 0.8))])
-        res = resolve(lists)
-        assert res.assignments[1] == (7, 0.8, 1)
-        assert res.unresolved == {1}
+        assignments, _, unresolved = resolved(lists, resolve(lists))
+        assert assignments[1] == (7, 0.8, 1)
+        assert unresolved == {1}
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyList):
@@ -255,21 +265,19 @@ class TestResolve:
             rl(1, (1, 0.9), (4, 0.2)),
             rl(2, (1, 0.7), (5, 0.4)),
         ]
-        a = resolve(ranking(lists))
-        b = resolve(ranking(reversed(lists)))
-        assert a.assignments == b.assignments
-        assert [(e.round, e.answer_id, e.winner, e.loser) for e in a.audit] == [
-            (e.round, e.answer_id, e.winner, e.loser) for e in b.audit
-        ]
+        a = resolved(ranking(lists), resolve(ranking(lists)))
+        b = resolved(ranking(reversed(lists)), resolve(ranking(reversed(lists))))
+        assert a[0] == b[0]
+        assert [e[:4] for e in a[1]] == [e[:4] for e in b[1]]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
     def test_never_invents_answers(self, seed, n):
         sims = np.random.default_rng(seed).random((n, n)).astype(np.float32)
         lists = similarity.top_k(sims, n)
-        res = resolve(lists)
+        assignments, _, _ = resolved(lists, resolve(lists))
         originals = dict(rows_of(lists))
-        for qid, (gid, score, source_rank) in res.assignments.items():
+        for qid, (gid, score, source_rank) in assignments.items():
             assert gid in {g for g, _ in originals[qid]}
             assert originals[qid][source_rank - 1] == (gid, score)
 
@@ -279,20 +287,21 @@ class TestResolve:
         sims = np.random.default_rng(seed).random((n, n)).astype(np.float32)
         lists = similarity.top_k(sims, n)
         res = resolve(lists)
-        if res.unresolved or res.rounds >= n:
+        assignments, audit, unresolved = resolved(lists, res)
+        if unresolved or res.rounds >= n:
             return
-        conflicted = {e.loser for e in res.audit} | {e.winner for e in res.audit}
-        answers = [res.assignments[q][0] for q in conflicted]
+        conflicted = {q for _, _, winner, loser, _ in audit for q in (winner, loser)}
+        answers = [assignments[q][0] for q in conflicted]
         assert len(answers) == len(set(answers))
 
     def test_untouched_queries_keep_rank1(self):
         sims = np.random.default_rng(3).random((8, 8)).astype(np.float32)
         lists = similarity.top_k(sims, 8)
-        res = resolve(lists)
-        touched = {e.loser for e in res.audit}
+        assignments, audit, _ = resolved(lists, resolve(lists))
+        touched = {loser for _, _, _, loser, _ in audit}
         for qid, entries in rows_of(lists):
             if qid not in touched:
-                assert res.assignments[qid][0] == entries[0][0]
+                assert assignments[qid][0] == entries[0][0]
 
 
 class TestAgainstReference:
@@ -317,7 +326,7 @@ class TestAgainstReference:
         embeddings = rng.standard_normal((n, 3)).astype(np.float32)
         policy = ResolutionPolicy(depth=depth, max_rounds=cap, similarity_gate=gate)
         assert_same_resolution(
-            resolve(lists, policy, embeddings),
+            lists, resolve(lists, policy, embeddings),
             reference_resolve(rows_of(lists), policy, embeddings),
         )
 
@@ -337,7 +346,8 @@ class TestAgainstReference:
             for q in qids
         ]
         policy = ResolutionPolicy(depth=data_.draw(st.integers(1, k)), max_rounds=cap)
-        assert_same_resolution(resolve(ranking(lists), policy), reference_resolve(lists, policy))
+        built = ranking(lists)
+        assert_same_resolution(built, resolve(built, policy), reference_resolve(lists, policy))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 10), data_=st.data())
@@ -359,9 +369,10 @@ class TestAgainstReference:
         # a running maximum never replaces a NaN leader, nor picks a NaN later
         lists = [rl(0, (5, math.nan), (6, 0.1)), rl(1, (5, 0.9), (7, 0.2)),
                  rl(2, (5, 0.3), (8, math.nan))]
-        res = resolve(ranking(lists))
-        assert_same_resolution(res, reference_resolve(lists))
-        assert res.assignments[0][0] == 5
+        built = ranking(lists)
+        res = resolve(built)
+        assert_same_resolution(built, res, reference_resolve(lists))
+        assert resolved(built, res)[0][0][0] == 5
 
     def test_pointer_outside_list(self):
         lists = ranking([rl(0, (5, 0.9)), rl(1, (5, 0.8))])
@@ -392,12 +403,13 @@ class TestRoundCap:
         lists = similarity.top_k(similarity.similarity_matrix(q, g), 10)
         policy = ResolutionPolicy(depth=1)
         res = resolve(lists, policy)
+        assignments, _, unresolved = resolved(lists, res)
         assert res.rounds == 10
-        assert len(res.unresolved) == 1
+        assert len(unresolved) == 1
         pointers = {
             qid: source_rank - 1
-            for qid, (_, _, source_rank) in res.assignments.items()
-            if qid not in res.unresolved
+            for qid, (_, _, source_rank) in assignments.items()
+            if qid not in unresolved
         }
         assert len(detect_groups(lists, policy, pointers)) == 2
         assert res.live_conflicts == 2
@@ -480,7 +492,7 @@ class TestAssignmentOracle:
             sims = np.random.default_rng(100 + seed).random((n, n)).astype(np.float32)
             lists = similarity.top_k(sims, n)
             res = resolve(lists)
-            greedy_total = sum(v[1] for v in res.assignments.values())
+            greedy_total = sum(v[1] for v in resolved(lists, res)[0].values())
             _, optimal = assignment_oracle(sims, "matching")
             assert greedy_total <= optimal + 1e-6
 
@@ -519,6 +531,6 @@ class TestResolutionOutput:
         sims = np.diag([0.9, 0.8, 0.7]).astype(np.float32) + 0.05
         lists = similarity.top_k(sims, 3)
         res = resolve(lists)
-        assert res.audit == []
+        assert resolved(lists, res)[1] == []
         out, _ = resolution_to_lists(lists, res)
         assert rows_of(out) == rows_of(lists)

@@ -472,6 +472,14 @@ class TestRanking:
         empty = similarity.Ranking(np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
         assert empty.ids.dtype == np.int64 and empty.ids.shape == (0, 0)
 
+    def test_query_ids_spanning_the_int64_range_ascend(self):
+        # their difference, 2**64 - 1, does not fit in int64
+        lo, hi = -(1 << 63), (1 << 63) - 1
+        ranked = similarity.Ranking([lo, hi], [[1], [2]], [[0.5], [0.4]])
+        assert ranked.query_ids.tolist() == [lo, hi]
+        with pytest.raises(InvalidRanking):
+            similarity.Ranking([hi, lo], [[1], [2]], [[0.5], [0.4]])
+
 
 SCORE_TEXT = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, width=32).map(lambda x: f"{x:.9g}"),

@@ -14,26 +14,25 @@ from pathlib import Path
 
 from embsearch.cli import run
 
+# the README's data set
+SEED, N, DIM, SIGMA = 7, 64, 32, 0.4
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("benchmark_out"))
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--n", type=int, default=64)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--sigma", type=float, default=0.4)
     parser.add_argument("--k", type=int, default=10)
     args = parser.parse_args()
 
-    k, seed = args.k, args.seed
+    k = args.k
     ks = ",".join(str(c) for c in sorted({1, min(5, k), min(10, k)}))
     train, held = "ds/manifest.json", "ds/manifest_heldout.json"
     commands = [
-        f"gen-synth --out ds --seed {seed} --n {args.n} --dim {args.dim} --sigma {args.sigma}"
+        f"gen-synth --out ds --seed {SEED} --n {N} --dim {DIM} --sigma {SIGMA}"
         " --confusable-fraction 0.5 --confusable-gap 0.02 --heldout",
         f"validate {train}",
         f"search {train} --k {k} --out ranked.tsv",
-        f"train-adapter {train} --out model.adapter --trace trace.tsv --seed {seed}",
+        f"train-adapter {train} --out model.adapter --trace trace.tsv --seed {SEED}",
         f"search {train} --k {k} --adapter model.adapter --out ranked_ft.tsv",
         "resolve ranked.tsv --out resolved.tsv --audit audit.tsv",
         f"eval ranked.tsv --manifest {train} --ks {ks} --out before.txt",

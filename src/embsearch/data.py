@@ -1,15 +1,14 @@
 """Dataset loading, validation, normalization, and synthesis.
 
 Embedding files are headerless little-endian float32, row-major; all shape
-metadata lives in a JSON manifest next to them. Ground truth maps each query
-row to exactly one gallery row.
+metadata lives in a JSON manifest next to them. Ground truth is an int64
+array aligned with the query rows: entry q is query row q's gallery row.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import (
     GroundTruthOutOfRange,
     InvalidConfig,
     MissingFile,
+    MissingGroundTruth,
     NonFiniteValue,
     ParseError,
     PipelineError,
@@ -30,7 +30,8 @@ ZERO_NORM_THRESHOLD = 1e-12
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Shape and ground-truth metadata for one query/gallery embedding pair."""
+    """Shape and ground-truth metadata for one query/gallery embedding pair;
+    ground_truth (int64[query_count]) holds query row q's gallery row at q."""
 
     name: str
     dim: int
@@ -38,7 +39,7 @@ class DatasetManifest:
     gallery_count: int
     query_path: Path
     gallery_path: Path
-    ground_truth: dict[int, int]
+    ground_truth: np.ndarray
     seed: int | None = None
 
     def validate(self) -> None:
@@ -46,16 +47,22 @@ class DatasetManifest:
             raise ParseError(f"dim must be >= 1, got {self.dim}")
         if self.query_count < 1 or self.gallery_count < 1:
             raise ParseError("query_count and gallery_count must be >= 1")
-        for qid in range(self.query_count):
-            if qid not in self.ground_truth:
-                raise GroundTruthOutOfRange(f"query {qid} has no ground-truth entry")
-        for qid, gid in self.ground_truth.items():
-            if not 0 <= qid < self.query_count:
-                raise GroundTruthOutOfRange(f"query id {qid} outside [0, {self.query_count})")
-            if not 0 <= gid < self.gallery_count:
-                raise GroundTruthOutOfRange(
-                    f"ground_truth[{qid}] = {gid} outside [0, {self.gallery_count})"
-                )
+        check_ground_truth(self.ground_truth, self.query_count, self.gallery_count)
+
+
+def check_ground_truth(ground_truth: np.ndarray, n_queries: int, n_gallery: int) -> None:
+    """The ground-truth rule: one entry per query row, each a gallery row.
+    A short array raises MissingGroundTruth naming its first missing row; a
+    long one, or an entry outside [0, n_gallery), GroundTruthOutOfRange."""
+    if len(ground_truth) < n_queries:
+        raise MissingGroundTruth(f"query row {len(ground_truth)} has no ground-truth entry")
+    if len(ground_truth) > n_queries:
+        raise GroundTruthOutOfRange(f"query id {n_queries} outside [0, {n_queries})")
+    outside = np.flatnonzero((ground_truth < 0) | (ground_truth >= n_gallery))
+    if outside.size:
+        q = outside[0]
+        raise GroundTruthOutOfRange(
+            f"ground_truth[{q}] = {ground_truth[q]} outside [0, {n_gallery})")
 
 
 @dataclass
@@ -87,6 +94,7 @@ class SynthConfig:
     seed: int = field(kw_only=True)
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.n_identities < 1 or self.dim < 1:
             raise InvalidConfig("n_identities and dim must be >= 1")
         if self.confusable_fraction > 0 and self.n_identities < 2:
@@ -97,6 +105,14 @@ class SynthConfig:
             raise InvalidConfig("confusable_fraction must be in [0, 1]")
         if not 0.0 < self.confusable_gap < 1.0:
             raise InvalidConfig("confusable_gap must be in (0, 1)")
+
+
+def _require_finite(cfg) -> None:
+    """InvalidConfig naming the first float field of cfg that is NaN or infinite."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfig(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -148,7 +164,9 @@ def _json_int(value, name: str) -> int:
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse and fully validate a dataset manifest, including file sizes;
-    an integer field that holds no JSON integer raises ParseError naming it."""
+    an integer field that holds no JSON integer raises ParseError naming it.
+    A query id outside [0, query_count) or listed twice in ground_truth raises
+    GroundTruthOutOfRange; the array stops at the first query not listed."""
     path = Path(path)
     try:
         raw = json.loads(_read_text(path, "manifest"))
@@ -156,24 +174,28 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
 
     try:
-        gt_pairs = [(_json_int(q, "ground_truth"), _json_int(g, "ground_truth"))
-                    for q, g in raw["ground_truth"]]
-        manifest = DatasetManifest(
+        pairs = np.array([(_json_int(q, "ground_truth"), _json_int(g, "ground_truth"))
+                          for q, g in raw["ground_truth"]], dtype=np.int64).reshape(-1, 2)
+        parsed = dict(
             name=str(raw["name"]),
             dim=_json_int(raw["dim"], "dim"),
             query_count=_json_int(raw["query_count"], "query_count"),
             gallery_count=_json_int(raw["gallery_count"], "gallery_count"),
             query_path=(path.parent / raw["query_path"]).resolve(),
             gallery_path=(path.parent / raw["gallery_path"]).resolve(),
-            ground_truth=dict(gt_pairs),
             seed=None if raw.get("seed") is None else _json_int(raw["seed"], "seed"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"manifest {path} has a malformed field: {exc}") from exc
-    if len(manifest.ground_truth) != len(gt_pairs):
-        repeated = next(q for q, n in Counter(q for q, _ in gt_pairs).items() if n > 1)
-        raise GroundTruthOutOfRange(f"query {repeated} is listed more than once in ground_truth")
-
+    q, g = pairs[np.argsort(pairs[:, 0])].T
+    twice = q[1:][q[1:] == q[:-1]]
+    if twice.size:
+        raise GroundTruthOutOfRange(f"query {twice[0]} is listed more than once in ground_truth")
+    outside = q[(q < 0) | (q >= parsed["query_count"])]
+    if outside.size:
+        raise GroundTruthOutOfRange(f"query id {outside[0]} outside [0, {parsed['query_count']})")
+    # q ascends inside [0, query_count): q[i] == i holds up to the first missing query
+    manifest = DatasetManifest(**parsed, ground_truth=g[:np.count_nonzero(q == np.arange(len(q)))])
     manifest.validate()
 
     for split, fpath, rows in (
@@ -194,7 +216,7 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         "gallery_count": manifest.gallery_count,
         "query_path": str(Path(manifest.query_path).name),
         "gallery_path": str(Path(manifest.gallery_path).name),
-        "ground_truth": [[q, manifest.ground_truth[q]] for q in sorted(manifest.ground_truth)],
+        "ground_truth": [[q, g] for q, g in enumerate(manifest.ground_truth.tolist())],
         "seed": manifest.seed,
     }
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -316,7 +338,7 @@ def generate_synthetic(
             gallery_count=n,
             query_path=qpath.resolve(),
             gallery_path=gallery_path.resolve(),
-            ground_truth={i: i for i in range(n)},
+            ground_truth=np.arange(n),
             seed=cfg.seed,
         )
         save_manifest(manifest, out_dir / mfile)
@@ -350,8 +372,7 @@ def validate_dataset(manifest: DatasetManifest) -> ValidationReport:
         else:
             report.checks.append(ValidationCheck(name, True))
 
-    values = list(manifest.ground_truth.values())
-    one_to_one = len(set(values)) == len(values)
+    one_to_one = len(np.unique(manifest.ground_truth)) == len(manifest.ground_truth)
     report.checks.append(ValidationCheck(
         "ground_truth_one_to_one", one_to_one, "" if one_to_one else "duplicate gallery targets"
     ))

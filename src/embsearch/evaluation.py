@@ -45,15 +45,16 @@ class DeltaReport:
 
 def recall_at_k(
     ranking: Ranking,
-    ground_truth: dict[int, int],
+    ground_truth: np.ndarray,
     ks: list[int],
     dataset: str = "",
     config: dict | None = None,
 ) -> EvalReport:
     """Hit rate at each cutoff in ks, averaged over queries.
 
-    Every ranked query needs a ground-truth entry and every ground-truth
-    query a ranked list, so a partial file cannot report a partial recall.
+    ground_truth (int64[n]) holds query q's gallery id at q, and the ranked
+    query ids must be 0..n-1: a query without ground truth or without a
+    ranked list is an error, so a partial file cannot report a partial recall.
     """
     if not ks or any(k < 1 for k in ks):
         raise KOutOfRange("every k must be a positive integer")
@@ -62,16 +63,15 @@ def recall_at_k(
     ks = sorted(set(ks))
     if max(ks) > ranking.k:
         raise KExceedsDepth(f"k={max(ks)} exceeds retrieval depth {ranking.k}")
-    qids = ranking.query_ids.tolist()
-    missing = [q for q in qids if q not in ground_truth]
-    if missing:
-        raise MissingGroundTruth(f"query {missing[0]} has no ground-truth entry")
-    unranked = set(ground_truth).difference(qids)
-    if unranked:
-        raise EmptyList(f"query {min(unranked)} has ground truth but no ranked list")
+    qids, all_qids = ranking.query_ids, np.arange(len(ground_truth))
+    if not np.array_equal(qids, all_qids):
+        extra = qids[(qids < 0) | (qids >= len(ground_truth))]
+        if extra.size:
+            raise MissingGroundTruth(f"query {extra[0]} has no ground-truth entry")
+        unranked = np.setdiff1d(all_qids, qids)[0]
+        raise EmptyList(f"query {unranked} has ground truth but no ranked list")
 
-    targets = np.array([ground_truth[q] for q in qids], dtype=np.int64)
-    hits = ranking.ids == targets[:, None]
+    hits = ranking.ids == ground_truth[:, None]
     # 1-based rank of each query's first hit, k + 1 for a miss
     hit_ranks = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, ranking.k + 1)
     n = len(ranking)

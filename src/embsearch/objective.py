@@ -18,16 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingMatrix, _normalize_rows, _require_file, _write_table
-from .errors import (
-    BatchTooSmall,
-    DimensionMismatch,
-    GroundTruthOutOfRange,
-    InvalidConfig,
-    MissingGroundTruth,
-    NonFiniteValue,
-    ParseError,
+from .data import (
+    EmbeddingMatrix, _normalize_rows, _require_file, _require_finite, _write_table,
+    check_ground_truth,
 )
+from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteValue, ParseError
 
 IMAGE_TO_TEXT = "image_to_text"
 TEXT_TO_IMAGE = "text_to_image"
@@ -112,6 +107,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
         if self.batch_size < 2:
@@ -337,7 +333,7 @@ def match_loss(
 def train_adapter(
     queries: EmbeddingMatrix,
     gallery: EmbeddingMatrix,
-    ground_truth: dict[int, int],
+    ground_truth: np.ndarray,
     cfg: TrainConfig,
 ):
     """Fit the adapter on (text, paired image) batches by gradient descent.
@@ -352,29 +348,18 @@ def train_adapter(
     bias=0) and temperature stays at cfg.temperature: its gradient is
     computed with the others but never applied. Shuffling, hard-negative
     draws and updates all come from seeded generators, so the result is
-    bit-identical per seed. Every query row needs a ground_truth entry that
-    names a gallery row (MissingGroundTruth, GroundTruthOutOfRange).
+    bit-identical per seed. ground_truth (int64[queries.rows]) names each
+    query row's gallery row, as data.check_ground_truth requires.
     """
     cfg.validate()
     if queries.dim != gallery.dim:
         raise DimensionMismatch("query and gallery dims differ")
+    check_ground_truth(ground_truth, queries.rows, gallery.rows)
 
-    missing = [q for q in range(queries.rows) if q not in ground_truth]
-    if missing:
-        raise MissingGroundTruth(f"query row {missing[0]} has no ground-truth entry")
-    targets = np.array([ground_truth[q] for q in range(queries.rows)], dtype=np.int64)
-    outside = np.flatnonzero((targets < 0) | (targets >= gallery.rows))
-    if outside.size:
-        q = int(outside[0])
-        raise GroundTruthOutOfRange(
-            f"ground_truth[{q}] = {targets[q]} outside [0, {gallery.rows})"
-        )
-
-    dim = queries.dim
     texts_all = queries.data.astype(np.float64)
-    images_all = gallery.data[targets].astype(np.float64)
+    images_all = gallery.data[ground_truth].astype(np.float64)
 
-    params = AdapterParams.identity(dim)
+    params = AdapterParams.identity(queries.dim)
     params.temperature = tau = cfg.temperature
     trace: list[LossBreakdown] = []
     if cfg.epochs == 0:
@@ -384,17 +369,11 @@ def train_adapter(
 
     def record(forward, c_loss: float) -> None:
         m_loss, _ = _match_logits(forward, eval_negatives, params)
-        trace.append(
-            LossBreakdown(
-                contrastive=c_loss, match=m_loss, lambda_match=cfg.lambda_match
-            )
-        )
+        trace.append(LossBreakdown(c_loss, m_loss, cfg.lambda_match))
 
     forward = _adapter_forward(full_batch, params)
     p_i2t, p_t2i, c_loss = _contrastive_probs(_similarities(forward), tau)
-    eval_negatives = sample_hard_negatives(
-        p_i2t, p_t2i, np.random.default_rng([cfg.seed, 1])
-    )
+    eval_negatives = sample_hard_negatives(p_i2t, p_t2i, np.random.default_rng([cfg.seed, 1]))
     record(forward, c_loss)
 
     rng = np.random.default_rng([cfg.seed, 0])
@@ -408,21 +387,15 @@ def train_adapter(
         perm = rng.permutation(n)
         for start in starts:
             idx = perm[start : start + cfg.batch_size]
-            batch = Batch(
-                image_embeddings=images_all[idx], text_embeddings=texts_all[idx]
-            )
+            batch = Batch(image_embeddings=images_all[idx], text_embeddings=texts_all[idx])
             forward = _adapter_forward(batch, params)
             _, c_grads, p_i2t, p_t2i = _contrastive_loss(batch, forward, tau)
             negatives = sample_hard_negatives(p_i2t, p_t2i, rng)
             _, m_grads = _match_loss(batch, forward, negatives, params)
 
             lr = cfg.step_size * (1.0 - step / total_steps)
-            params.w_text -= lr * (
-                c_grads.w_text + cfg.lambda_match * m_grads.w_text
-            )
-            params.w_image -= lr * (
-                c_grads.w_image + cfg.lambda_match * m_grads.w_image
-            )
+            params.w_text -= lr * (c_grads.w_text + cfg.lambda_match * m_grads.w_text)
+            params.w_image -= lr * (c_grads.w_image + cfg.lambda_match * m_grads.w_image)
             params.w_text -= lr * cfg.weight_decay * params.w_text
             params.w_image -= lr * cfg.weight_decay * params.w_image
             params.match_scale -= lr * cfg.lambda_match * m_grads.match_scale

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _normalize_rows, _write_table
+from .data import _normalize_rows, _require_finite, _write_table
 from .errors import EmptyList, InvalidConfig, MissingEmbedding, PointerOutOfBounds
 from .similarity import Ranking, write_ranked_lists
 
@@ -34,6 +34,7 @@ class ResolutionPolicy:
     similarity_gate: float | None = None
 
     def validate(self, list_length: int) -> None:
+        _require_finite(self)
         if self.depth < 1 or self.depth > list_length:
             raise InvalidConfig(f"depth must be in [1, {list_length}]")
         if self.max_rounds is not None and self.max_rounds < 1:

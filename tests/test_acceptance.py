@@ -183,7 +183,7 @@ def test_greedy_bounded_by_optimal_assignment():
             _, exhaustive = assignment_oracle(sims, "exhaustive")
             assert optimal == pytest.approx(exhaustive, abs=1e-9)
         assert greedy_total <= optimal + 1e-6
-        gt = {i: i for i in range(n)}
+        gt = np.arange(n)
         raw = evaluation.recall_at_k(lists, gt, [1]).recall[1]
         reordered, _ = resolver.resolution_to_lists(lists, res)
         greedy = evaluation.recall_at_k(reordered, gt, [1]).recall[1]

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import embsearch
-from embsearch import data, evaluation, objective
+from embsearch import data, evaluation, objective, resolver
 from embsearch.cli import run
+from embsearch.errors import InvalidConfig
 
 
 GOOD_REPORT = (
@@ -177,6 +179,52 @@ class TestConfigFlags:
         assert run_cli("search", manifest, "--k", 5, "--out", ranked) == 0
         assert run_cli("resolve", ranked, "--out", resolved, "--manifest", manifest, *flags) == 0
         assert {**meta, "source": "ranked.tsv"}.items() <= meta_lines(resolved).items()
+
+
+class TestNonFiniteConfig:
+    """A NaN or infinite float field is an InvalidConfig naming it; NaN used
+    to pass every bound, since a comparison with NaN is False."""
+
+    FLOAT_FIELDS = [
+        (cls, f.name) for cls in (data.SynthConfig, objective.TrainConfig,
+                                  resolver.ResolutionPolicy)
+        for f in dataclasses.fields(cls) if f.type in ("float", "float | None")
+    ]
+
+    def test_every_float_field_is_listed(self):
+        assert [field for _, field in self.FLOAT_FIELDS] == [
+            "noise_sigma", "confusable_fraction", "confusable_gap", "step_size",
+            "weight_decay", "lambda_match", "temperature", "similarity_gate"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, field", FLOAT_FIELDS, ids=[f for _, f in FLOAT_FIELDS])
+    def test_validate_rejects(self, cls, field, value):
+        cfg = cls(**{field: value, **({"seed": 0} if cls is data.SynthConfig else {})})
+        with pytest.raises(InvalidConfig, match=f"^{field} must be finite, got {value}$"):
+            cfg.validate(1) if cls is resolver.ResolutionPolicy else cfg.validate()
+
+    FLAGS = [("gen-synth", "--sigma", "noise_sigma"),
+             ("gen-synth", "--confusable-fraction", "confusable_fraction"),
+             ("gen-synth", "--confusable-gap", "confusable_gap"),
+             ("train-adapter", "--step-size", "step_size"),
+             ("train-adapter", "--weight-decay", "weight_decay"),
+             ("train-adapter", "--lambda-match", "lambda_match"),
+             ("train-adapter", "--temperature", "temperature"),
+             ("resolve", "--gate", "similarity_gate")]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag, field", FLAGS, ids=[f[1] for f in FLAGS])
+    def test_flag_is_data_error_before_any_output(self, dataset_dir, tmp_path, capsys,
+                                                 command, flag, field, value):
+        manifest, ranked, out = dataset_dir / "manifest.json", tmp_path / "r.tsv", tmp_path / "out"
+        ranked.write_text("0\t1\t0\t0.5\n")
+        argv = {"gen-synth": ["gen-synth", "--out", out, "--seed", 1],
+                "train-adapter": ["train-adapter", manifest, "--out", out],
+                "resolve": ["resolve", ranked, "--out", out, "--manifest", manifest]}[command]
+        assert run_cli(*argv, f"{flag}={value}") == 2  # "-inf" alone reads as a flag
+        error = f"{field} must be finite, got {float(value)}"
+        assert capsys.readouterr().err == f"data error: {error}\n"
+        assert not out.exists()
 
 
 class TestExitCodes:

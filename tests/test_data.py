@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,8 +15,10 @@ from embsearch.errors import (
     GroundTruthOutOfRange,
     InvalidConfig,
     MissingFile,
+    MissingGroundTruth,
     NonFiniteValue,
     ParseError,
+    PipelineError,
     ZeroVector,
 )
 
@@ -45,11 +48,11 @@ class TestManifest:
         manifest = data.load_manifest(path)
         assert manifest.dim == 8
         assert manifest.query_count == 4
-        assert manifest.ground_truth == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert manifest.ground_truth.tolist() == [0, 1, 2, 3]
 
         data.save_manifest(manifest, tmp_path / "copy.json")
         again = data.load_manifest(tmp_path / "copy.json")
-        assert again.ground_truth == manifest.ground_truth
+        assert again.ground_truth.tolist() == manifest.ground_truth.tolist()
         assert again.dim == manifest.dim
 
     def test_short_gallery_file(self, tmp_path):
@@ -98,6 +101,21 @@ class TestManifest:
         captured = capsys.readouterr()
         error = captured.err.removeprefix("data error: ").strip()
         assert captured.out == f"FAIL  manifest  ({error})\n"
+
+    def test_ground_truth_is_int64_in_query_order(self, tmp_path):
+        path = write_manifest_fixture(tmp_path, gt=[[2, 2], [0, 1], [3, 0], [1, 3]])
+        manifest = data.load_manifest(path)
+        assert manifest.ground_truth.dtype == np.int64
+        assert manifest.ground_truth.tolist() == [1, 3, 2, 0]
+        data.save_manifest(manifest, tmp_path / "copy.json")
+        saved = json.loads((tmp_path / "copy.json").read_text())["ground_truth"]
+        assert saved == [[0, 1], [1, 3], [2, 2], [3, 0]]
+
+    @pytest.mark.parametrize("qid", [-1, 4, 2**62])
+    def test_query_id_outside_the_query_rows(self, tmp_path, qid):
+        path = write_manifest_fixture(tmp_path, gt=[[0, 0], [1, 1], [2, 2], [3, 3], [qid, 0]])
+        with pytest.raises(GroundTruthOutOfRange, match=rf"^query id {qid} outside \[0, 4\)$"):
+            data.load_manifest(path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -226,6 +244,44 @@ class TestSynthetic:
             data.SynthConfig(4, 4, -0.1, 0.0, 0.1, seed=0).validate()
         with pytest.raises(InvalidConfig):
             data.SynthConfig(4, 4, 0.1, 0.0, 1.5, seed=0).validate()
+
+
+def _load(tmp_path, pairs, ground_truth):
+    data.load_manifest(write_manifest_fixture(tmp_path, gt=pairs))
+
+
+def _validate(tmp_path, pairs, ground_truth):
+    manifest = data.load_manifest(write_manifest_fixture(tmp_path))
+    dataclasses.replace(manifest, ground_truth=ground_truth).validate()
+
+
+def _train(tmp_path, pairs, ground_truth):
+    manifest = data.load_manifest(write_manifest_fixture(tmp_path))
+    q, g = (data.l2_normalize(data.load_embeddings(manifest, s)) for s in ("query", "gallery"))
+    objective.train_adapter(q, g, ground_truth, objective.TrainConfig(epochs=1, batch_size=2))
+
+
+# (JSON pairs, the same ground truth as an array, error class, message);
+# the fixture has 4 query and 4 gallery rows
+GROUND_TRUTH_FAULTS = {
+    "missing-row": ([[0, 0], [1, 1], [3, 3]], [0, 1],
+                    MissingGroundTruth, "query row 2 has no ground-truth entry"),
+    "beyond-last-row": ([[0, 0], [1, 1], [2, 2], [3, 3], [4, 0]], [0, 1, 2, 3, 0],
+                        GroundTruthOutOfRange, "query id 4 outside [0, 4)"),
+    "gallery-out-of-range": ([[0, 0], [1, 1], [2, 9], [3, 3]], [0, 1, 9, 3],
+                             GroundTruthOutOfRange, "ground_truth[2] = 9 outside [0, 4)"),
+}
+
+
+@pytest.mark.parametrize("fault", GROUND_TRUTH_FAULTS)
+@pytest.mark.parametrize("entry_point", [_load, _validate, _train],
+                         ids=["load_manifest", "validate", "train_adapter"])
+def test_one_ground_truth_rule(tmp_path, entry_point, fault):
+    """Every entry point that checks ground truth raises the same error."""
+    pairs, array, error, message = GROUND_TRUTH_FAULTS[fault]
+    with pytest.raises(PipelineError) as raised:
+        entry_point(tmp_path, pairs, np.array(array, dtype=np.int64))
+    assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 class TestValidateDataset:

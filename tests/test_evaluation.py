@@ -24,14 +24,14 @@ def lists_with_hit_ranks(ranks, depth=10):
 class TestRecallAtK:
     def test_hand_counted_ranks(self):
         lists = lists_with_hit_ranks([1, 3, 7, 2])
-        gt = {i: i for i in range(4)}
+        gt = np.arange(4)
         report = evaluation.recall_at_k(lists, gt, [1, 5, 10])
         assert report.recall == {1: 0.25, 5: 0.75, 10: 1.0}
 
     def test_full_depth_is_one(self):
         sims = np.random.default_rng(0).random((6, 6)).astype(np.float32)
         lists = similarity.top_k(sims, 6)
-        report = evaluation.recall_at_k(lists, {i: i for i in range(6)}, [6])
+        report = evaluation.recall_at_k(lists, np.arange(6), [6])
         assert report.recall[6] == 1.0
 
     def test_zero_noise_dataset(self, make_dataset):
@@ -44,19 +44,25 @@ class TestRecallAtK:
 
     def test_missing_ground_truth(self):
         lists = lists_with_hit_ranks([1, 2])
-        with pytest.raises(MissingGroundTruth):
-            evaluation.recall_at_k(lists, {0: 0}, [1])
+        with pytest.raises(MissingGroundTruth, match="query 1 has no ground-truth entry"):
+            evaluation.recall_at_k(lists, np.arange(1), [1])
+        negative = ranking([(-1, [(0, 0.5)]), (0, [(0, 0.5)])])
+        with pytest.raises(MissingGroundTruth, match="query -1 has no ground-truth entry"):
+            evaluation.recall_at_k(negative, np.arange(2), [1])
 
     def test_ground_truth_query_without_list(self):
         # a partial ranked file must not report the recall of its queries alone
         lists = lists_with_hit_ranks([1, 1])
         with pytest.raises(EmptyList, match="query 2 has ground truth but no ranked list"):
-            evaluation.recall_at_k(lists, {0: 0, 1: 1, 3: 3, 2: 2}, [1])
+            evaluation.recall_at_k(lists, np.arange(4), [1])
+        gap = ranking([(0, [(0, 0.5)]), (2, [(2, 0.5)])])
+        with pytest.raises(EmptyList, match="query 1 has ground truth but no ranked list"):
+            evaluation.recall_at_k(gap, np.arange(3), [1])
 
     def test_k_exceeds_depth(self):
         lists = lists_with_hit_ranks([1], depth=3)
         with pytest.raises(KExceedsDepth):
-            evaluation.recall_at_k(lists, {0: 0}, [4])
+            evaluation.recall_at_k(lists, np.arange(1), [4])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 20))
@@ -64,7 +70,7 @@ class TestRecallAtK:
         sims = np.random.default_rng(seed).random((n, n)).astype(np.float32)
         lists = similarity.top_k(sims, n)
         report = evaluation.recall_at_k(
-            lists, {i: i for i in range(n)}, list(range(1, n + 1))
+            lists, np.arange(n), list(range(1, n + 1))
         )
         values = [report.recall[k] for k in report.k_values]
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -75,7 +81,7 @@ class TestRecallAtK:
         rng = np.random.default_rng(seed)
         n, g_count, k = 8, 15, 10
         sims = np.round(rng.random((n, g_count)), 2).astype(np.float32)
-        gt = {i: int(rng.integers(g_count)) for i in range(n)}
+        gt = np.array([int(rng.integers(g_count)) for i in range(n)])
         lists = similarity.top_k(sims, k)
         report = evaluation.recall_at_k(lists, gt, [1, 5, k])
         for k_val in report.k_values:
@@ -100,7 +106,7 @@ class TestRecallAtK:
         ])
         res = resolver.resolve(lists)
         reordered, _ = resolver.resolution_to_lists(lists, res)
-        report = evaluation.recall_at_k(reordered, {0: 1, 1: 4}, [1])
+        report = evaluation.recall_at_k(reordered, np.array([1, 4]), [1])
         assert report.recall[1] == 1.0
 
 

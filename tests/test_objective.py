@@ -415,12 +415,12 @@ class TestTrainAdapter:
     def test_ground_truth_checked_against_inputs(self, make_dataset, epochs):
         _, q, g = self.normalized_pair(make_dataset)
         cfg = TrainConfig(epochs=epochs, batch_size=8, seed=0)
-        full = {i: i for i in range(q.rows)}
+        full = np.arange(q.rows)
         with pytest.raises(MissingGroundTruth, match="query row 3 "):
-            train_adapter(q, g, {i: i for i in full if i != 3}, cfg)
+            train_adapter(q, g, full[:3], cfg)
         for bad in (g.rows, 9 * g.rows, -1):
             with pytest.raises(GroundTruthOutOfRange, match=f"ground_truth\\[5\\] = {bad} "):
-                train_adapter(q, g, {**full, 5: bad}, cfg)
+                train_adapter(q, g, np.where(full == 5, bad, full), cfg)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):

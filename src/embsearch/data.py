@@ -111,7 +111,7 @@ def _require_finite(cfg) -> None:
     """InvalidConfig naming the first float field of cfg that is NaN or infinite."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise InvalidConfig(f"{f.name} must be finite, got {value}")
 
 

@@ -24,9 +24,6 @@ from .data import (
 )
 from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteValue, ParseError
 
-IMAGE_TO_TEXT = "image_to_text"
-TEXT_TO_IMAGE = "text_to_image"
-
 _ADAPTER_MAGIC = b"ADAP"
 _ADAPTER_VERSION = 1
 
@@ -46,13 +43,12 @@ class AdapterParams:
         return cls(w_text=np.eye(dim), w_image=np.eye(dim))
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.temperature <= 0:
             raise InvalidConfig("temperature must be positive")
         for name, value in (("w_text", self.w_text), ("w_image", self.w_image)):
             if not np.all(np.isfinite(value)):
                 raise NonFiniteValue(f"{name} contains non-finite entries")
-        if not (np.isfinite(self.match_scale) and np.isfinite(self.match_bias)):
-            raise NonFiniteValue("match head parameters must be finite")
 
 
 @dataclass
@@ -120,122 +116,115 @@ class TrainConfig:
             raise InvalidConfig("temperature must be positive")
 
 
-def _softmax_terms(sims: np.ndarray, direction: str, temperature: float):
-    """Max-shifted exponentials e and their row sums; the softmax is e / rowsum."""
-    if temperature <= 0:
-        raise InvalidConfig("temperature must be positive")
-    if direction == TEXT_TO_IMAGE:
-        sims = sims.T
-    elif direction != IMAGE_TO_TEXT:
-        raise InvalidConfig(f"unknown direction {direction!r}")
-    if not np.all(np.isfinite(sims)):
-        raise NonFiniteValue("similarity matrix contains non-finite entries")
+def _softmax_terms(sims: np.ndarray, temperature: float):
+    """Max-shifted exponentials e of finite sims and their row sums; the
+    softmax is e / rowsum."""
     e = sims / temperature
     e -= e.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     return e, e.sum(axis=1, keepdims=True)
 
 
-def inbatch_softmax(sims: np.ndarray, direction: str, temperature: float) -> np.ndarray:
+def _require_finite_scores(sims: np.ndarray) -> None:
+    if not np.all(np.isfinite(sims)):
+        raise NonFiniteValue("similarity matrix contains non-finite entries")
+
+
+def inbatch_softmax(sims: np.ndarray, temperature: float) -> np.ndarray:
     """Row-stochastic softmax over in-batch candidates at the given temperature.
 
-    ``image_to_text`` normalizes each image row over all text columns;
-    ``text_to_image`` does the same on the transposed score matrix.
+    Each row of sims is normalized over its columns: for image-by-text scores
+    that is image-to-text, and inbatch_softmax(sims.T, temperature) is
+    text-to-image.
     """
-    e, rowsum = _softmax_terms(sims, direction, temperature)
+    if not temperature > 0:
+        raise InvalidConfig("temperature must be positive")
+    _require_finite_scores(sims)
+    e, rowsum = _softmax_terms(sims, temperature)
     e /= rowsum
     return e
 
 
-def _softmax_diagonal(sims: np.ndarray, direction: str, temperature: float) -> np.ndarray:
-    """The diagonal of inbatch_softmax without dividing the whole matrix."""
-    e, rowsum = _softmax_terms(sims, direction, temperature)
-    return np.diagonal(e) / rowsum[:, 0]
+def _contrastive(sims: np.ndarray, tau: float, probs: bool = True):
+    """Symmetric in-batch cross-entropy of square image-by-text scores.
 
-
-def _contrastive_value(diag_i2t: np.ndarray, diag_t2i: np.ndarray) -> float:
-    """Symmetric cross-entropy from the positives' softmax probabilities."""
-    n = len(diag_i2t)
-    loss = -(np.log(diag_i2t).sum() + np.log(diag_t2i).sum()) / (2 * n)
+    Returns (loss, softmaxes): softmaxes is [image_to_text, text_to_image]
+    when probs is set and empty otherwise, in which case only the positives'
+    probabilities are formed and one n x n softmax term is alive at a time.
+    tau must already be validated.
+    """
+    _require_finite_scores(sims)
+    positives, softmaxes = [], []
+    for scores in (sims, sims.T):
+        e, rowsum = _softmax_terms(scores, tau)
+        positives.append(np.diagonal(e) / rowsum[:, 0])
+        if probs:
+            e /= rowsum
+            softmaxes.append(e)
+        del e  # without probs, one n x n term at a time
+    loss = -(np.log(positives[0]).sum() + np.log(positives[1]).sum()) / (2 * len(sims))
     if not np.isfinite(loss):
         raise NonFiniteValue("contrastive loss is non-finite")
-    return float(loss)
+    return float(loss), softmaxes
 
 
-def _backprop_normalize(grad: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Pull a gradient back through y = a / ||a||."""
-    return (grad - unit * np.sum(grad * unit, axis=1, keepdims=True)) / norms[:, None]
+def _project(rows: np.ndarray, w: np.ndarray):
+    """rows @ w renormalized, and the norms it had; w must match the rows' dim."""
+    if rows.shape[1] != w.shape[0]:
+        raise DimensionMismatch(f"matrix dim {rows.shape[1]} != adapter dim {w.shape[0]}")
+    return _normalize_rows(rows @ w)
 
 
 def _adapter_forward(batch: Batch, adapter: AdapterParams):
     """Validated adapter, then (texts, t_norms, images, i_norms) of the batch."""
     adapter.validate()
-    texts, t_norms = _normalize_rows(batch.text_embeddings @ adapter.w_text)
-    images, i_norms = _normalize_rows(batch.image_embeddings @ adapter.w_image)
+    texts, t_norms = _project(batch.text_embeddings, adapter.w_text)
+    images, i_norms = _project(batch.image_embeddings, adapter.w_image)
     return texts, t_norms, images, i_norms
 
 
-def _grads_from_embedding_grads(
-    batch: Batch, d_texts: np.ndarray, d_images: np.ndarray, forward
-) -> AdapterGradients:
+def _backprop(batch: Batch, forward, d_texts, d_images) -> AdapterGradients:
+    """Adapter gradients from those of the forward's texts and images, each
+    pulled back through y = a / ||a|| and then a = x @ w."""
     texts, t_norms, images, i_norms = forward
-    da_text = _backprop_normalize(d_texts, texts, t_norms)
-    da_image = _backprop_normalize(d_images, images, i_norms)
-    return AdapterGradients(
-        w_text=batch.text_embeddings.T @ da_text,
-        w_image=batch.image_embeddings.T @ da_image,
-    )
+    grads = [
+        x.T @ ((d - y * np.sum(d * y, axis=1, keepdims=True)) / norms[:, None])
+        for x, y, norms, d in (
+            (batch.text_embeddings, texts, t_norms, d_texts),
+            (batch.image_embeddings, images, i_norms, d_images),
+        )
+    ]
+    return AdapterGradients(w_text=grads[0], w_image=grads[1])
 
 
-def _similarities(forward) -> np.ndarray:
-    texts, _, images, _ = forward
-    return images @ texts.T
-
-
-def _contrastive_probs(sims: np.ndarray, tau: float):
-    """Both in-batch softmaxes of the scores and the contrastive loss."""
-    p_i2t = inbatch_softmax(sims, IMAGE_TO_TEXT, tau)
-    p_t2i = inbatch_softmax(sims, TEXT_TO_IMAGE, tau)
-    loss = _contrastive_value(np.diagonal(p_i2t), np.diagonal(p_t2i))
-    return p_i2t, p_t2i, loss
-
-
-def _diagonal_contrastive(forward, tau: float) -> float:
-    """Contrastive loss of a forward from the softmax diagonals alone."""
-    sims = _similarities(forward)
-    return _contrastive_value(
-        _softmax_diagonal(sims, IMAGE_TO_TEXT, tau),
-        _softmax_diagonal(sims, TEXT_TO_IMAGE, tau),
-    )
-
-
-def _contrastive_loss(batch: Batch, forward, tau: float):
+def _contrastive_grads(batch: Batch, forward, tau: float):
+    """Contrastive loss, adapter gradients with temperature's left at 0, both
+    softmaxes, and (scores, the loss's gradient in them) for temperature's."""
     texts, _, images, _ = forward
     n = batch.size
-    sims = _similarities(forward)
-    p_i2t, p_t2i, loss = _contrastive_probs(sims, tau)
-
+    sims = images @ texts.T
+    loss, (p_i2t, p_t2i) = _contrastive(sims, tau)
     eye = np.eye(n)
     g_sims = ((p_i2t - eye) + (p_t2i - eye).T) / (2 * n * tau)
-    d_images = g_sims @ texts
-    d_texts = g_sims.T @ images
-
-    grads = _grads_from_embedding_grads(batch, d_texts, d_images, forward)
-    grads.temperature = float(-np.sum(g_sims * sims) / tau)
-    return loss, grads, p_i2t, p_t2i
+    grads = _backprop(batch, forward, g_sims.T @ images, g_sims @ texts)
+    return loss, grads, (p_i2t, p_t2i), (sims, g_sims)
 
 
 def contrastive_loss(batch: Batch, adapter: AdapterParams):
     """Symmetric in-batch cross-entropy loss and its adapter gradients.
 
     Returns (loss, AdapterGradients, image_to_text softmax, text_to_image
-    softmax); the softmax matrices feed hard-negative sampling. The gradient
-    includes temperature, which train_adapter never applies.
+    softmax); the softmax matrices feed hard-negative sampling. Only this
+    function computes the temperature gradient, which train_adapter never
+    applies.
     """
     if batch.size < 2:
         raise BatchTooSmall("contrastive loss needs at least 2 pairs")
+    tau = adapter.temperature
     forward = _adapter_forward(batch, adapter)
-    return _contrastive_loss(batch, forward, adapter.temperature)
+    loss, grads, (p_i2t, p_t2i), (sims, g_sims) = _contrastive_grads(batch, forward, tau)
+    grads.temperature = float(-np.sum(g_sims * sims) / tau)
+    return loss, grads, p_i2t, p_t2i
 
 
 def sample_hard_negatives(
@@ -307,7 +296,7 @@ def _match_loss(batch: Batch, forward, negatives, adapter: AdapterParams):
     np.add.at(d_images, img_idx, d_cos[:, None] * texts[txt_idx])
     np.add.at(d_texts, txt_idx, d_cos[:, None] * images[img_idx])
 
-    grads = _grads_from_embedding_grads(batch, d_texts, d_images, forward)
+    grads = _backprop(batch, forward, d_texts, d_images)
     grads.match_scale = float(np.sum(dz * cos))
     grads.match_bias = float(np.sum(dz))
     return loss, grads
@@ -324,9 +313,11 @@ def match_loss(
     cosine(adapted image, adapted text) through scale and bias to a logit.
     """
     n = batch.size
-    neg_text_idx, neg_image_idx = negatives
-    if len(neg_text_idx) != n or len(neg_image_idx) != n:
-        raise InvalidConfig("negatives must contain one index per batch row")
+    for idx in map(np.asarray, negatives):
+        if idx.shape != (n,):
+            raise InvalidConfig("negatives must contain one index per batch row")
+        if idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
+            raise InvalidConfig(f"negative indices must be integers in [0, {n})")
     return _match_loss(batch, _adapter_forward(batch, adapter), negatives, adapter)
 
 
@@ -345,8 +336,8 @@ def train_adapter(
     than shuffle noise. The trace computes loss values only, from one
     full-dataset forward per entry; the first also draws the evaluation
     negatives. Projections start at identity, the match head at (scale=10,
-    bias=0) and temperature stays at cfg.temperature: its gradient is
-    computed with the others but never applied. Shuffling, hard-negative
+    bias=0) and temperature stays at cfg.temperature: training neither
+    computes nor applies its gradient. Shuffling, hard-negative
     draws and updates all come from seeded generators, so the result is
     bit-identical per seed. ground_truth (int64[queries.rows]) names each
     query row's gallery row, as data.check_ground_truth requires.
@@ -372,8 +363,9 @@ def train_adapter(
         trace.append(LossBreakdown(c_loss, m_loss, cfg.lambda_match))
 
     forward = _adapter_forward(full_batch, params)
-    p_i2t, p_t2i, c_loss = _contrastive_probs(_similarities(forward), tau)
-    eval_negatives = sample_hard_negatives(p_i2t, p_t2i, np.random.default_rng([cfg.seed, 1]))
+    texts, _, images, _ = forward
+    c_loss, softmaxes = _contrastive(images @ texts.T, tau)
+    eval_negatives = sample_hard_negatives(*softmaxes, np.random.default_rng([cfg.seed, 1]))
     record(forward, c_loss)
 
     rng = np.random.default_rng([cfg.seed, 0])
@@ -389,8 +381,8 @@ def train_adapter(
             idx = perm[start : start + cfg.batch_size]
             batch = Batch(image_embeddings=images_all[idx], text_embeddings=texts_all[idx])
             forward = _adapter_forward(batch, params)
-            _, c_grads, p_i2t, p_t2i = _contrastive_loss(batch, forward, tau)
-            negatives = sample_hard_negatives(p_i2t, p_t2i, rng)
+            _, c_grads, softmaxes, _ = _contrastive_grads(batch, forward, tau)
+            negatives = sample_hard_negatives(*softmaxes, rng)
             _, m_grads = _match_loss(batch, forward, negatives, params)
 
             lr = cfg.step_size * (1.0 - step / total_steps)
@@ -403,7 +395,8 @@ def train_adapter(
 
             step += 1
         forward = _adapter_forward(full_batch, params)
-        record(forward, _diagonal_contrastive(forward, tau))
+        texts, _, images, _ = forward
+        record(forward, _contrastive(images @ texts.T, tau, probs=False)[0])
     return params, trace
 
 
@@ -415,9 +408,7 @@ def apply_adapter(m: EmbeddingMatrix, params: AdapterParams, side: str) -> Embed
         w = params.w_image
     else:
         raise InvalidConfig(f"side must be 'text' or 'image', got {side!r}")
-    if m.dim != w.shape[0]:
-        raise DimensionMismatch(f"matrix dim {m.dim} != adapter dim {w.shape[0]}")
-    projected, _ = _normalize_rows(m.data.astype(np.float64) @ w)
+    projected, _ = _project(m.data.astype(np.float64), w)
     return EmbeddingMatrix(data=projected.astype(np.float32), normalized=True)
 
 

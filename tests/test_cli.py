@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,14 @@ GOOD_REPORT = (
     b"dataset: d\nn_queries: 2\nk_values: 1,5\nrecall@1: 0.5\nrecall@5: 1\ntimestamp: -\n"
 )
 REPO = Path(__file__).resolve().parents[1]
+
+
+def identity_adapter(dim, temperature):
+    """Bytes of a float64 identity adapter file with the given temperature."""
+    eye = [float(i == j) for i in range(dim) for j in range(dim)]
+    return b"ADAP" + struct.pack(
+        f"<III{2 * dim * dim + 3}d", 1, dim, 1, *eye, *eye, 10.0, 0.0, temperature
+    )
 
 
 def run_cli(*argv):
@@ -304,6 +313,8 @@ class TestExitCodes:
                      id="resolve-repeated-id"),
         pytest.param("eval", b"".join(b"0\t%d\t%d\t0.5\n" % (r, r - 1) for r in range(1, 11)),
                      id="eval-partial-file"),
+        pytest.param("search", identity_adapter(16, math.nan), id="search-nan-temperature"),
+        pytest.param("search", identity_adapter(16, math.inf), id="search-inf-temperature"),
     ])
     def test_bad_input_file_is_data_error(self, dataset_dir, tmp_path, capsys, command, content):
         path = tmp_path / "input.txt"
@@ -313,6 +324,8 @@ class TestExitCodes:
             "resolve": ["resolve", path, "--out", tmp_path / "out.tsv"],
             "eval": ["eval", path, "--manifest", dataset_dir / "manifest.json"],
             "report": ["report", path, path],
+            "search": ["search", dataset_dir / "manifest.json", "--k", 5, "--adapter", path,
+                       "--out", tmp_path / "out.tsv"],
         }[command]
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("data error: ")

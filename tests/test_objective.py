@@ -1,6 +1,7 @@
 import copy
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from hypothesis import strategies as st
 from embsearch import data, evaluation, objective, similarity
 from embsearch.errors import (
     BatchTooSmall,
+    DimensionMismatch,
     GroundTruthOutOfRange,
     InvalidConfig,
     MissingGroundTruth,
 )
 from embsearch.objective import (
-    IMAGE_TO_TEXT,
-    TEXT_TO_IMAGE,
     AdapterParams,
     Batch,
     TrainConfig,
@@ -105,26 +105,29 @@ def assert_gradient_matches(loss_fn, grads, params, dim, rng, n_coords=80, tol=1
 
 class TestInbatchSoftmax:
     def test_hand_softmax(self):
-        out = inbatch_softmax(np.array([[1.0, 0.0], [0.0, 1.0]]), IMAGE_TO_TEXT, 1.0)
+        out = inbatch_softmax(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
         e = math.e
         np.testing.assert_allclose(out[0], [e / (e + 1), 1 / (e + 1)], atol=1e-5)
         assert out[0][0] == pytest.approx(0.73106, abs=1e-5)
 
     @given(c=st.floats(-50, 50))
     def test_uniform_row(self, c):
-        out = inbatch_softmax(np.full((3, 3), c), IMAGE_TO_TEXT, 1.0)
+        out = inbatch_softmax(np.full((3, 3), c), 1.0)
         np.testing.assert_allclose(out, 1 / 3, atol=1e-12)
 
     def test_single_candidate(self):
         np.testing.assert_array_equal(
-            inbatch_softmax(np.array([[0.4]]), IMAGE_TO_TEXT, 1.0), [[1.0]]
+            inbatch_softmax(np.array([[0.4]]), 1.0), [[1.0]]
         )
 
     def test_direction_transposes(self):
-        sims = np.array([[0.9, 0.1], [0.2, 0.8]])
-        i2t = inbatch_softmax(sims, IMAGE_TO_TEXT, 1.0)
-        t2i = inbatch_softmax(sims, TEXT_TO_IMAGE, 1.0)
-        np.testing.assert_allclose(t2i, inbatch_softmax(sims.T, IMAGE_TO_TEXT, 1.0))
+        # contrastive_loss's text_to_image softmax is that of the transposed scores
+        texts = np.array([[1.0, 0.0], [0.6, 0.8]])
+        batch = Batch(image_embeddings=np.eye(2), text_embeddings=texts)
+        _, _, i2t, t2i = contrastive_loss(batch, AdapterParams.identity(2))
+        sims = batch.image_embeddings @ batch.text_embeddings.T
+        np.testing.assert_array_equal(i2t, inbatch_softmax(sims, 1.0))
+        np.testing.assert_array_equal(t2i, inbatch_softmax(sims.T, 1.0))
         assert not np.allclose(i2t, t2i)
 
     @settings(max_examples=50, deadline=None)
@@ -136,14 +139,15 @@ class TestInbatchSoftmax:
     )
     def test_rows_sum_to_one_and_shift_invariance(self, seed, n, temperature, shift):
         sims = np.random.default_rng(seed).standard_normal((n, n))
-        out = inbatch_softmax(sims, IMAGE_TO_TEXT, temperature)
+        out = inbatch_softmax(sims, temperature)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
-        shifted = inbatch_softmax(sims + shift, IMAGE_TO_TEXT, temperature)
+        shifted = inbatch_softmax(sims + shift, temperature)
         np.testing.assert_allclose(out, shifted, atol=1e-9)
 
     def test_bad_temperature(self):
-        with pytest.raises(InvalidConfig):
-            inbatch_softmax(np.zeros((2, 2)), IMAGE_TO_TEXT, 0.0)
+        for temperature in (0.0, math.nan):
+            with pytest.raises(InvalidConfig):
+                inbatch_softmax(np.zeros((2, 2)), temperature)
 
 
 class TestContrastiveLoss:
@@ -337,6 +341,14 @@ class TestMatchLoss:
         loss, _ = match_loss(batch, negatives, adapter)
         assert loss < 1e-8
 
+    @pytest.mark.parametrize("bad", [[1, 0, 3], [1, 0, 3, -1], [1, 0, 3, 4], [1.0, 0.0, 3.0, 0.5]])
+    def test_negatives_must_be_one_row_index_per_row(self, bad):
+        batch = random_batch(4, 8, seed=9)
+        good = np.array([1, 0, 3, 2])
+        for negatives in ((np.array(bad), good), (good, np.array(bad))):
+            with pytest.raises(InvalidConfig, match="negative"):
+                match_loss(batch, negatives, AdapterParams.identity(8))
+
     @pytest.mark.parametrize("n,dim,seed", [(2, 4, 4), (4, 8, 5), (8, 16, 6), (16, 32, 7)])
     def test_gradient_vs_finite_difference(self, n, dim, seed):
         batch = random_batch(n, dim, seed)
@@ -386,9 +398,12 @@ class TestTrainAdapter:
             save_adapter(tmp_path / name, params)
         assert (tmp_path / "a.adapter").read_bytes() == (tmp_path / "b.adapter").read_bytes()
 
-    def test_one_full_dataset_forward_per_trace_entry(self, make_dataset, monkeypatch):
+    @pytest.mark.parametrize("temperature", [0.05, 1.0, 10.0])
+    def test_one_full_dataset_forward_per_trace_entry(
+        self, make_dataset, monkeypatch, temperature
+    ):
         manifest, q, g = self.normalized_pair(make_dataset)
-        cfg = TrainConfig(epochs=3, batch_size=8, seed=4)
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=4, temperature=temperature)
         seen = []  # (full batch, parameters) at each full-dataset forward
         forward = objective._adapter_forward
 
@@ -410,6 +425,21 @@ class TestTrainAdapter:
         for entry, (batch, params) in zip(trace, seen):
             assert entry.contrastive == contrastive_loss(batch, params)[0]
             assert entry.match == match_loss(batch, eval_negatives, params)[0]
+
+    def test_peak_memory_is_about_three_score_matrices(self):
+        # trace entry 0 holds both n x n softmaxes and the sampler's float64
+        # copy of one; scores still alive through that draw would make four
+        rng = np.random.default_rng(8)
+        n = 1000
+        q, g = (data.EmbeddingMatrix(unit_rows(n, 16, rng).astype(np.float32), normalized=True)
+                for _ in range(2))
+        tracemalloc.start()
+        try:
+            train_adapter(q, g, np.arange(n), TrainConfig(epochs=2, batch_size=16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
 
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_ground_truth_checked_against_inputs(self, make_dataset, epochs):
@@ -470,6 +500,20 @@ class TestApplyAdapter:
         with pytest.raises(InvalidConfig):
             apply_adapter(m, AdapterParams.identity(2), "audio")
 
+    def test_adapter_dim_must_match_the_rows(self):
+        adapter = AdapterParams.identity(3)
+        m = data.EmbeddingMatrix(np.eye(2, dtype=np.float32), normalized=True)
+        batch = random_batch(4, 2, seed=1)
+        negatives = (np.array([1, 0, 3, 2]), np.array([1, 0, 3, 2]))
+        for call in (
+            lambda: apply_adapter(m, adapter, "text"),
+            lambda: apply_adapter(m, adapter, "image"),
+            lambda: contrastive_loss(batch, adapter),
+            lambda: match_loss(batch, negatives, adapter),
+        ):
+            with pytest.raises(DimensionMismatch, match="matrix dim 2 != adapter dim 3"):
+                call()
+
 
 class TestAdapterPersistence:
     def test_round_trip(self, tmp_path):
@@ -482,6 +526,18 @@ class TestAdapterPersistence:
         assert back.match_scale == params.match_scale
         assert back.match_bias == params.match_bias
         assert back.temperature == params.temperature
+
+    def test_non_finite_scalars_are_rejected(self, tmp_path):
+        path = tmp_path / "params.adapter"
+        for temperature in (math.nan, math.inf):
+            save_adapter(path, AdapterParams(np.eye(2), np.eye(2), temperature=temperature))
+            with pytest.raises(InvalidConfig, match="temperature must be finite"):
+                load_adapter(path)
+        for field in ("match_scale", "match_bias"):
+            params = AdapterParams.identity(2)
+            setattr(params, field, np.float32(math.nan))
+            with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+                params.validate()
 
     def test_float32_round_trip(self, tmp_path):
         params = random_adapter(4, seed=12)

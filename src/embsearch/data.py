@@ -53,7 +53,10 @@ class DatasetManifest:
 def check_ground_truth(ground_truth: np.ndarray, n_queries: int, n_gallery: int) -> None:
     """The ground-truth rule: one entry per query row, each a gallery row.
     A short array raises MissingGroundTruth naming its first missing row; a
-    long one, or an entry outside [0, n_gallery), GroundTruthOutOfRange."""
+    long one, a non-integer dtype or an entry outside [0, n_gallery),
+    GroundTruthOutOfRange."""
+    if ground_truth.dtype.kind not in "iu":
+        raise GroundTruthOutOfRange(f"ground_truth must hold integers, got {ground_truth.dtype}")
     if len(ground_truth) < n_queries:
         raise MissingGroundTruth(f"query row {len(ground_truth)} has no ground-truth entry")
     if len(ground_truth) > n_queries:
@@ -261,19 +264,24 @@ def load_embeddings(manifest: DatasetManifest, split: str) -> EmbeddingMatrix:
 
 def _normalize_rows(rows: np.ndarray, ids=None, what="row") -> tuple[np.ndarray, np.ndarray]:
     """Divide the rows of a caller-owned float64 array by their L2 norms in
-    place; returns (rows, norms). A row with norm <= ZERO_NORM_THRESHOLD
-    raises ZeroVector, naming `what` and the row's index (or entry of ids)."""
+    place; returns (rows, norms). The one finiteness check of the package's
+    unit rows: the first row whose norm is <= ZERO_NORM_THRESHOLD raises
+    ZeroVector, or whose norm is not finite (a NaN or inf entry)
+    NonFiniteValue, naming `what` and the row's index (or entry of ids)."""
     norms = np.linalg.norm(rows, axis=1)
-    small = np.nonzero(norms <= ZERO_NORM_THRESHOLD)[0]
-    if small.size:
-        row = int(small[0]) if ids is None else ids[small[0]]
-        raise ZeroVector(f"{what} {row} has norm <= {ZERO_NORM_THRESHOLD}")
+    # NaN fails both comparisons
+    bad = np.flatnonzero(~((norms > ZERO_NORM_THRESHOLD) & (norms < np.inf)))
+    if bad.size:
+        row = int(bad[0]) if ids is None else ids[bad[0]]
+        if norms[bad[0]] <= ZERO_NORM_THRESHOLD:
+            raise ZeroVector(f"{what} {row} has norm <= {ZERO_NORM_THRESHOLD}")
+        raise NonFiniteValue(f"{what} {row} has a non-finite norm")
     rows /= norms[:, None]
     return rows, norms
 
 
 def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale every row to unit L2 norm. Idempotent; rejects near-zero rows."""
+    """Scale every row to unit L2 norm. Idempotent; rejects near-zero and non-finite rows."""
     wide, _ = _normalize_rows(m.data.astype(np.float64))
     return EmbeddingMatrix(data=wide.astype(np.float32), normalized=True)
 

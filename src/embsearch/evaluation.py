@@ -123,7 +123,7 @@ def write_report(path: str | Path, report: EvalReport) -> None:
 
 
 def read_report(path: str | Path) -> EvalReport:
-    """Parse a report file; every k_values entry needs its recall@k line."""
+    """Parse a report file; each k_values entry needs a recall@k line in [0, 1]."""
     fields: dict[str, str] = {}
     config: dict[str, str] = {}
     for lineno, line in enumerate(_read_text(path, "report file").splitlines(), 1):
@@ -138,10 +138,14 @@ def read_report(path: str | Path) -> EvalReport:
             fields[key] = value
     try:
         k_values = [int(k) for k in fields["k_values"].split(",")]
+        recall = {k: float(fields[f"recall@{k}"]) for k in k_values}
+        for k, value in recall.items():
+            if not 0.0 <= value <= 1.0:  # NaN fails the comparison
+                raise ValueError(f"recall@{k} must be in [0, 1], got {value}")
         return EvalReport(
             dataset=fields["dataset"],
             k_values=k_values,
-            recall={k: float(fields[f"recall@{k}"]) for k in k_values},
+            recall=recall,
             n_queries=int(fields["n_queries"]),
             config=config,
         )

@@ -116,47 +116,21 @@ class TrainConfig:
             raise InvalidConfig("temperature must be positive")
 
 
-def _softmax_terms(sims: np.ndarray, temperature: float):
-    """Max-shifted exponentials e of finite sims and their row sums; the
-    softmax is e / rowsum."""
-    e = sims / temperature
-    e -= e.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    return e, e.sum(axis=1, keepdims=True)
-
-
-def _require_finite_scores(sims: np.ndarray) -> None:
-    if not np.all(np.isfinite(sims)):
-        raise NonFiniteValue("similarity matrix contains non-finite entries")
-
-
-def inbatch_softmax(sims: np.ndarray, temperature: float) -> np.ndarray:
-    """Row-stochastic softmax over in-batch candidates at the given temperature.
-
-    Each row of sims is normalized over its columns: for image-by-text scores
-    that is image-to-text, and inbatch_softmax(sims.T, temperature) is
-    text-to-image.
-    """
-    if not temperature > 0:
-        raise InvalidConfig("temperature must be positive")
-    _require_finite_scores(sims)
-    e, rowsum = _softmax_terms(sims, temperature)
-    e /= rowsum
-    return e
-
-
 def _contrastive(sims: np.ndarray, tau: float, probs: bool = True):
     """Symmetric in-batch cross-entropy of square image-by-text scores.
 
     Returns (loss, softmaxes): softmaxes is [image_to_text, text_to_image]
     when probs is set and empty otherwise, in which case only the positives'
     probabilities are formed and one n x n softmax term is alive at a time.
-    tau must already be validated.
+    tau must already be validated; sims are dot products of finite unit rows.
     """
-    _require_finite_scores(sims)
     positives, softmaxes = [], []
     for scores in (sims, sims.T):
-        e, rowsum = _softmax_terms(scores, tau)
+        # max-shifted exponentials; the softmax is e / rowsum
+        e = scores / tau
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        rowsum = e.sum(axis=1, keepdims=True)
         positives.append(np.diagonal(e) / rowsum[:, 0])
         if probs:
             e /= rowsum
@@ -169,10 +143,13 @@ def _contrastive(sims: np.ndarray, tau: float, probs: bool = True):
 
 
 def _project(rows: np.ndarray, w: np.ndarray):
-    """rows @ w renormalized, and the norms it had; w must match the rows' dim."""
+    """rows @ w renormalized, and the norms it had; w must match the rows' dim.
+    A NaN or inf row raises NonFiniteValue in _normalize_rows."""
     if rows.shape[1] != w.shape[0]:
         raise DimensionMismatch(f"matrix dim {rows.shape[1]} != adapter dim {w.shape[0]}")
-    return _normalize_rows(rows @ w)
+    # inf * 0 is NaN only in a row that holds an inf, which _normalize_rows names
+    with np.errstate(invalid="ignore"):
+        return _normalize_rows(rows @ w)
 
 
 def _adapter_forward(batch: Batch, adapter: AdapterParams):
@@ -237,9 +214,12 @@ def sample_hard_negatives(
     off-diagonal mass draws uniformly among the other indices. Each side
     takes n uniforms from rng, image rows first, and inverts each row's CDF.
     Returns (neg_text_idx, neg_image_idx), deterministic for a seeded
-    generator.
+    generator. Both inputs must be (n, n), and a row whose off-diagonal
+    total is NaN or infinite raises NonFiniteValue.
     """
-    n = p_i2t.shape[0]
+    n = len(p_i2t)
+    if p_i2t.shape != (n, n) or p_t2i.shape != (n, n):
+        raise DimensionMismatch(f"softmaxes {p_i2t.shape} and {p_t2i.shape} must both be (n, n)")
     if n < 2:
         raise BatchTooSmall("hard-negative sampling needs at least 2 pairs")
     diag = np.arange(n)
@@ -248,6 +228,9 @@ def sample_hard_negatives(
         rows = probs.astype(np.float64, order="C")
         rows[diag, diag] = 0.0
         totals = rows.sum(axis=1)
+        bad = np.flatnonzero(~(np.abs(totals) < np.inf))  # NaN fails the comparison
+        if bad.size:
+            raise NonFiniteValue(f"probability row {bad[0]} has a non-finite off-diagonal total")
         empty = totals <= 0
         if empty.any():
             rows[empty] = 1.0
@@ -258,9 +241,7 @@ def sample_hard_negatives(
         u = rng.random(n)
         return (cdf <= u[:, None]).sum(axis=1)
 
-    neg_text_idx = draw(p_i2t)
-    neg_image_idx = draw(p_t2i)
-    return neg_text_idx, neg_image_idx
+    return draw(p_i2t), draw(p_t2i)  # image rows draw first
 
 
 def _match_logits(forward, negatives, adapter: AdapterParams):
@@ -435,6 +416,8 @@ def load_adapter(path: str | Path) -> AdapterParams:
     version, dim, f64 = struct.unpack("<III", buf[4:16])
     if version != _ADAPTER_VERSION:
         raise ParseError(f"{path}: unsupported format version {version}")
+    if f64 not in (0, 1):
+        raise ParseError(f"{path}: unknown dtype flag {f64}, expected 0 (float32) or 1 (float64)")
     dtype = np.dtype("<f8" if f64 else "<f4")
     need = 16 + (2 * dim * dim + 3) * dtype.itemsize
     if len(buf) != need:

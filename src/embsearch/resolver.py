@@ -92,12 +92,13 @@ def detect_conflicts(
     """Group the active rows whose current answers coincide.
 
     pos holds each row's 0-based rank pointer and active (bool) which rows
-    take part, one entry per row; an active pointer outside [0, k) raises
-    PointerOutOfBounds. With depth > 1 a row is also a member of a group
-    when the answer occurs within its window of `depth` entries starting at
-    its pointer. Returns (answers, rows, cols, starts): one entry per
-    member, ordered by (answer id, query id), where cols is the member's
-    0-based rank of the answer and group g spans starts[g]:starts[g + 1].
+    take part, one entry per row; pointers of a non-integer dtype, or an
+    active pointer outside [0, k), raise PointerOutOfBounds. With depth > 1
+    a row is also a member of a group when the answer occurs within its
+    window of `depth` entries starting at its pointer. Returns (answers,
+    rows, cols, starts): one entry per member, ordered by (answer id, query
+    id), where cols is the member's 0-based rank of the answer and group g
+    spans starts[g]:starts[g + 1].
     """
     pos, active = np.asarray(pos), np.asarray(active)
     if pos.shape != (len(ranking),) or active.shape != (len(ranking),):
@@ -105,6 +106,8 @@ def detect_conflicts(
             f"pointers {pos.shape} and active flags {active.shape} need one entry "
             f"for each of the {len(ranking)} rows"
         )
+    if pos.dtype.kind not in "iu":
+        raise PointerOutOfBounds(f"pointers must be integers, got {pos.dtype}")
     live = np.flatnonzero(active)
     stray = live[(pos[live] < 0) | (pos[live] >= ranking.k)]
     if stray.size:

@@ -23,11 +23,12 @@ GOOD_REPORT = (
 REPO = Path(__file__).resolve().parents[1]
 
 
-def identity_adapter(dim, temperature):
-    """Bytes of a float64 identity adapter file with the given temperature."""
+def identity_adapter(dim, temperature, dtype_flag=1):
+    """Bytes of a float64 identity adapter file with the given temperature;
+    dtype_flag is written as the header's flag whatever the payload."""
     eye = [float(i == j) for i in range(dim) for j in range(dim)]
     return b"ADAP" + struct.pack(
-        f"<III{2 * dim * dim + 3}d", 1, dim, 1, *eye, *eye, 10.0, 0.0, temperature
+        f"<III{2 * dim * dim + 3}d", 1, dim, dtype_flag, *eye, *eye, 10.0, 0.0, temperature
     )
 
 
@@ -315,6 +316,10 @@ class TestExitCodes:
                      id="eval-partial-file"),
         pytest.param("search", identity_adapter(16, math.nan), id="search-nan-temperature"),
         pytest.param("search", identity_adapter(16, math.inf), id="search-inf-temperature"),
+        pytest.param("search", identity_adapter(16, 1.0, dtype_flag=7),
+                     id="search-unknown-dtype-flag"),
+        pytest.param("report", GOOD_REPORT.replace(b"recall@1: 0.5", b"recall@1: nan"),
+                     id="report-nan-recall"),
     ])
     def test_bad_input_file_is_data_error(self, dataset_dir, tmp_path, capsys, command, content):
         path = tmp_path / "input.txt"

@@ -182,6 +182,15 @@ class TestNormalize:
         with pytest.raises(ZeroVector):
             data.l2_normalize(m)
 
+    def test_first_offending_row_picks_the_error(self):
+        rows = np.ones((3, 2), dtype=np.float32)
+        rows[1], rows[2] = 0.0, np.nan
+        with pytest.raises(ZeroVector, match="^row 1 has norm <= 1e-12$"):
+            data.l2_normalize(data.EmbeddingMatrix(rows))
+        rows[0] = np.inf
+        with pytest.raises(NonFiniteValue, match="^row 0 has a non-finite norm$"):
+            data.l2_normalize(data.EmbeddingMatrix(rows))
+
     @settings(max_examples=50, deadline=None)
     @given(
         arr=arrays(
@@ -197,6 +206,54 @@ class TestNormalize:
         once = data.l2_normalize(data.EmbeddingMatrix(arr))
         twice = data.l2_normalize(once)
         np.testing.assert_allclose(twice.data, once.data, atol=1e-7)
+
+
+def _train_on(rows):
+    images = np.random.default_rng(1).standard_normal(rows.shape).astype(np.float32)
+    objective.train_adapter(data.EmbeddingMatrix(rows.astype(np.float32)),
+                            data.EmbeddingMatrix(images), np.arange(len(rows)),
+                            objective.TrainConfig(epochs=1, batch_size=2))
+
+
+def _gate_on(rows):
+    lists = similarity.Ranking(np.arange(4), np.full((4, 1), 5), [[0.9], [0.8], [0.7], [0.6]])
+    policy = resolver.ResolutionPolicy(similarity_gate=0.5)
+    resolver.resolve(lists, policy, rows.astype(np.float32))
+
+
+def _matrix(rows):
+    return data.EmbeddingMatrix(rows.astype(np.float32))
+
+
+def _batch(rows):
+    images = np.random.default_rng(1).standard_normal(rows.shape)
+    return objective.Batch(image_embeddings=images, text_embeddings=rows)
+
+
+# every function that forms unit rows, called on 4 rows of dim 3; each
+# names the offending row (the gate names its query id, here the same)
+UNIT_ROW_FORMERS = {
+    "l2_normalize": lambda rows: data.l2_normalize(_matrix(rows)),
+    "apply_adapter": lambda rows: objective.apply_adapter(
+        _matrix(rows), objective.AdapterParams.identity(3), "text"),
+    "contrastive_loss": lambda rows: objective.contrastive_loss(
+        _batch(rows), objective.AdapterParams.identity(3)),
+    "match_loss": lambda rows: objective.match_loss(
+        _batch(rows), (np.array([1, 2, 3, 0]),) * 2, objective.AdapterParams.identity(3)),
+    "train_adapter": _train_on,
+    "resolve-gate": _gate_on,
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("former", UNIT_ROW_FORMERS)
+def test_non_finite_row_is_named(former, bad):
+    """A unit row is finite by construction: _normalize_rows rejects the rest."""
+    rows = np.random.default_rng(0).standard_normal((4, 3))
+    rows[2, 1] = bad
+    what = "query" if former == "resolve-gate" else "row"
+    with pytest.raises(NonFiniteValue, match=f"^{what} 2 has a non-finite norm$"):
+        UNIT_ROW_FORMERS[former](rows)
 
 
 class TestSynthetic:
@@ -262,7 +319,8 @@ def _train(tmp_path, pairs, ground_truth):
 
 
 # (JSON pairs, the same ground truth as an array, error class, message);
-# the fixture has 4 query and 4 gallery rows
+# the fixture has 4 query and 4 gallery rows. JSON pairs of None: a
+# manifest cannot hold the fault, so load_manifest does not see it
 GROUND_TRUTH_FAULTS = {
     "missing-row": ([[0, 0], [1, 1], [3, 3]], [0, 1],
                     MissingGroundTruth, "query row 2 has no ground-truth entry"),
@@ -270,17 +328,24 @@ GROUND_TRUTH_FAULTS = {
                         GroundTruthOutOfRange, "query id 4 outside [0, 4)"),
     "gallery-out-of-range": ([[0, 0], [1, 1], [2, 9], [3, 3]], [0, 1, 9, 3],
                              GroundTruthOutOfRange, "ground_truth[2] = 9 outside [0, 4)"),
+    "float-entries": (None, [0.0, 1.0, 2.0, 3.0],
+                      GroundTruthOutOfRange, "ground_truth must hold integers, got float64"),
+}
+GROUND_TRUTH_ENTRY_POINTS = {
+    "load_manifest": _load, "validate": _validate, "train_adapter": _train,
 }
 
 
-@pytest.mark.parametrize("fault", GROUND_TRUTH_FAULTS)
-@pytest.mark.parametrize("entry_point", [_load, _validate, _train],
-                         ids=["load_manifest", "validate", "train_adapter"])
+@pytest.mark.parametrize("entry_point, fault", [
+    pytest.param(GROUND_TRUTH_ENTRY_POINTS[name], fault, id=f"{name}-{fault}")
+    for name in GROUND_TRUTH_ENTRY_POINTS for fault in GROUND_TRUTH_FAULTS
+    if name != "load_manifest" or GROUND_TRUTH_FAULTS[fault][0] is not None
+])
 def test_one_ground_truth_rule(tmp_path, entry_point, fault):
     """Every entry point that checks ground truth raises the same error."""
     pairs, array, error, message = GROUND_TRUTH_FAULTS[fault]
     with pytest.raises(PipelineError) as raised:
-        entry_point(tmp_path, pairs, np.array(array, dtype=np.int64))
+        entry_point(tmp_path, pairs, np.array(array))
     assert (type(raised.value), str(raised.value)) == (error, message)
 
 

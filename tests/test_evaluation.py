@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, evaluation, resolver, similarity
-from embsearch.errors import EmptyList, KExceedsDepth, MismatchedRuns, MissingGroundTruth
+from embsearch.errors import (
+    EmptyList, KExceedsDepth, MismatchedRuns, MissingGroundTruth, ParseError,
+)
 from rankings import ranking
 
 
@@ -173,6 +175,14 @@ class TestReportIO:
         assert back.n_queries == report.n_queries
         assert back.config == report.config
         assert back == report
+
+    @pytest.mark.parametrize("recall", ["nan", "inf", "-0.25", "1.5"])
+    def test_recall_outside_unit_interval_is_rejected(self, tmp_path, recall):
+        path = tmp_path / "r.txt"
+        evaluation.write_report(path, evaluation.EvalReport("d", [1, 5], {1: 0.0, 5: 1.0}, 2))
+        path.write_text(path.read_text().replace("recall@5: 1", f"recall@5: {recall}"))
+        with pytest.raises(ParseError, match=rf"recall@5 must be in \[0, 1\], got {recall}"):
+            evaluation.read_report(path)
 
     def test_fixed_field_order(self, tmp_path):
         report = evaluation.EvalReport("d", [1], {1: 1.0}, 2, config={"b": 1, "a": 2})

@@ -15,6 +15,7 @@ from embsearch.errors import (
     GroundTruthOutOfRange,
     InvalidConfig,
     MissingGroundTruth,
+    NonFiniteValue,
 )
 from embsearch.objective import (
     AdapterParams,
@@ -22,7 +23,6 @@ from embsearch.objective import (
     TrainConfig,
     apply_adapter,
     contrastive_loss,
-    inbatch_softmax,
     load_adapter,
     match_loss,
     sample_hard_negatives,
@@ -103,22 +103,34 @@ def assert_gradient_matches(loss_fn, grads, params, dim, rng, n_coords=80, tol=1
     assert rel.max() < tol
 
 
+def reference_softmax(scores, temperature):
+    """Row softmax of scores / temperature, max-shifted."""
+    z = scores / temperature
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class TestInbatchSoftmax:
+    """The image-to-text and text-to-image softmaxes of contrastive_loss."""
+
     def test_hand_softmax(self):
-        out = inbatch_softmax(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
+        batch = Batch(image_embeddings=np.eye(2), text_embeddings=np.eye(2))
+        _, _, i2t, t2i = contrastive_loss(batch, AdapterParams.identity(2))
         e = math.e
-        np.testing.assert_allclose(out[0], [e / (e + 1), 1 / (e + 1)], atol=1e-5)
-        assert out[0][0] == pytest.approx(0.73106, abs=1e-5)
+        for out in (i2t, t2i):
+            np.testing.assert_allclose(out[0], [e / (e + 1), 1 / (e + 1)], atol=1e-5)
+            assert out[0][0] == pytest.approx(0.73106, abs=1e-5)
 
-    @given(c=st.floats(-50, 50))
-    def test_uniform_row(self, c):
-        out = inbatch_softmax(np.full((3, 3), c), 1.0)
-        np.testing.assert_allclose(out, 1 / 3, atol=1e-12)
-
-    def test_single_candidate(self):
-        np.testing.assert_array_equal(
-            inbatch_softmax(np.array([[0.4]]), 1.0), [[1.0]]
-        )
+    @settings(max_examples=50, deadline=None)
+    @given(c=st.floats(-1, 1), n=st.integers(2, 6), temperature=st.floats(0.05, 10.0))
+    def test_uniform_row(self, c, n, temperature):
+        # one image vector and one text vector, n copies each: every score is c
+        images = np.tile([1.0, 0.0], (n, 1))
+        texts = np.tile([c, math.sqrt(1 - c * c)], (n, 1))
+        adapter = AdapterParams(np.eye(2), np.eye(2), temperature=temperature)
+        _, _, i2t, t2i = contrastive_loss(Batch(images, texts), adapter)
+        np.testing.assert_allclose(i2t, 1 / n, atol=1e-12)
+        np.testing.assert_allclose(t2i, 1 / n, atol=1e-12)
 
     def test_direction_transposes(self):
         # contrastive_loss's text_to_image softmax is that of the transposed scores
@@ -126,28 +138,31 @@ class TestInbatchSoftmax:
         batch = Batch(image_embeddings=np.eye(2), text_embeddings=texts)
         _, _, i2t, t2i = contrastive_loss(batch, AdapterParams.identity(2))
         sims = batch.image_embeddings @ batch.text_embeddings.T
-        np.testing.assert_array_equal(i2t, inbatch_softmax(sims, 1.0))
-        np.testing.assert_array_equal(t2i, inbatch_softmax(sims.T, 1.0))
+        np.testing.assert_allclose(i2t, reference_softmax(sims, 1.0), rtol=1e-12)
+        np.testing.assert_allclose(t2i, reference_softmax(sims.T, 1.0), rtol=1e-12)
         assert not np.allclose(i2t, t2i)
 
     @settings(max_examples=50, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        n=st.integers(1, 8),
+        n=st.integers(2, 8),
         temperature=st.floats(0.05, 10.0),
-        shift=st.floats(-5, 5),
     )
-    def test_rows_sum_to_one_and_shift_invariance(self, seed, n, temperature, shift):
-        sims = np.random.default_rng(seed).standard_normal((n, n))
-        out = inbatch_softmax(sims, temperature)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
-        shifted = inbatch_softmax(sims + shift, temperature)
-        np.testing.assert_allclose(out, shifted, atol=1e-9)
+    def test_rows_sum_to_one(self, seed, n, temperature):
+        batch = random_batch(n, 4, seed)
+        adapter = AdapterParams(np.eye(4), np.eye(4), temperature=temperature)
+        _, _, i2t, t2i = contrastive_loss(batch, adapter)
+        sims = batch.image_embeddings @ batch.text_embeddings.T
+        for out, scores in ((i2t, sims), (t2i, sims.T)):
+            np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
+            np.testing.assert_allclose(out, reference_softmax(scores, temperature), atol=1e-9)
 
     def test_bad_temperature(self):
-        for temperature in (0.0, math.nan):
+        batch = random_batch(2, 2, seed=0)
+        for temperature in (0.0, -1.0, math.nan):
+            adapter = AdapterParams(np.eye(2), np.eye(2), temperature=temperature)
             with pytest.raises(InvalidConfig):
-                inbatch_softmax(np.zeros((2, 2)), temperature)
+                contrastive_loss(batch, adapter)
 
 
 class TestContrastiveLoss:
@@ -287,6 +302,30 @@ class TestHardNegativeSampling:
     def test_too_small(self):
         with pytest.raises(BatchTooSmall):
             sample_hard_negatives(np.ones((1, 1)), np.ones((1, 1)), np.random.default_rng(0))
+
+    def test_inputs_must_be_n_by_n(self):
+        square = np.full((3, 3), 0.5)
+        for p_i2t, p_t2i in ((square, np.ones((3, 2))), (np.ones((3, 2)), np.ones((3, 2))),
+                             (square, np.ones((2, 2))), (np.ones(3), np.ones(3))):
+            with pytest.raises(DimensionMismatch):
+                sample_hard_negatives(p_i2t, p_t2i, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_off_diagonal_total_is_rejected(self, bad):
+        # a NaN row would invert a NaN CDF to index 0, row 0's own positive
+        everywhere = np.full((3, 3), bad)
+        one_entry = np.full((3, 3), 0.5)
+        one_entry[1, 2] = bad
+        square = np.full((3, 3), 0.5)
+        for p_i2t, p_t2i, row in ((everywhere, square, 0), (square, one_entry, 1)):
+            with pytest.raises(NonFiniteValue, match=f"^probability row {row} has a non-finite"):
+                sample_hard_negatives(p_i2t, p_t2i, np.random.default_rng(0))
+
+    def test_diagonal_is_not_read(self):
+        probs = np.full((3, 3), 0.5)
+        np.fill_diagonal(probs, math.nan)
+        neg_t, neg_i = sample_hard_negatives(probs, probs, np.random.default_rng(0))
+        assert np.all(neg_t != np.arange(3)) and np.all(neg_i != np.arange(3))
 
     def test_uniform_on_a_cdf_step_takes_the_next_index(self):
         probs = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])

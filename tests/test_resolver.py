@@ -387,6 +387,9 @@ class TestAgainstReference:
             detect_conflicts(lists, policy, np.array([0]), np.array([True, True]))
         with pytest.raises(PointerOutOfBounds):
             detect_conflicts(lists, policy, np.array([0, 0]), np.array([True, True, True]))
+        # pointers index the lists, so they are integers
+        with pytest.raises(PointerOutOfBounds, match="^pointers must be integers, got float64$"):
+            detect_conflicts(lists, policy, np.array([0.0, 0.0]), np.array([True, True]))
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(InvalidRanking):

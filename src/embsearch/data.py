@@ -53,8 +53,10 @@ class DatasetManifest:
 def check_ground_truth(ground_truth: np.ndarray, n_queries: int, n_gallery: int) -> None:
     """The ground-truth rule: one entry per query row, each a gallery row.
     A short array raises MissingGroundTruth naming its first missing row; a
-    long one, a non-integer dtype or an entry outside [0, n_gallery),
-    GroundTruthOutOfRange."""
+    long one, one that is not 1-D, a non-integer dtype or an entry outside
+    [0, n_gallery), GroundTruthOutOfRange."""
+    if ground_truth.ndim != 1:
+        raise GroundTruthOutOfRange(f"ground_truth must be 1-D, got shape {ground_truth.shape}")
     if ground_truth.dtype.kind not in "iu":
         raise GroundTruthOutOfRange(f"ground_truth must hold integers, got {ground_truth.dtype}")
     if len(ground_truth) < n_queries:
@@ -225,16 +227,27 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+# rows that _write_table formats at once: its Python objects and text then
+# peak near 13 MB for a ranked list, however long the table
+TABLE_BLOCK_ROWS = 1 << 16
+
+
 def _write_table(path: str | Path, meta: dict | None, line: str, columns: list, tail="") -> None:
     """Write `# key=value` lines for meta, `line % row` for each row of the
-    equal-length columns (one `%` call over their interleaved fields; '%.9g'
-    % x formats a float as f"{x:.9g}" does), then tail: else one newline."""
-    fields = [None] * sum(map(len, columns))
-    for j, column in enumerate(columns):
-        fields[j::len(columns)] = column
+    equal-length array columns, then tail: else one newline. Rows are
+    formatted TABLE_BLOCK_ROWS at a time, each block by one `%` call over
+    its interleaved fields ('%.9g' % x formats a float as f"{x:.9g}" does)."""
     head = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
-    text = head + (line + "\n") * len(columns[0]) % tuple(fields) + tail
-    Path(path).write_text(text or "\n", encoding="utf-8")
+    n = len(columns[0])
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(head)
+        for lo in range(0, n, TABLE_BLOCK_ROWS):
+            block = [column[lo:lo + TABLE_BLOCK_ROWS].tolist() for column in columns]
+            fields = [None] * (len(block) * len(block[0]))
+            for j, values in enumerate(block):
+                fields[j::len(block)] = values
+            out.write((line + "\n") * len(block[0]) % tuple(fields))
+        out.write(tail if head or n or tail else "\n")
 
 
 def read_embedding_file(path: str | Path, rows: int, dim: int) -> np.ndarray:

@@ -382,7 +382,9 @@ def train_adapter(
 
 
 def apply_adapter(m: EmbeddingMatrix, params: AdapterParams, side: str) -> EmbeddingMatrix:
-    """Project one modality's rows through its adapter matrix and renormalize."""
+    """Project one modality's rows through its adapter matrix and renormalize.
+    The adapter is validated first, so its own faults are named as its own."""
+    params.validate()
     if side == "text":
         w = params.w_text
     elif side == "image":
@@ -440,6 +442,6 @@ def load_adapter(path: str | Path) -> AdapterParams:
 def write_trace(path: str | Path, trace: list[LossBreakdown], meta: dict | None = None) -> None:
     """Training trace as `epoch TAB contrastive TAB match TAB total` lines."""
     _write_table(path, meta, "%d\t%.12g\t%.12g\t%.12g", [
-        list(range(len(trace))), [t.contrastive for t in trace], [t.match for t in trace],
-        [t.total for t in trace],
+        np.arange(len(trace)), np.array([t.contrastive for t in trace]),
+        np.array([t.match for t in trace]), np.array([t.total for t in trace]),
     ])

@@ -247,5 +247,5 @@ def write_resolution(path: str | Path, ranking: Ranking, resolution: Resolution,
 def write_audit(path: str | Path, resolution: Resolution, meta: dict | None = None) -> None:
     """Audit sidecar: `round TAB answer_id TAB winner TAB loser TAB delta_s`."""
     _write_table(path, meta, "%d\t%d\t%d\t%d\t%.9g",
-                 [resolution.audit[name].tolist() for name in AUDIT_DTYPE.names],
+                 [resolution.audit[name] for name in AUDIT_DTYPE.names],
                  "".join(f"# unresolved={qid}\n" for qid in resolution.unresolved.tolist()))

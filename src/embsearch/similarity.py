@@ -25,6 +25,7 @@ same length k.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -208,14 +209,14 @@ def write_ranked_lists(
     """
     n, k = ranking.ids.shape
     columns = [
-        np.repeat(ranking.query_ids, k).tolist(),
-        np.tile(np.arange(1, k + 1), n).tolist(),
-        ranking.ids.ravel().tolist(),
-        ranking.scores.ravel().tolist(),
+        np.repeat(ranking.query_ids, k),
+        np.tile(np.arange(1, k + 1), n),
+        ranking.ids.ravel(),
+        ranking.scores.ravel(),
     ]
     line = "%d\t%d\t%d\t%.9g"
     if source_ranks is not None:
-        columns.append(np.asarray(source_ranks).ravel().tolist())
+        columns.append(np.asarray(source_ranks).ravel())
         line += "\t%d"
     _write_table(path, meta, line, columns)
 
@@ -235,18 +236,18 @@ def _parse_error(path, lines: list[str], body: list[int]) -> ParseError:
     return ParseError(f"{path}: malformed ranked-list file")
 
 
-def read_ranked_lists(path: str | Path) -> Ranking:
-    """Parse a ranked-list file; extra columns (source_rank) are ignored.
+def _body(lines: list[str]) -> list[int]:
+    """Indices of the lines that hold entries: not blank, whitespace-only or '#'."""
+    return [i for i, line in enumerate(lines) if line and line[0] != "#" and not line.isspace()]
 
-    A query's rows may be interleaved with other queries' rows but come in
-    rank order. Every query needs the same number of entries and no gallery
-    id twice: the first line that breaks a rule raises ParseError.
-    """
-    lines = _read_text(path, "ranked-list file").splitlines()
-    # skip blank, whitespace-only and '#' lines
-    body = [i for i, line in enumerate(lines) if line and line[0] != "#" and not line.isspace()]
+
+def _parse_columns(path, lines: list[str]) -> list[np.ndarray]:
+    """Query ids, ranks, gallery ids and scores of the body lines, in file
+    order, by Python's int and float per field: the grammar of the format.
+    A line that cannot be parsed raises ParseError."""
+    body = _body(lines)
     if not body:
-        return Ranking(np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
+        return [np.empty(0)] * 4
     rows = [lines[i] for i in body]
     tabs = [line.count("\t") for line in rows]
     if min(tabs) < 3:
@@ -257,22 +258,77 @@ def read_ranked_lists(path: str | Path) -> Ranking:
     # one split of the joined body, then Python's int and float per column
     fields = "\t".join(rows).split("\t")
     try:
-        qids, ranks, gids = (
-            np.array(list(map(int, fields[j::width])), dtype=np.int64) for j in range(3)
-        )
-        scores = np.array(list(map(float, fields[3::width])), dtype=np.float64)
+        return [np.array(list(map(int, fields[j::width])), dtype=np.int64) for j in range(3)] + [
+            np.array(list(map(float, fields[3::width])), dtype=np.float64)]
     except (ValueError, OverflowError):
         raise _parse_error(path, lines, body) from None
 
+
+# the four leading fields of a line, as numpy's C text reader returns them
+_LINE_FIELDS = np.dtype([
+    ("query_id", np.int64), ("rank", np.int64), ("gallery_id", np.int64), ("score", np.float64),
+])
+
+
+def _load_columns(text: str, lines: list[str]) -> list[np.ndarray] | None:
+    r"""_parse_columns' result by numpy's C text reader, or None when that
+    reader could disagree with it.
+
+    It reads the same lines, so line boundaries agree. It runs only on text
+    where its grammar is known to be no wider than _parse_columns':
+    - ASCII only: its integer parser turns some non-ASCII letters into
+      digit values ('\u01fe' reads as 462);
+    - no '\x1f', which it strips around a number and Python's int does not;
+    - every '#' starts a line: it drops an inline '#...' tail.
+    Whatever it rejects or warns about (an empty body, '1_0', whitespace-only
+    lines, an int64 overflow, a numpy that casts '1.0' to an int with a
+    DeprecationWarning) returns None, which leaves the file to
+    _parse_columns.
+    """
+    if not (text.isascii() and "\x1f" not in text
+            and text.count("#") == text.count("\n#") + text.startswith("#")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=_LINE_FIELDS, delimiter="\t", comments="#",
+                               usecols=(0, 1, 2, 3), ndmin=1)
+    except Exception:  # what it raises varies with numpy's version; the parser decides
+        return None
+    return [table[name] for name in _LINE_FIELDS.names]
+
+
+def read_ranked_lists(path: str | Path) -> Ranking:
+    """Parse a ranked-list file; extra columns (source_rank) are ignored.
+
+    Lines are those of str.splitlines. Blank, whitespace-only and '#' lines
+    are skipped; every other line holds at least four tab-separated fields,
+    query id, rank and gallery id as Python's int() reads them (within int64)
+    and the score as float() reads it. That per-field parser defines the
+    grammar and every ParseError for a line that cannot be parsed; numpy's
+    C reader parses the file first, and its result is kept only when it can
+    agree with that parser (see _load_columns), else the parser runs.
+
+    A query's rows may be interleaved with other queries' rows but come in
+    rank order. Every query needs the same number of entries and no gallery
+    id twice: the first line that breaks a rule raises ParseError.
+    """
+    text = _read_text(path, "ranked-list file")
+    lines = text.splitlines()
+    qids, ranks, gids, scores = _load_columns(text, lines) or _parse_columns(path, lines)
+    if not len(qids):
+        return Ranking(np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
+
     def fail(row, message):
-        raise ParseError(f"{path}:{body[row] + 1}: {message}")
+        # row counts body lines, as both parsers return them
+        raise ParseError(f"{path}:{_body(lines)[row] + 1}: {message}")
 
     # rows grouped by query, file order kept within a query
     order = np.argsort(qids, kind="stable")
     grouped = qids[order]
     starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    counts = np.diff(starts, append=len(rows))
-    within = np.arange(len(rows)) - np.repeat(starts, counts)
+    counts = np.diff(starts, append=len(qids))
+    within = np.arange(len(qids)) - np.repeat(starts, counts)
     bad = order[ranks[order] != within + 1]
     if bad.size:
         i = bad.min()

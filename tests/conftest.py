@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from embsearch import data
+
+# `pytest --hypothesis-profile=ci` runs each property test without an explicit
+# example count ten times as long as the default profile
+settings.register_profile("ci", max_examples=1000)
 
 
 SEED7_CONFIG = data.SynthConfig(

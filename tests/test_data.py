@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,8 @@ GROUND_TRUTH_FAULTS = {
                              GroundTruthOutOfRange, "ground_truth[2] = 9 outside [0, 4)"),
     "float-entries": (None, [0.0, 1.0, 2.0, 3.0],
                       GroundTruthOutOfRange, "ground_truth must hold integers, got float64"),
+    "2-d": (None, [[0], [1], [2], [3]],
+            GroundTruthOutOfRange, "ground_truth must be 1-D, got shape (4, 1)"),
 }
 GROUND_TRUTH_ENTRY_POINTS = {
     "load_manifest": _load, "validate": _validate, "train_adapter": _train,
@@ -448,3 +451,47 @@ class TestTableWriters:
         objective.write_trace(path, trace, meta=meta)
         rows = [(epoch, t.contrastive, t.match, t.total) for epoch, t in enumerate(trace)]
         assert path.read_text() == f_string_table(meta, rows, ["", ".12g", ".12g", ".12g"])
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 4, 5])
+    def test_blocks_join_byte_identically(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(data, "TABLE_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(21)
+        ids, scores = rng.integers(-9, 99, (3, 2)), rng.random((3, 2))
+        sources = rng.integers(1, 3, (3, 2))
+        path = tmp_path / "ranked.tsv"
+        similarity.write_ranked_lists(path, similarity.Ranking(np.arange(3), ids, scores),
+                                      meta={"k": 2}, source_ranks=sources)
+        rows = [(q, r + 1, ids[q, r].item(), scores[q, r].item(), sources[q, r].item())
+                for q in range(3) for r in range(2)]
+        assert path.read_text() == f_string_table({"k": 2}, rows, ["", "", "", ".9g", ""])
+
+        records = [(r, r + 10, -r, r * 7, r / 3) for r in range(1, 6)]
+        resolver.write_audit(path, resolver.Resolution(
+            ranks=np.zeros(0, dtype=np.int64), unresolved=np.array([4, 8]),
+            audit=np.array(records, dtype=resolver.AUDIT_DTYPE)))
+        tail = ["# unresolved=4", "# unresolved=8"]
+        assert path.read_text() == f_string_table(None, records, ["", "", "", "", ".9g"], tail)
+
+        trace = [objective.LossBreakdown(e / 3, e / 7, 0.5) for e in range(5)]
+        objective.write_trace(path, trace)
+        rows = [(e, t.contrastive, t.match, t.total) for e, t in enumerate(trace)]
+        assert path.read_text() == f_string_table(None, rows, ["", ".12g", ".12g", ".12g"])
+
+    def test_write_memory_does_not_grow_with_rows(self, tmp_path):
+        """Rows are formatted a block at a time: writing four blocks peaks
+        little above writing one. What grows with the rows is the int64 rank
+        and query id columns, not the Python objects and text of every row
+        (about 170 bytes a row)."""
+        def peak(rows, k=8):
+            n = rows // k
+            ranking = similarity.Ranking(np.arange(n), np.tile(np.arange(k), (n, 1)),
+                                         np.random.default_rng(22).random((n, k)))
+            tracemalloc.start()
+            try:
+                similarity.write_ranked_lists(tmp_path / "ranked.tsv", ranking)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(data.TABLE_BLOCK_ROWS), peak(4 * data.TABLE_BLOCK_ROWS)
+        assert four < 1.5 * one

@@ -539,6 +539,20 @@ class TestApplyAdapter:
         with pytest.raises(InvalidConfig):
             apply_adapter(m, AdapterParams.identity(2), "audio")
 
+    @pytest.mark.parametrize("side", ["text", "image"])
+    def test_non_finite_weight_is_the_adapters_fault(self, side):
+        adapter = AdapterParams.identity(4)
+        getattr(adapter, f"w_{side}")[0, 0] = math.inf
+        m = data.EmbeddingMatrix(np.eye(4, dtype=np.float32), normalized=True)
+        with pytest.raises(NonFiniteValue, match=f"w_{side} contains non-finite entries"):
+            apply_adapter(m, adapter, side)
+
+    def test_nan_temperature_is_rejected(self):
+        adapter = AdapterParams(np.eye(4), np.eye(4), temperature=math.nan)
+        m = data.EmbeddingMatrix(np.eye(4, dtype=np.float32), normalized=True)
+        with pytest.raises(InvalidConfig, match="temperature must be finite"):
+            apply_adapter(m, adapter, "text")
+
     def test_adapter_dim_must_match_the_rows(self):
         adapter = AdapterParams.identity(3)
         m = data.EmbeddingMatrix(np.eye(2, dtype=np.float32), normalized=True)

@@ -1,9 +1,11 @@
 import struct
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, similarity
@@ -29,7 +31,8 @@ def sort_oracle(scores):
 
 
 def reference_read_ranked_lists(path):
-    """The per-line parser the columnar one replaced, kept as its reference."""
+    """The per-line parser the columnar one replaced, kept as its reference;
+    like the reader, it rejects an id that int64 cannot hold."""
     lists = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
@@ -41,6 +44,8 @@ def reference_read_ranked_lists(path):
             qid, rank, gid, score = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not all(-(1 << 63) <= v < 1 << 63 for v in (qid, rank, gid)):
+            raise ParseError(f"{path}:{lineno}: integer outside the int64 range")
         entries = lists.setdefault(qid, [])
         if rank != len(entries) + 1:
             raise ParseError(f"{path}:{lineno}: rank {rank} out of order for query {qid}")
@@ -580,6 +585,145 @@ class TestReadAgainstReference:
         path = tmp_path / "mixed.tsv"
         path.write_text("0\t1\t5\t0.5\t1\t9\n1\t1\t6\t0.25\n", encoding="utf-8")
         assert rows_of(similarity.read_ranked_lists(path)) == reference_read_ranked_lists(path)
+
+
+FULL_WIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+# id tokens that Python's int() rejects, or that int64 cannot hold
+BAD_IDS = ["1.0", "nan", "", "1e3", str(1 << 63), str(-(1 << 63) - 1), "\ufeff5", "1 2"]
+# tokens that numpy's C reader would take and the grammar rejects: a
+# non-ASCII letter it reads as a digit value, '\x1f' as padding, an inline '#'
+WIDER_IDS = ["\u01fe", "5\u01fe", "5\x1f", "\x1f5", "5#x"]
+QUIRKY_SCORES = st.one_of(SCORE_TEXT, st.sampled_from([
+    "1.0", "+5", "nan", str(1 << 63), "1_0", "\uff10.\uff15", "\u01fe", "", "1e", "\ufeff0.5",
+]), st.sampled_from(["0.5\x1f", "\x1f0.5", "0.5#x"]))
+# lines both parsers skip, or (the last two) reject
+LOOSE_LINES = ["", "   ", "\t", " \t ", "#", "# k=3", "#\tx\ty", "\xa0", "\u3000 ", "0\t1\t5",
+               "\ufeff# k=3"]
+# every line boundary of str.splitlines
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+             "\u2029"]
+
+
+def id_tokens(v):
+    """Spellings of v that Python's int() reads as v, and tokens it rejects."""
+    s = str(v)
+    same = [s, f" {s}", f"{s}  ", f"\xa0{s}", s.translate(FULL_WIDTH)]
+    if v >= 0:
+        same += [f"+{s}", f"0{s}"]
+    if len(s.lstrip("-")) > 1:
+        same.append(f"{s[:-1]}_{s[-1]}")
+    return st.one_of(st.sampled_from(same), st.sampled_from(BAD_IDS), st.sampled_from(WIDER_IDS))
+
+
+def read_outcome(read, path):
+    """The lists read from path as rows with score bit patterns, or the
+    ParseError's text."""
+    try:
+        lists = read(path)
+    except ParseError as exc:
+        return str(exc)
+    rows = lists if isinstance(lists, list) else rows_of(lists)
+    return [(q, [(g, float_bits(s)) for g, s in entries]) for q, entries in rows]
+
+
+class TestReadFastPath:
+    """numpy's C reader parses ranked-list files where it agrees with the
+    per-field parser, which defines the grammar and every ParseError."""
+
+    @settings(deadline=None)
+    @given(
+        qids=st.lists(st.integers(-3, 10**12), min_size=1, max_size=5, unique=True),
+        k=st.integers(1, 4),
+        source_rank=st.booleans(),
+        data_=st.data(),
+    )
+    def test_quirky_files_read_as_the_reference_does(self, tmp_path_factory, qids, k,
+                                                     source_rank, data_):
+        draw = data_.draw
+        # a valid file: each query's ranks in order, no gallery id twice
+        pending = {q: [(q, r, g) for r, g in enumerate(draw(st.permutations(range(-2, 2 * k))), 1)]
+                   [:k] for q in qids}
+        rows = []
+        while any(pending.values()):
+            values = pending[draw(st.sampled_from([q for q in qids if pending[q]]))].pop(0)
+            rows.append((values, [str(v) for v in values] + [draw(SCORE_TEXT)]
+                         + ([str(draw(st.integers(1, k)))] if source_rank else [])))
+        # quirks that keep every id's value or make a line unparseable
+        for _ in range(draw(st.integers(0, 2))):
+            values, fields = draw(st.sampled_from(rows))
+            kind = draw(st.sampled_from(["id", "score", "extra-fields", "three-fields", "hash"]))
+            if kind == "id":
+                col = draw(st.integers(0, 2))
+                fields[col] = draw(id_tokens(values[col]))
+            elif kind == "score":
+                fields[3:4] = [draw(QUIRKY_SCORES)]
+            elif kind == "extra-fields":
+                fields += ["x", "9"]
+            elif kind == "three-fields":
+                del fields[3:]
+            else:
+                fields[-1] += "#x"
+        lines = ["\t".join(fields) for _, fields in rows]
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(LOOSE_LINES)))
+        odd_ends = draw(st.booleans())
+        text = "".join(line + (draw(st.sampled_from(LINE_ENDS)) if odd_ends else "\n")
+                       for line in lines)
+        if draw(st.integers(0, 3)) == 0:
+            # a line boundary inside a line, or a byte-order mark
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(LINE_ENDS + ["\ufeff"])) + text[at:]
+        path = tmp_path_factory.mktemp("quirks") / "ranked.tsv"
+        path.write_bytes(text.encode("utf-8"))
+
+        read = path.read_text(encoding="utf-8")
+        event(f"fast path taken: {similarity._load_columns(read, read.splitlines()) is not None}")
+        got = read_outcome(similarity.read_ranked_lists, path)
+        assert got == read_outcome(reference_read_ranked_lists, path)
+        with mock.patch.object(similarity, "_load_columns", return_value=None):
+            assert read_outcome(similarity.read_ranked_lists, path) == got
+
+    @pytest.mark.parametrize("text, fast", [
+        ("# k=2\n0\t1\t5\t0.5\n\n0\t2\t6\t0.25\t2\n", True),
+        ("# name=caf\u00e9\n0\t1\t5\t0.5\n", False),
+        ("0\t1\t5\t0.5\x1f\n", False),
+        ("0\t1\t\x1f5\t0.5\n", False),
+        ("0\t1\t\u01fe\t0.5\n", False),
+        ("0\t1\t5\t0.5\t1#x\n", False),
+        ("0\t1\t5\t0.5\n   \n", False),
+        ("# k=2\n", False),
+    ], ids=["clean", "non-ascii-comment", "unit-separator-after-score",
+            "unit-separator-before-id", "non-ascii-letter-id", "inline-hash-in-extra-field",
+            "whitespace-only-line", "no-body"])
+    def test_fast_path_runs_where_the_grammars_agree(self, tmp_path, text, fast):
+        path = tmp_path / "ranked.tsv"
+        path.write_text(text, encoding="utf-8")
+        # a warning counts as a rejection, whatever the caller's filters
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert (similarity._load_columns(text, text.splitlines()) is not None) == fast
+        assert read_outcome(similarity.read_ranked_lists, path) == read_outcome(
+            reference_read_ranked_lists, path)
+
+    def test_read_peak_memory(self, tmp_path):
+        n, k = 10_000, 10
+        rng = np.random.default_rng(20)
+        ranked = similarity.Ranking(np.arange(n), np.tile(np.arange(k), (n, 1)),
+                                    rng.random((n, k)).astype(np.float32))
+        path = tmp_path / "ranked.tsv"
+        similarity.write_ranked_lists(path, ranked, meta={"k": k})
+        tracemalloc.start()
+        try:
+            back = similarity.read_ranked_lists(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.ids, ranked.ids)
+        # 9 significant digits round-trip float32 exactly
+        assert np.array_equal(back.scores.astype(np.float32), ranked.scores)
+        # numpy's reader peaks near 200 bytes per line (the text, its lines and
+        # the parsed table); Python's int and float per field take over 400
+        assert peak < 250 * n * k
 
 
 class TestRankedListIO:

@@ -113,7 +113,7 @@ def cmd_resolve(args) -> int:
         if not args.manifest:
             raise UsageError("--gate requires --manifest for query embeddings")
         manifest = data.load_manifest(args.manifest)
-        query_embeddings = _load_normalized(manifest, "query").data
+        query_embeddings = _load_normalized(manifest, "query")
     resolution = resolver.resolve(lists, policy, query_embeddings)
     meta = {
         "depth": policy.depth,

@@ -20,12 +20,15 @@ from .errors import (
     MissingFile,
     MissingGroundTruth,
     NonFiniteValue,
+    NotNormalized,
     ParseError,
     PipelineError,
     ZeroVector,
 )
 
 ZERO_NORM_THRESHOLD = 1e-12
+# largest |norm - 1| of a row of a normalized EmbeddingMatrix
+UNIT_NORM_TOLERANCE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,7 @@ class DatasetManifest:
     seed: int | None = None
 
     def validate(self) -> None:
+        _require_one_line(self.name, "dataset name")
         if self.dim < 1:
             raise ParseError(f"dim must be >= 1, got {self.dim}")
         if self.query_count < 1 or self.gallery_count < 1:
@@ -70,12 +74,27 @@ def check_ground_truth(ground_truth: np.ndarray, n_queries: int, n_gallery: int)
             f"ground_truth[{q}] = {ground_truth[q]} outside [0, {n_gallery})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Dense row-major float32 matrix of embeddings, one vector per row."""
+    """Dense row-major float32 matrix of embeddings, one vector per row.
+    normalized=True is checked: the first row whose float64 norm is not within
+    UNIT_NORM_TOLERANCE of 1 raises NonFiniteValue if it holds a NaN or inf
+    entry, else NotNormalized, naming the row."""
 
     data: np.ndarray
     normalized: bool = False
+
+    def __post_init__(self):
+        if not self.normalized:
+            return
+        norms = np.sqrt(np.einsum("ij,ij->i", self.data, self.data, dtype=np.float64))
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE))  # NaN fails
+        if bad.size:
+            row = int(bad[0])
+            if not np.isfinite(self.data[row]).all():
+                raise NonFiniteValue(f"row {row} has a non-finite norm")
+            raise NotNormalized(
+                f"row {row} has norm {norms[row]:.9g}, not 1 within {UNIT_NORM_TOLERANCE:g}")
 
     @property
     def rows(self) -> int:
@@ -110,6 +129,14 @@ class SynthConfig:
             raise InvalidConfig("confusable_fraction must be in [0, 1]")
         if not 0.0 < self.confusable_gap < 1.0:
             raise InvalidConfig("confusable_gap must be in (0, 1)")
+
+
+def _require_one_line(text: str, what: str) -> None:
+    r"""InvalidConfig if text holds a line break as str.splitlines finds one
+    ('\n', '\r', '\x0b', '\x0c', '\x1c'-'\x1e', '\x85', '\u2028', '\u2029'): in a
+    `# key=value` line it would start a line of its own."""
+    if text.splitlines() not in ([], [text]):
+        raise InvalidConfig(f"{what} {text!r} holds a line break")
 
 
 def _require_finite(cfg) -> None:
@@ -234,10 +261,14 @@ TABLE_BLOCK_ROWS = 1 << 16
 
 def _write_table(path: str | Path, meta: dict | None, line: str, columns: list, tail="") -> None:
     """Write `# key=value` lines for meta, `line % row` for each row of the
-    equal-length array columns, then tail: else one newline. Rows are
-    formatted TABLE_BLOCK_ROWS at a time, each block by one `%` call over
-    its interleaved fields ('%.9g' % x formats a float as f"{x:.9g}" does)."""
-    head = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
+    equal-length array columns, then tail: else one newline. A meta line
+    holding a line break raises InvalidConfig before the file is opened.
+    Rows are formatted TABLE_BLOCK_ROWS at a time, each block by one `%` call
+    over its interleaved fields ('%.9g' % x formats a float as f"{x:.9g}" does)."""
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
+    for text in lines:
+        _require_one_line(text, "meta line")
+    head = "".join(text + "\n" for text in lines)
     n = len(columns[0])
     with open(path, "w", encoding="utf-8") as out:
         out.write(head)
@@ -325,6 +356,7 @@ def generate_synthetic(
     gallery, as ``manifest_heldout.json``.
     """
     cfg.validate()
+    _require_one_line(name, "dataset name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -403,7 +435,7 @@ def validate_dataset(manifest: DatasetManifest) -> ValidationReport:
             continue
         norms = np.linalg.norm(arrays[split].astype(np.float64), axis=1)
         dev = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-        if dev > 1e-5:
+        if dev > UNIT_NORM_TOLERANCE:
             report.warnings.append(
                 f"{split} rows are not unit-normalized (max norm deviation {dev:.3g})"
             )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _read_text
+from .data import _read_text, _require_one_line
 from .errors import (
     EmptyList,
     KExceedsDepth,
@@ -119,6 +119,8 @@ def write_report(path: str | Path, report: EvalReport) -> None:
         lines.append(f"config.{key}: {report.config[key]}")
     # a constant line, kept so report files keep their bytes
     lines.append("timestamp: -")
+    for text in lines:  # a line break in a value would add a field
+        _require_one_line(text, "report line")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -212,7 +212,8 @@ def sample_hard_negatives(
     For image i a negative text index is drawn from p_i2t row i with the
     positive excluded; symmetrically for each text from p_t2i. A row with no
     off-diagonal mass draws uniformly among the other indices. Each side
-    takes n uniforms from rng, image rows first, and inverts each row's CDF.
+    takes n uniforms from rng, image rows first, and inverts each row's CDF;
+    a uniform beyond a CDF's rounded end picks the row's last column with mass.
     Returns (neg_text_idx, neg_image_idx), deterministic for a seeded
     generator. Both inputs must be (n, n), and a row whose off-diagonal
     total is NaN or infinite raises NonFiniteValue.
@@ -239,7 +240,12 @@ def sample_hard_negatives(
         rows /= totals[:, None]
         cdf = np.cumsum(rows, axis=1, out=rows)
         u = rng.random(n)
-        return (cdf <= u[:, None]).sum(axis=1)
+        picks = (cdf <= u[:, None]).sum(axis=1)
+        # a rounded CDF can end below u < 1, which picks n: take the column
+        # where that CDF last rises, the row's last column with mass
+        over = np.flatnonzero(picks == n)
+        picks[over] = np.argmax(cdf[over] >= cdf[over, -1:], axis=1)
+        return picks
 
     return draw(p_i2t), draw(p_t2i)  # image rows draw first
 

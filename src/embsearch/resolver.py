@@ -5,7 +5,9 @@ highest score keeps it and every other member advances to its next-ranked
 candidate; rounds repeat until no conflicts remain (or a cap is hit, which
 the Resolution reports). Members that run out of candidates keep their last
 entry and are flagged unresolved. A Resolution holds arrays: each row's final
-rank, the unresolved query ids and one audit record per replacement.
+rank, the unresolved query ids and one audit record per replacement. The
+optional similarity gate takes the query embeddings as a normalized
+EmbeddingMatrix and uses the dot products of its rows as their cosines.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _normalize_rows, _require_finite, _write_table
-from .errors import EmptyList, InvalidConfig, MissingEmbedding, PointerOutOfBounds
+from .data import EmbeddingMatrix, _require_finite, _write_table
+from .errors import EmptyList, InvalidConfig, MissingEmbedding, NotNormalized, PointerOutOfBounds
 from .similarity import Ranking, write_ranked_lists
 
 
@@ -68,8 +70,8 @@ class Resolution:
         return self.live_conflicts == 0
 
 
-def _query_cosines(query_embeddings: np.ndarray, ids: list[int]) -> np.ndarray:
-    sub, _ = _normalize_rows(query_embeddings[ids].astype(np.float64), ids, "query")
+def _query_cosines(query_embeddings: EmbeddingMatrix, ids: list[int]) -> np.ndarray:
+    sub = query_embeddings.data[ids].astype(np.float64)
     return sub @ sub.T
 
 
@@ -87,7 +89,7 @@ def detect_conflicts(
     policy: ResolutionPolicy,
     pos: np.ndarray,
     active: np.ndarray,
-    query_embeddings: np.ndarray | None = None,
+    query_embeddings: EmbeddingMatrix | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group the active rows whose current answers coincide.
 
@@ -98,7 +100,9 @@ def detect_conflicts(
     window of `depth` entries starting at its pointer. Returns (answers,
     rows, cols, starts): one entry per member, ordered by (answer id, query
     id), where cols is the member's 0-based rank of the answer and group g
-    spans starts[g]:starts[g + 1].
+    spans starts[g]:starts[g + 1]. query_embeddings, when given, must be a
+    normalized EmbeddingMatrix (NotNormalized otherwise) with a row for
+    every ranked query id (MissingEmbedding otherwise).
     """
     pos, active = np.asarray(pos), np.asarray(active)
     if pos.shape != (len(ranking),) or active.shape != (len(ranking),):
@@ -115,15 +119,18 @@ def detect_conflicts(
         raise PointerOutOfBounds(
             f"query {ranking.query_ids[row]}: pointer {pos[row]} outside its list of {ranking.k}"
         )
+    if query_embeddings is not None and not (
+            isinstance(query_embeddings, EmbeddingMatrix) and query_embeddings.normalized):
+        raise NotNormalized("query embeddings must be a normalized EmbeddingMatrix")
     gate = policy.similarity_gate
     if gate is not None:
         if query_embeddings is None:
             raise InvalidConfig("similarity_gate requires query embeddings")
-        outside = (ranking.query_ids < 0) | (ranking.query_ids >= len(query_embeddings))
+        outside = (ranking.query_ids < 0) | (ranking.query_ids >= query_embeddings.rows)
         if outside.any():
             raise MissingEmbedding(
                 f"query {ranking.query_ids[outside][0]} has no embedding; "
-                f"the query embeddings hold {len(query_embeddings)} rows"
+                f"the query embeddings hold {query_embeddings.rows} rows"
             )
     window = pos[live, None] + np.arange(policy.depth)
     inside = window < ranking.k
@@ -151,7 +158,7 @@ def detect_conflicts(
 def resolve(
     ranking: Ranking,
     policy: ResolutionPolicy = ResolutionPolicy(),
-    query_embeddings: np.ndarray | None = None,
+    query_embeddings: EmbeddingMatrix | None = None,
 ) -> Resolution:
     """Iterate conflict rounds to a fixpoint and return final assignments.
 

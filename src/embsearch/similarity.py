@@ -1,6 +1,8 @@
 """Exact batched cosine similarity and deterministic top-k retrieval.
 
-Inputs must be unit-normalized so the dense product is cosine similarity.
+Inputs must be normalized EmbeddingMatrix objects, whose constructor checks
+that every row is a finite unit row, so the dense product is cosine
+similarity and every score lies in [-1, 1] up to rounding.
 Ties are always broken toward the lower gallery id, which makes ranked
 lists reproducible bit-for-bit across runs.
 
@@ -13,11 +15,6 @@ ordered by (-score, gallery id). This reads each score twice (chunk maxima,
 then the floor comparison) and partitions only the ~4k maxima, never a whole
 row. Beyond the score matrix and the returned ranking, its working memory is
 O(BLOCK_SCORES), i.e. O(block rows x n_gallery), never O(n_queries x n_gallery).
-
-similarity_matrix proves finiteness from its inputs when it can: no dot
-product of d terms can exceed d * max|q| * max|g|. Only when that bound does
-not rule out overflow, or an input holds NaN or inf, does it scan the scores
-block by block.
 
 Ranked lists are held as one columnar Ranking: ascending query ids and
 (n_queries, k) arrays of gallery ids and scores. Every query's list has the
@@ -36,21 +33,14 @@ from .errors import (
     DimensionMismatch,
     InvalidRanking,
     KOutOfRange,
-    NonFiniteValue,
     NotNormalized,
     ParseError,
 )
 
-# Scores examined at once (1 MB of float32) by top_k and by the fallback
-# finiteness scan of similarity_matrix: a block holds
+# Scores examined at once (1 MB of float32) by top_k: a block holds
 # max(1, BLOCK_SCORES // n_gallery) query rows, which bounds working memory
 # independently of n_queries and keeps each block cache-sized.
 BLOCK_SCORES = 1 << 18
-
-# Below 2**22 terms, float32 rounding grows a dot product's magnitude by
-# less than (1 + 2**-24)**(2**22) < 2 over the exact sum of |terms|
-_MAX_PROVEN_DIM = 1 << 22
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # int64 range: ids outside it cannot be stored in a Ranking
 _INT64 = range(-(1 << 63), 1 << 63)
@@ -111,41 +101,13 @@ class Ranking:
         return len(self.query_ids)
 
 
-def _abs_max(a: np.ndarray) -> float:
-    """max |a|, NaN if a holds one (numpy's max and min propagate NaN)."""
-    return float(np.maximum(a.max(), -a.min()))
-
-
-def _scores_bounded(q: np.ndarray, g: np.ndarray) -> bool:
-    """Whether every entry of the float32 product q @ g.T is provably finite.
-
-    Each entry sums d products of magnitude at most max|q| * max|g|, so it
-    stays below 2 * d * max|q| * max|g| after rounding. False when an input
-    is empty or not float32, holds NaN or inf, or the bound reaches
-    float32's maximum.
-    """
-    d = q.shape[1]
-    if not (q.dtype == g.dtype == np.float32 and q.size and g.size and d < _MAX_PROVEN_DIM):
-        return False
-    # a NaN or inf maximum makes the comparison False
-    return 2.0 * d * _abs_max(q) * _abs_max(g) < _FLOAT32_MAX
-
-
 def similarity_matrix(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.ndarray:
     """Dense n_queries x n_gallery cosine score matrix (float32)."""
     if not queries.normalized or not gallery.normalized:
         raise NotNormalized("similarity_matrix requires normalized inputs")
     if queries.dim != gallery.dim:
         raise DimensionMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
-    sims = queries.data @ gallery.data.T
-    if _scores_bounded(queries.data, gallery.data):
-        return sims
-    # per block, so the check never holds an n x n boolean mask
-    step = _block_rows(sims.shape[1])
-    for lo in range(0, len(sims), step):
-        if not np.isfinite(sims[lo:lo + step]).all():
-            raise NonFiniteValue("similarity matrix contains non-finite entries")
-    return sims
+    return queries.data @ gallery.data.T
 
 
 def top_k(sims: np.ndarray, k: int) -> Ranking:
@@ -276,8 +238,9 @@ def _load_columns(text: str, lines: list[str]) -> list[np.ndarray] | None:
 
     It reads the same lines, so line boundaries agree. It runs only on text
     where its grammar is known to be no wider than _parse_columns':
-    - ASCII only: its integer parser turns some non-ASCII letters into
-      digit values ('\u01fe' reads as 462);
+    - non-ASCII characters only on '#' lines, which both skip: its integer
+      parser turns some non-ASCII letters into digit values ('\u01fe' reads
+      as 462). Lines are scanned only when the text is not all ASCII;
     - no '\x1f', which it strips around a number and Python's int does not;
     - every '#' starts a line: it drops an inline '#...' tail.
     Whatever it rejects or warns about (an empty body, '1_0', whitespace-only
@@ -285,8 +248,9 @@ def _load_columns(text: str, lines: list[str]) -> list[np.ndarray] | None:
     DeprecationWarning) returns None, which leaves the file to
     _parse_columns.
     """
-    if not (text.isascii() and "\x1f" not in text
-            and text.count("#") == text.count("\n#") + text.startswith("#")):
+    if not ("\x1f" not in text
+            and text.count("#") == text.count("\n#") + text.startswith("#")
+            and (text.isascii() or all(line.isascii() or line[:1] == "#" for line in lines))):
         return None
     try:
         with warnings.catch_warnings():

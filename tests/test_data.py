@@ -18,10 +18,12 @@ from embsearch.errors import (
     MissingFile,
     MissingGroundTruth,
     NonFiniteValue,
+    NotNormalized,
     ParseError,
     PipelineError,
     ZeroVector,
 )
+from conftest import unit_rows
 
 
 def write_manifest_fixture(tmp_path, dim=8, n_query=4, n_gallery=4, gt=None):
@@ -79,6 +81,26 @@ class TestManifest:
         captured = capsys.readouterr()
         error = captured.err.removeprefix("data error: ").strip()
         assert captured.out == f"FAIL  manifest  ({error})\n"
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_name_holding_a_line_break(self, tmp_path, capsys, brk):
+        """The name becomes a `# dataset=` line and the report's `dataset:`
+        line, so a line break in it is refused where the manifest is read."""
+        path = write_manifest_fixture(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["name"] = f"x{brk}7\t1\t9\t0.9"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidConfig, match="^dataset name .* holds a line break$"):
+            data.load_manifest(path)
+        assert run(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        error = captured.err.removeprefix("data error: ").strip()
+        assert captured.out == f"FAIL  manifest  ({error})\n"
+        # gen-synth refuses the name before it writes a data set no stage can read
+        assert run(["gen-synth", "--out", str(tmp_path / "ds"), "--seed", "1", "--n", "4",
+                    "--name", doc["name"]]) == 2
+        assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("dim", 8.0), ("dim", True), ("dim", "8"), ("query_count", 4.0),
@@ -209,6 +231,57 @@ class TestNormalize:
         np.testing.assert_allclose(twice.data, once.data, atol=1e-7)
 
 
+class TestEmbeddingMatrix:
+    """normalized=True is checked when the matrix is built."""
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1 - 2e-5, 1 + 2e-5, 1e19, 1e37])
+    def test_non_unit_row_is_named(self, scale):
+        # a non-finite row raises NonFiniteValue: see test_non_finite_row_is_named
+        rows = unit_rows(4, 3, np.random.default_rng(1)).astype(np.float32)
+        rows[1] *= scale
+        with pytest.raises(NotNormalized, match="^row 1 has norm .+, not 1 within 1e-05$"):
+            data.EmbeddingMatrix(rows, normalized=True)
+        assert data.EmbeddingMatrix(rows).data is rows  # unflagged rows are not checked
+
+    def test_rows_within_the_tolerance_pass(self):
+        rows = np.array([[1 + 0.9e-5, 0.0], [0.0, 1 - 0.9e-5]], dtype=np.float64)
+        data.EmbeddingMatrix(rows, normalized=True)
+
+    def test_first_offending_row_picks_the_error(self):
+        rows = np.eye(3, dtype=np.float32)
+        rows[1], rows[2] = 2.0, math.nan
+        with pytest.raises(NotNormalized, match="^row 1 "):
+            data.EmbeddingMatrix(rows, normalized=True)
+        rows[0, 0] = math.inf
+        with pytest.raises(NonFiniteValue, match="^row 0 "):
+            data.EmbeddingMatrix(rows, normalized=True)
+
+    def test_frozen(self):
+        m = data.l2_normalize(data.EmbeddingMatrix(np.ones((2, 2), dtype=np.float32)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.normalized = False
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arr=arrays(
+            np.float32,
+            st.tuples(st.integers(1, 6), st.integers(1, 40)),
+            elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_formers_pass_the_check(self, arr, seed):
+        """l2_normalize and apply_adapter build their normalized matrices
+        through the check, at any magnitude of the input rows."""
+        try:
+            unit = data.l2_normalize(data.EmbeddingMatrix(arr))
+            w = np.random.default_rng(seed).standard_normal((arr.shape[1],) * 2)
+            objective.apply_adapter(unit, objective.AdapterParams(w, w), "text")
+        except ZeroVector:
+            return
+        assert unit.normalized
+
+
 def _train_on(rows):
     images = np.random.default_rng(1).standard_normal(rows.shape).astype(np.float32)
     objective.train_adapter(data.EmbeddingMatrix(rows.astype(np.float32)),
@@ -219,7 +292,10 @@ def _train_on(rows):
 def _gate_on(rows):
     lists = similarity.Ranking(np.arange(4), np.full((4, 1), 5), [[0.9], [0.8], [0.7], [0.6]])
     policy = resolver.ResolutionPolicy(similarity_gate=0.5)
-    resolver.resolve(lists, policy, rows.astype(np.float32))
+    with np.errstate(invalid="ignore"):  # inf / inf leaves the bad row NaN
+        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    # the gate takes a normalized matrix, whose constructor names the row
+    resolver.resolve(lists, policy, data.EmbeddingMatrix(unit.astype(np.float32), normalized=True))
 
 
 def _matrix(rows):
@@ -231,8 +307,8 @@ def _batch(rows):
     return objective.Batch(image_embeddings=images, text_embeddings=rows)
 
 
-# every function that forms unit rows, called on 4 rows of dim 3; each
-# names the offending row (the gate names its query id, here the same)
+# every function that forms or takes unit rows, called on 4 rows of dim 3;
+# each names the offending row
 UNIT_ROW_FORMERS = {
     "l2_normalize": lambda rows: data.l2_normalize(_matrix(rows)),
     "apply_adapter": lambda rows: objective.apply_adapter(
@@ -249,11 +325,11 @@ UNIT_ROW_FORMERS = {
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("former", UNIT_ROW_FORMERS)
 def test_non_finite_row_is_named(former, bad):
-    """A unit row is finite by construction: _normalize_rows rejects the rest."""
+    """A unit row is finite by construction: _normalize_rows, or the
+    constructor of a normalized EmbeddingMatrix, rejects the rest."""
     rows = np.random.default_rng(0).standard_normal((4, 3))
     rows[2, 1] = bad
-    what = "query" if former == "resolve-gate" else "row"
-    with pytest.raises(NonFiniteValue, match=f"^{what} 2 has a non-finite norm$"):
+    with pytest.raises(NonFiniteValue, match="^row 2 has a non-finite norm$"):
         UNIT_ROW_FORMERS[former](rows)
 
 

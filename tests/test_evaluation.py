@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from embsearch import data, evaluation, resolver, similarity
 from embsearch.errors import (
-    EmptyList, KExceedsDepth, MismatchedRuns, MissingGroundTruth, ParseError,
+    EmptyList, InvalidConfig, KExceedsDepth, MismatchedRuns, MissingGroundTruth, ParseError,
 )
 from rankings import ranking
 
@@ -183,6 +183,20 @@ class TestReportIO:
         path.write_text(path.read_text().replace("recall@5: 1", f"recall@5: {recall}"))
         with pytest.raises(ParseError, match=rf"recall@5 must be in \[0, 1\], got {recall}"):
             evaluation.read_report(path)
+
+    @pytest.mark.parametrize("field", ["dataset", "config"])
+    def test_line_break_in_a_value_is_refused(self, tmp_path, field):
+        # `embsearch eval` copies the ranked file's name into config.source,
+        # and the last of two recall@1 lines is the one read back
+        text = "r\nrecall@1: 1"
+        report = evaluation.EvalReport("d", [1], {1: 0.25}, 4, config={"source": "r.tsv"})
+        if field == "dataset":
+            report.dataset = text
+        else:
+            report.config["source"] = text
+        with pytest.raises(InvalidConfig, match="^report line .* holds a line break$"):
+            evaluation.write_report(tmp_path / "r.txt", report)
+        assert not (tmp_path / "r.txt").exists()
 
     def test_fixed_field_order(self, tmp_path):
         report = evaluation.EvalReport("d", [1], {1: 1.0}, 2, config={"b": 1, "a": 2})

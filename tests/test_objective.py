@@ -336,6 +336,15 @@ class TestHardNegativeSampling:
         assert new[0].tolist() == [2, 2, 0]
         assert new[1].tolist() == [1, 0, 1]
 
+    def test_uniform_beyond_a_rounded_cdf_end_stays_in_the_row(self):
+        # Generator.random can return 1 - 2**-53, which is where the rounded
+        # CDF of image row 1 ends here: every column's CDF is <= u, so the
+        # inversion alone would pick n
+        probs = np.random.default_rng(0).random((4, 4))
+        neg_t, neg_i = sample_hard_negatives(probs, probs, FixedUniforms([1 - 2**-53] * 8))
+        # each row's last column with mass: its own diagonal is zeroed
+        assert neg_t.tolist() == neg_i.tolist() == [3, 3, 3, 2]
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -10,8 +10,8 @@ from embsearch.errors import (
     EmptyList,
     InvalidConfig,
     InvalidRanking,
+    NotNormalized,
     PointerOutOfBounds,
-    ZeroVector,
 )
 from embsearch.resolver import (
     ResolutionPolicy,
@@ -23,11 +23,17 @@ from embsearch.resolver import (
     write_resolution,
 )
 from assignment_oracle import TooLarge, assignment_oracle
+from deferred_acceptance import deferred_acceptance
 from rankings import ranking, resolved, rows_of
 
 
 def rl(qid, *pairs):
     return (qid, [(g, float(s)) for g, s in pairs])
+
+
+def unit_matrix(rows):
+    """The normalized EmbeddingMatrix of rows, as the gate takes it."""
+    return data.l2_normalize(data.EmbeddingMatrix(np.asarray(rows, dtype=np.float32)))
 
 
 def reference_detect_conflicts(lists, policy, positions, query_embeddings=None, frozen=None):
@@ -168,11 +174,11 @@ class TestDetectConflicts:
     def test_similarity_gate_filters_groups(self):
         lists = ranking([rl(0, (4, 0.9)), rl(1, (4, 0.8))])
         # orthogonal query texts: gate excludes the group
-        emb = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+        emb = unit_matrix([[1.0, 0.0], [0.0, 1.0]])
         policy = ResolutionPolicy(similarity_gate=0.5)
         assert detect_groups(lists, policy, {0: 0, 1: 0}, query_embeddings=emb) == []
         # near-parallel texts: group survives
-        emb2 = np.array([[1.0, 0.0], [0.99, 0.1]], dtype=np.float32)
+        emb2 = unit_matrix([[1.0, 0.0], [0.99, 0.1]])
         groups = detect_groups(lists, policy, {0: 0, 1: 0}, query_embeddings=emb2)
         assert len(groups) == 1
 
@@ -191,12 +197,19 @@ class TestDetectConflicts:
             detect_groups(lists, policy, {0: 0, 1: 0})
 
     def test_gate_rejects_zero_query_row(self):
-        # the zero row is query 5's, second in its group
+        # a zero row cannot be flagged normalized, and the gate takes no
+        # other embeddings: a raw array or an unflagged matrix is refused
         lists = ranking([rl(3, (4, 0.9)), rl(5, (4, 0.8))])
         emb = np.zeros((6, 2), dtype=np.float32)
         emb[3] = [1.0, 0.0]
-        with pytest.raises(ZeroVector, match="^query 5 has norm"):
-            resolve(lists, ResolutionPolicy(similarity_gate=0.5), emb)
+        with pytest.raises(NotNormalized, match="^row 0 has norm 0, not 1 within 1e-05$"):
+            data.EmbeddingMatrix(emb, normalized=True)
+        for raw in (emb, data.EmbeddingMatrix(emb)):
+            for policy in (ResolutionPolicy(similarity_gate=0.5), ResolutionPolicy()):
+                with pytest.raises(NotNormalized, match="normalized EmbeddingMatrix$"):
+                    resolve(lists, policy, raw)
+                with pytest.raises(NotNormalized, match="normalized EmbeddingMatrix$"):
+                    detect_conflicts(lists, policy, np.zeros(2, np.int64), np.ones(2, bool), raw)
 
 
 class TestResolve:
@@ -323,7 +336,7 @@ class TestAgainstReference:
         # scores on a 0.1 grid tie often, within and across queries
         sims = np.round(rng.random((n, n_gallery)), 1).astype(np.float32)
         lists = similarity.top_k(sims, k)
-        embeddings = rng.standard_normal((n, 3)).astype(np.float32)
+        embeddings = unit_matrix(rng.standard_normal((n, 3)))
         policy = ResolutionPolicy(depth=depth, max_rounds=cap, similarity_gate=gate)
         assert_same_resolution(
             lists, resolve(lists, policy, embeddings),
@@ -359,7 +372,7 @@ class TestAgainstReference:
         positions = {q: int(rng.integers(k)) for q in range(n) if rng.random() < 0.8}
         frozen = {q for q in range(n) if rng.random() < 0.2}
         gate = data_.draw(st.sampled_from([None, 0.0, 0.5]))
-        embeddings = rng.standard_normal((n, 3)).astype(np.float32)
+        embeddings = unit_matrix(rng.standard_normal((n, 3)))
         policy = ResolutionPolicy(depth=data_.draw(st.integers(1, k)), similarity_gate=gate)
         assert detect_groups(lists, policy, positions, embeddings, frozen) == (
             reference_detect_conflicts(rows_of(lists), policy, positions, embeddings, frozen)
@@ -456,6 +469,56 @@ class TestRoundCap:
         assert res.converged == (max_rounds is not None)
         assert len(calls) == res.rounds + 1
         assert len(calls[-1][3]) - 1 == res.live_conflicts
+
+
+def tied_rankings(seed, n, data_):
+    """Top-k lists on a 0.1 score grid, so scores tie within and across
+    queries, under ascending query ids that are not row numbers."""
+    rng = np.random.default_rng(seed)
+    n_gallery = data_.draw(st.integers(1, 14))
+    sims = np.round(rng.random((n, n_gallery)), 1).astype(np.float32)
+    lists = similarity.top_k(sims, data_.draw(st.integers(1, n_gallery)))
+    qids = np.sort(rng.choice(4 * n, n, replace=False))
+    return similarity.Ranking(qids, lists.ids, lists.scores)
+
+
+class TestDeferredAcceptance:
+    """At depth 1, resolve is query-proposing deferred acceptance over the
+    ranked lists: a gallery item prefers the higher score, then the lower
+    query id. With a cap of n * k rounds it always converges, since every
+    round with a conflict advances or retires a query."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 29), data_=st.data())
+    def test_equals_the_sequential_reference(self, seed, n, data_):
+        lists = tied_rankings(seed, n, data_)
+        res = resolve(lists, ResolutionPolicy(max_rounds=n * lists.k))
+        assert res.converged
+        pointers, unresolved = deferred_acceptance(lists)
+        assert res.ranks.tolist() == pointers
+        assert res.unresolved.tolist() == unresolved
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 29), data_=st.data())
+    def test_no_blocking_pair(self, seed, n, data_):
+        """No query prefers an entry that is free or held by a query with a
+        lower (score, -query id) claim on it; an unresolved query prefers
+        every entry of its list."""
+        lists = tied_rankings(seed, n, data_)
+        res = resolve(lists, ResolutionPolicy(max_rounds=n * lists.k))
+        assert res.converged
+        resolved_rows = np.flatnonzero(~np.isin(lists.query_ids, res.unresolved))
+        holder = {int(lists.ids[r, res.ranks[r]]): r for r in resolved_rows.tolist()}
+        assert len(holder) == len(resolved_rows)  # one query per held answer
+
+        def claim(row, col):
+            return lists.scores[row, col], -lists.query_ids[row]
+
+        for row in range(len(lists)):
+            preferred = res.ranks[row] if row in holder.values() else lists.k
+            for col in range(preferred):
+                held = holder.get(int(lists.ids[row, col]))
+                assert held is not None and claim(held, res.ranks[held]) > claim(row, col)
 
 
 class TestAssignmentOracle:

@@ -5,12 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, similarity
 from embsearch.errors import (
     DimensionMismatch,
+    InvalidConfig,
     InvalidRanking,
     KOutOfRange,
     NonFiniteValue,
@@ -111,8 +112,8 @@ class TestSimilarityMatrix:
             similarity.similarity_matrix(raw, raw)
 
     def test_dim_mismatch(self):
-        q = norm_matrix(np.ones((1, 2)))
-        g = norm_matrix(np.ones((1, 3)))
+        q = norm_matrix([[1.0, 0.0]])
+        g = norm_matrix([[1.0, 0.0, 0.0]])
         with pytest.raises(DimensionMismatch):
             similarity.similarity_matrix(q, g)
 
@@ -354,17 +355,17 @@ class TestTopKBlocks:
 
 
 class TestSimilarityMatrixFinite:
-    """The finiteness check runs per block of query rows."""
+    """Scores are finite because the inputs are: a normalized EmbeddingMatrix
+    rejects a non-finite or non-unit row when it is built, so
+    similarity_matrix neither proves nor scans anything."""
 
     @pytest.mark.parametrize("row", [0, 3, 4, 6])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_any_block_raises(self, rows_per_block, row, bad):
-        rng = np.random.default_rng(13)
-        q = unit_rows(7, 4, rng).astype(np.float32)
+    def test_any_block_raises(self, row, bad):
+        q = unit_rows(7, 4, np.random.default_rng(13)).astype(np.float32)
         q[row, 1] = bad
-        rows_per_block(2, 5)
-        with pytest.raises(NonFiniteValue):
-            similarity.similarity_matrix(norm_matrix(q), norm_matrix(unit_rows(5, 4, rng)))
+        with pytest.raises(NonFiniteValue, match=f"^row {row} has a non-finite norm$"):
+            norm_matrix(q)
 
     def test_working_memory_stays_below_a_mask(self):
         rng = np.random.default_rng(14)
@@ -376,8 +377,8 @@ class TestSimilarityMatrixFinite:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # an n x n boolean mask alone would be nbytes // 4
-        assert peak - sims.nbytes < sims.nbytes // 8
+        # one block's boolean mask of a score scan would be about 256 KB
+        assert peak - sims.nbytes < sims.nbytes // 64
 
     @pytest.mark.parametrize("side", ["query", "gallery"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -385,41 +386,17 @@ class TestSimilarityMatrixFinite:
         rng = np.random.default_rng(15)
         q, g = unit_rows(6, 4, rng), unit_rows(5, 4, rng)
         (q if side == "query" else g)[2, 3] = bad
-        with pytest.raises(NonFiniteValue):
-            similarity.similarity_matrix(norm_matrix(q), norm_matrix(g))
+        norm_matrix(q if side == "gallery" else g)
+        with pytest.raises(NonFiniteValue, match="^row 2 has a non-finite norm$"):
+            norm_matrix(q if side == "query" else g)
 
     @pytest.mark.parametrize("q_scale, g_scale", [(1e20, 1e20), (1e37, 1e3)])
     def test_finite_inputs_whose_products_overflow_raise(self, q_scale, g_scale):
-        # flagged normalized but scaled: the input bound proves nothing, so
-        # the scan runs and finds the overflowed scores
+        # scaled rows cannot be flagged normalized, so no product overflows
         rng = np.random.default_rng(16)
-        q = norm_matrix(unit_rows(6, 4, rng) * q_scale)
-        g = norm_matrix(unit_rows(5, 4, rng) * g_scale)
-        assert np.isfinite(q.data).all() and np.isfinite(g.data).all()
-        with pytest.raises(NonFiniteValue), np.errstate(over="ignore"):
-            similarity.similarity_matrix(q, g)
-
-    def test_large_finite_scores_pass_the_scan(self):
-        # 2 * d * max|q| * max|g| passes float32's maximum, yet every
-        # score is at most 1e38
-        rng = np.random.default_rng(17)
-        q = norm_matrix(unit_rows(6, 4, rng) * 1e19)
-        g = norm_matrix(unit_rows(5, 4, rng) * 1e19)
-        sims = similarity.similarity_matrix(q, g)
-        assert sims.tobytes() == (q.data @ g.data.T).tobytes()
-
-    def test_bounded_inputs_skip_the_scan(self):
-        rng = np.random.default_rng(18)
-        q = norm_matrix(unit_rows(1500, 8, rng))
-        g = norm_matrix(unit_rows(1500, 8, rng))
-        tracemalloc.start()
-        try:
-            sims = similarity.similarity_matrix(q, g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one block's boolean mask of the scan would be about 256 KB
-        assert peak - sims.nbytes < sims.nbytes // 64
+        for rows, scale in ((unit_rows(6, 4, rng), q_scale), (unit_rows(5, 4, rng), g_scale)):
+            with pytest.raises(NotNormalized, match="^row 0 has norm .+, not 1 within 1e-05$"):
+                norm_matrix(rows * scale)
 
 
 class TestRanking:
@@ -599,6 +576,12 @@ QUIRKY_SCORES = st.one_of(SCORE_TEXT, st.sampled_from([
 # lines both parsers skip, or (the last two) reject
 LOOSE_LINES = ["", "   ", "\t", " \t ", "#", "# k=3", "#\tx\ty", "\xa0", "\u3000 ", "0\t1\t5",
                "\ufeff# k=3"]
+# comment text, mostly non-ASCII; the fast path reads a file whose every
+# non-ASCII character lies on a '#' line
+COMMENT_TEXT = st.one_of(
+    st.sampled_from([" dataset=caf\u00e9", "\u01fe", " \U0001f600\t\u0661", "\xa0=\u3000"]),
+    st.text(max_size=6),
+)
 # every line boundary of str.splitlines
 LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
              "\u2029"]
@@ -666,6 +649,9 @@ class TestReadFastPath:
         lines = ["\t".join(fields) for _, fields in rows]
         for _ in range(draw(st.integers(0, 2))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(LOOSE_LINES)))
+        for _ in range(draw(st.integers(0, 2))):
+            # comment text of any characters, line boundaries included
+            lines.insert(draw(st.integers(0, len(lines))), "#" + draw(COMMENT_TEXT))
         odd_ends = draw(st.booleans())
         text = "".join(line + (draw(st.sampled_from(LINE_ENDS)) if odd_ends else "\n")
                        for line in lines)
@@ -685,14 +671,18 @@ class TestReadFastPath:
 
     @pytest.mark.parametrize("text, fast", [
         ("# k=2\n0\t1\t5\t0.5\n\n0\t2\t6\t0.25\t2\n", True),
-        ("# name=caf\u00e9\n0\t1\t5\t0.5\n", False),
+        ("# name=caf\u00e9\n0\t1\t5\t0.5\n", True),
+        ("0\t1\t5\t0.5\n#\u01fe\t\u0661\n", True),
+        ("0\t1\t5\t0.5\t\u00e9\n", False),
+        ("#c\r0\t1\t\u01fe\t0.5\n", False),
         ("0\t1\t5\t0.5\x1f\n", False),
         ("0\t1\t\x1f5\t0.5\n", False),
         ("0\t1\t\u01fe\t0.5\n", False),
         ("0\t1\t5\t0.5\t1#x\n", False),
         ("0\t1\t5\t0.5\n   \n", False),
         ("# k=2\n", False),
-    ], ids=["clean", "non-ascii-comment", "unit-separator-after-score",
+    ], ids=["clean", "non-ascii-comment", "non-ascii-last-comment", "non-ascii-extra-field",
+            "non-ascii-after-a-carriage-return", "unit-separator-after-score",
             "unit-separator-before-id", "non-ascii-letter-id", "inline-hash-in-extra-field",
             "whitespace-only-line", "no-body"])
     def test_fast_path_runs_where_the_grammars_agree(self, tmp_path, text, fast):
@@ -741,6 +731,26 @@ class TestRankedListIO:
             # 9 significant digits round-trip float32 exactly
             for (_, sa), (_, sb) in zip(a, b):
                 assert np.float32(sa) == np.float32(sb)
+
+    @settings(deadline=None)
+    @given(key=st.text(max_size=4), value=st.text(max_size=12))
+    @example(key="dataset", value="x\n7\t1\t9\t0.9")  # would add a query 7
+    def test_meta_text_raises_or_reads_back(self, tmp_path_factory, key, value):
+        """A meta line cannot inject lines: text holding a line break, as
+        str.splitlines finds one, raises before the file is opened; any other
+        text reads back as the same ranking."""
+        lists = ranking([(0, [(4, 0.5), (6, 0.25)]), (3, [(6, 0.75), (1, 0.125)])])
+        path = tmp_path_factory.mktemp("meta") / "ranked.tsv"
+        line = f"# {key}={value}"
+        if any(end in line for end in LINE_ENDS):
+            with pytest.raises(InvalidConfig, match="holds a line break$"):
+                similarity.write_ranked_lists(path, lists, meta={key: value})
+            assert not path.exists()
+            return
+        similarity.write_ranked_lists(path, lists, meta={key: value})
+        back = similarity.read_ranked_lists(path)
+        assert rows_of(back) == rows_of(lists)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == line
 
     def test_write_is_deterministic(self, tmp_path):
         sims = np.random.default_rng(10).random((3, 4)).astype(np.float32)

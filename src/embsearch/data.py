@@ -188,15 +188,17 @@ def _read_text(path: str | Path, what: str) -> str:
         raise ParseError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
-def _json_int(value, name: str) -> int:
-    if type(value) is not int:  # a bool is an int subclass: not isinstance
-        raise ValueError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+def _json_field(value, name: str, kind: type = int):
+    if type(value) is not kind:  # a bool is an int subclass: not isinstance
+        kind_name = "string" if kind is str else "integer"
+        raise ValueError(f"{name} must be a JSON {kind_name}, got {json.dumps(value)}")
     return value
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse and fully validate a dataset manifest, including file sizes;
-    an integer field that holds no JSON integer raises ParseError naming it.
+    an integer field that holds no JSON integer, or a name that is no JSON
+    string, raises ParseError naming the field.
     A query id outside [0, query_count) or listed twice in ground_truth raises
     GroundTruthOutOfRange; the array stops at the first query not listed."""
     path = Path(path)
@@ -206,16 +208,16 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
 
     try:
-        pairs = np.array([(_json_int(q, "ground_truth"), _json_int(g, "ground_truth"))
+        pairs = np.array([(_json_field(q, "ground_truth"), _json_field(g, "ground_truth"))
                           for q, g in raw["ground_truth"]], dtype=np.int64).reshape(-1, 2)
         parsed = dict(
-            name=str(raw["name"]),
-            dim=_json_int(raw["dim"], "dim"),
-            query_count=_json_int(raw["query_count"], "query_count"),
-            gallery_count=_json_int(raw["gallery_count"], "gallery_count"),
+            name=_json_field(raw["name"], "name", str),
+            dim=_json_field(raw["dim"], "dim"),
+            query_count=_json_field(raw["query_count"], "query_count"),
+            gallery_count=_json_field(raw["gallery_count"], "gallery_count"),
             query_path=(path.parent / raw["query_path"]).resolve(),
             gallery_path=(path.parent / raw["gallery_path"]).resolve(),
-            seed=None if raw.get("seed") is None else _json_int(raw["seed"], "seed"),
+            seed=None if raw.get("seed") is None else _json_field(raw["seed"], "seed"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"manifest {path} has a malformed field: {exc}") from exc
@@ -306,20 +308,20 @@ def load_embeddings(manifest: DatasetManifest, split: str) -> EmbeddingMatrix:
     return EmbeddingMatrix(data=arr, normalized=False)
 
 
-def _normalize_rows(rows: np.ndarray, ids=None, what="row") -> tuple[np.ndarray, np.ndarray]:
+def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Divide the rows of a caller-owned float64 array by their L2 norms in
     place; returns (rows, norms). The one finiteness check of the package's
     unit rows: the first row whose norm is <= ZERO_NORM_THRESHOLD raises
     ZeroVector, or whose norm is not finite (a NaN or inf entry)
-    NonFiniteValue, naming `what` and the row's index (or entry of ids)."""
+    NonFiniteValue, naming the row's index."""
     norms = np.linalg.norm(rows, axis=1)
     # NaN fails both comparisons
     bad = np.flatnonzero(~((norms > ZERO_NORM_THRESHOLD) & (norms < np.inf)))
     if bad.size:
-        row = int(bad[0]) if ids is None else ids[bad[0]]
-        if norms[bad[0]] <= ZERO_NORM_THRESHOLD:
-            raise ZeroVector(f"{what} {row} has norm <= {ZERO_NORM_THRESHOLD}")
-        raise NonFiniteValue(f"{what} {row} has a non-finite norm")
+        row = int(bad[0])
+        if norms[row] <= ZERO_NORM_THRESHOLD:
+            raise ZeroVector(f"row {row} has norm <= {ZERO_NORM_THRESHOLD}")
+        raise NonFiniteValue(f"row {row} has a non-finite norm")
     rows /= norms[:, None]
     return rows, norms
 

@@ -125,21 +125,24 @@ def write_report(path: str | Path, report: EvalReport) -> None:
 
 
 def read_report(path: str | Path) -> EvalReport:
-    """Parse a report file; each k_values entry needs a recall@k line in [0, 1]."""
+    """Parse a report file; a key or a k_values entry given twice raises
+    ParseError, and each k_values entry needs a recall@k line in [0, 1]."""
     fields: dict[str, str] = {}
-    config: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(path, "report file").splitlines(), 1):
         if not line.strip():
             continue
         if ": " not in line:
             raise ParseError(f"{path}:{lineno}: expected 'key: value'")
         key, value = line.split(": ", 1)
-        if key.startswith("config."):
-            config[key[len("config."):]] = value
-        else:
-            fields[key] = value
+        if key in fields:
+            raise ParseError(f"{path}:{lineno}: {key} given twice")
+        fields[key], linenos[key] = value, lineno
     try:
         k_values = [int(k) for k in fields["k_values"].split(",")]
+        twice = [k for i, k in enumerate(k_values) if k in k_values[:i]]
+        if twice:
+            raise ParseError(f"{path}:{linenos['k_values']}: k_values gives {twice[0]} twice")
         recall = {k: float(fields[f"recall@{k}"]) for k in k_values}
         for k, value in recall.items():
             if not 0.0 <= value <= 1.0:  # NaN fails the comparison
@@ -149,7 +152,8 @@ def read_report(path: str | Path) -> EvalReport:
             k_values=k_values,
             recall=recall,
             n_queries=int(fields["n_queries"]),
-            config=config,
+            config={key[len("config."):]: value for key, value in fields.items()
+                    if key.startswith("config.")},
         )
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed field: {exc}") from exc

@@ -183,58 +183,42 @@ def write_ranked_lists(
     _write_table(path, meta, line, columns)
 
 
-def _parse_error(path, lines: list[str], body: list[int]) -> ParseError:
-    """The error for the first body line that cannot be parsed."""
-    for i in body:
-        parts = lines[i].split("\t")
-        if len(parts) < 4:
-            return ParseError(f"{path}:{i + 1}: expected at least 4 tab-separated fields")
-        try:
-            values = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-        except ValueError as exc:
-            return ParseError(f"{path}:{i + 1}: {exc}")
-        if any(v not in _INT64 for v in values[:3]):
-            return ParseError(f"{path}:{i + 1}: integer outside the int64 range")
-    return ParseError(f"{path}: malformed ranked-list file")
-
-
 def _body(lines: list[str]) -> list[int]:
     """Indices of the lines that hold entries: not blank, whitespace-only or '#'."""
     return [i for i, line in enumerate(lines) if line and line[0] != "#" and not line.isspace()]
 
 
-def _parse_columns(path, lines: list[str]) -> list[np.ndarray]:
-    """Query ids, ranks, gallery ids and scores of the body lines, in file
-    order, by Python's int and float per field: the grammar of the format.
-    A line that cannot be parsed raises ParseError."""
-    body = _body(lines)
-    if not body:
-        return [np.empty(0)] * 4
-    rows = [lines[i] for i in body]
-    tabs = [line.count("\t") for line in rows]
-    if min(tabs) < 3:
-        raise _parse_error(path, lines, body)
-    width = tabs[0] + 1
-    if max(tabs) != min(tabs):
-        rows, width = ["\t".join(line.split("\t", 4)[:4]) for line in rows], 4
-    # one split of the joined body, then Python's int and float per column
-    fields = "\t".join(rows).split("\t")
-    try:
-        return [np.array(list(map(int, fields[j::width])), dtype=np.int64) for j in range(3)] + [
-            np.array(list(map(float, fields[3::width])), dtype=np.float64)]
-    except (ValueError, OverflowError):
-        raise _parse_error(path, lines, body) from None
-
-
-# the four leading fields of a line, as numpy's C text reader returns them
+# the four leading fields of a line, as both parsers return them
 _LINE_FIELDS = np.dtype([
     ("query_id", np.int64), ("rank", np.int64), ("gallery_id", np.int64), ("score", np.float64),
 ])
 
 
+def _parse_columns(path, lines: list[str]) -> list[np.ndarray]:
+    """Query ids, ranks, gallery ids and scores of the body lines, in file
+    order, by Python's int and float per field: the grammar of the format.
+    It parses line by line and raises ParseError at the first line that
+    cannot be parsed."""
+    rows = []
+    for i in _body(lines):
+        parts = lines[i].split("\t")
+        if len(parts) < 4:
+            raise ParseError(f"{path}:{i + 1}: expected at least 4 tab-separated fields")
+        try:
+            values = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{i + 1}: {exc}") from None
+        if any(v not in _INT64 for v in values[:3]):
+            raise ParseError(f"{path}:{i + 1}: integer outside the int64 range")
+        rows.append(values)
+    table = np.array(rows, dtype=_LINE_FIELDS)
+    return [table[name] for name in _LINE_FIELDS.names]
+
+
 def _load_columns(text: str, lines: list[str]) -> list[np.ndarray] | None:
     r"""_parse_columns' result by numpy's C text reader, or None when that
-    reader could disagree with it.
+    reader could disagree with it. None leaves the file to _parse_columns,
+    the per-line parser that stops at the first bad line.
 
     It reads the same lines, so line boundaries agree. It runs only on text
     where its grammar is known to be no wider than _parse_columns':
@@ -245,8 +229,7 @@ def _load_columns(text: str, lines: list[str]) -> list[np.ndarray] | None:
     - every '#' starts a line: it drops an inline '#...' tail.
     Whatever it rejects or warns about (an empty body, '1_0', whitespace-only
     lines, an int64 overflow, a numpy that casts '1.0' to an int with a
-    DeprecationWarning) returns None, which leaves the file to
-    _parse_columns.
+    DeprecationWarning) returns None.
     """
     if not ("\x1f" not in text
             and text.count("#") == text.count("\n#") + text.startswith("#")
@@ -268,10 +251,11 @@ def read_ranked_lists(path: str | Path) -> Ranking:
     Lines are those of str.splitlines. Blank, whitespace-only and '#' lines
     are skipped; every other line holds at least four tab-separated fields,
     query id, rank and gallery id as Python's int() reads them (within int64)
-    and the score as float() reads it. That per-field parser defines the
-    grammar and every ParseError for a line that cannot be parsed; numpy's
-    C reader parses the file first, and its result is kept only when it can
-    agree with that parser (see _load_columns), else the parser runs.
+    and the score as float() reads it. numpy's C reader parses the file
+    first, and its result is kept only when it can agree with that grammar
+    (see _load_columns); else a per-line parser, which defines the grammar
+    and every ParseError for a line that cannot be parsed, reads the file
+    and stops at the first bad line.
 
     A query's rows may be interleaved with other queries' rows but come in
     rank order. Every query needs the same number of entries and no gallery

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import embsearch
-from embsearch import data, evaluation, objective, resolver
+from embsearch import data, evaluation, objective, resolver, similarity
 from embsearch.cli import run
 from embsearch.errors import InvalidConfig
 
@@ -394,6 +394,16 @@ class TestBenchmarkScript:
         before = stdout.index("recall@1: 0.4688")
         assert stdout.index("recall@1: 0.5312") > before
         assert "stopped at the round cap with 2 conflict group(s) still live" in stdout
+
+        # every ranked list the script writes is read by numpy's C reader,
+        # so the per-line parser is only a fallback for hand-edited files
+        ranked = sorted(name for name in script_files
+                        if name.endswith(".tsv") and name not in ("audit.tsv", "trace.tsv"))
+        assert ranked == ["heldout.tsv", "heldout_ft.tsv", "ranked.tsv", "ranked_ft.tsv",
+                          "resolved.tsv"]
+        for name in ranked:
+            text = script_files[name].decode("utf-8")
+            assert similarity._load_columns(text, text.splitlines()) is not None, name
 
     def test_readme_block_is_the_scripts_first_nine_commands(self, tmp_path, monkeypatch):
         """The README's claim that the script runs exactly its CLI block."""

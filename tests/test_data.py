@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,22 @@ class TestManifest:
         doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=f"{field} must be a JSON integer"):
+            data.load_manifest(path)
+        assert run(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        error = captured.err.removeprefix("data error: ").strip()
+        assert captured.out == f"FAIL  manifest  ({error})\n"
+
+    @pytest.mark.parametrize("value", [None, 5, 1.5, True, ["a"], {"a": 1}],
+                             ids=["null", "integer", "float", "bool", "list", "object"])
+    def test_name_holds_a_json_string(self, tmp_path, capsys, value):
+        """`search` copies the name into `# dataset=`; null loaded as "None"."""
+        path = write_manifest_fixture(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["name"] = value
+        path.write_text(json.dumps(doc))
+        message = f"name must be a JSON string, got {json.dumps(value)}"
+        with pytest.raises(ParseError, match=re.escape(message)):
             data.load_manifest(path)
         assert run(["validate", str(path)]) == 2
         captured = capsys.readouterr()

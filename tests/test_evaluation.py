@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,10 +186,31 @@ class TestReportIO:
         with pytest.raises(ParseError, match=rf"recall@5 must be in \[0, 1\], got {recall}"):
             evaluation.read_report(path)
 
+    @pytest.mark.parametrize("line", ["recall@1: 1", "dataset: e", "config.source: s.tsv",
+                                      "k_values: 1"])
+    def test_key_given_twice_is_rejected(self, tmp_path, line):
+        # a hand-edited or concatenated report; its last line used to win
+        path = tmp_path / "r.txt"
+        report = evaluation.EvalReport("d", [1], {1: 0.46875}, 32, config={"source": "r.tsv"})
+        evaluation.write_report(path, report)
+        path.write_text(path.read_text() + line + "\n")  # line 7
+        key = line.split(": ")[0]
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:7: {key} given twice$"):
+            evaluation.read_report(path)
+
+    @pytest.mark.parametrize("k_values, twice", [("1,1", 1), ("1,5,1", 1), ("5,1,5", 5)])
+    def test_cutoff_given_twice_is_rejected(self, tmp_path, k_values, twice):
+        path = tmp_path / "r.txt"
+        evaluation.write_report(path, evaluation.EvalReport("d", [1, 5], {1: 0.25, 5: 0.5}, 4))
+        path.write_text(path.read_text().replace("k_values: 1,5", f"k_values: {k_values}"))
+        message = f"^{re.escape(str(path))}:3: k_values gives {twice} twice$"
+        with pytest.raises(ParseError, match=message):
+            evaluation.read_report(path)
+
     @pytest.mark.parametrize("field", ["dataset", "config"])
     def test_line_break_in_a_value_is_refused(self, tmp_path, field):
         # `embsearch eval` copies the ranked file's name into config.source,
-        # and the last of two recall@1 lines is the one read back
+        # and a line break there would add a line of its own
         text = "r\nrecall@1: 1"
         report = evaluation.EvalReport("d", [1], {1: 0.25}, 4, config={"source": "r.tsv"})
         if field == "dataset":

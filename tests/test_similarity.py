@@ -526,6 +526,11 @@ class TestReadAgainstReference:
         with pytest.raises(ParseError) as got:
             similarity.read_ranked_lists(path)
         assert str(got.value) == str(want.value)
+        # again with the fast path off: the per-line parser reads the file alone
+        with (mock.patch.object(similarity, "_load_columns", return_value=None),
+              pytest.raises(ParseError) as alone):
+            similarity.read_ranked_lists(path)
+        assert str(alone.value) == str(want.value)
 
     @pytest.mark.parametrize("text, lineno", [
         ("0\t1\t5\t0.5\n0\t2\t6\t0.4\n1\t1\t7\t0.5\n", 3),
@@ -611,7 +616,7 @@ def read_outcome(read, path):
 
 class TestReadFastPath:
     """numpy's C reader parses ranked-list files where it agrees with the
-    per-field parser, which defines the grammar and every ParseError."""
+    per-line parser, which defines the grammar and every ParseError."""
 
     @settings(deadline=None)
     @given(

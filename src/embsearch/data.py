@@ -27,7 +27,7 @@ from .errors import (
 )
 
 ZERO_NORM_THRESHOLD = 1e-12
-# largest |norm - 1| of a row of a normalized EmbeddingMatrix
+# largest |norm - 1| of a row of an EmbeddingMatrix
 UNIT_NORM_TOLERANCE = 1e-5
 
 
@@ -76,17 +76,14 @@ def check_ground_truth(ground_truth: np.ndarray, n_queries: int, n_gallery: int)
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Dense row-major float32 matrix of embeddings, one vector per row.
-    normalized=True is checked: the first row whose float64 norm is not within
+    """Dense row-major float32 matrix of unit embeddings, one vector per row.
+    The constructor checks the rows: the first whose float64 norm is not within
     UNIT_NORM_TOLERANCE of 1 raises NonFiniteValue if it holds a NaN or inf
     entry, else NotNormalized, naming the row."""
 
     data: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
-        if not self.normalized:
-            return
         norms = np.sqrt(np.einsum("ij,ij->i", self.data, self.data, dtype=np.float64))
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE))  # NaN fails
         if bad.size:
@@ -118,7 +115,7 @@ class SynthConfig:
     seed: int = field(kw_only=True)
 
     def validate(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if self.n_identities < 1 or self.dim < 1:
             raise InvalidConfig("n_identities and dim must be >= 1")
         if self.confusable_fraction > 0 and self.n_identities < 2:
@@ -139,10 +136,17 @@ def _require_one_line(text: str, what: str) -> None:
         raise InvalidConfig(f"{what} {text!r} holds a line break")
 
 
-def _require_finite(cfg) -> None:
-    """InvalidConfig naming the first float field of cfg that is NaN or infinite."""
+def _check_fields(cfg) -> None:
+    """InvalidConfig naming the first field of cfg that is annotated `int` (or
+    `int | None`) but holds no integer (a bool is none, a numpy integer is
+    one), or that holds a NaN or infinite float. The annotations are read as
+    text: every config module imports `annotations` from __future__."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
+        if f.type in ("int", "int | None") and not (
+                value is None and f.type != "int"
+                or isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+            raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
         if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise InvalidConfig(f"{f.name} must be finite, got {value}")
 
@@ -197,13 +201,22 @@ def _json_field(value, name: str, kind: type = int):
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse and fully validate a dataset manifest, including file sizes;
-    an integer field that holds no JSON integer, or a name that is no JSON
-    string, raises ParseError naming the field.
+    an integer field that holds no JSON integer, a name or file path that is
+    no JSON string, or a key given twice raises ParseError naming the field.
     A query id outside [0, query_count) or listed twice in ground_truth raises
     GroundTruthOutOfRange; the array stops at the first query not listed."""
     path = Path(path)
+
+    def unique_keys(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ParseError(f"manifest {path} gives the key {json.dumps(key)} twice")
+            doc[key] = value
+        return doc
+
     try:
-        raw = json.loads(_read_text(path, "manifest"))
+        raw = json.loads(_read_text(path, "manifest"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
 
@@ -215,8 +228,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             dim=_json_field(raw["dim"], "dim"),
             query_count=_json_field(raw["query_count"], "query_count"),
             gallery_count=_json_field(raw["gallery_count"], "gallery_count"),
-            query_path=(path.parent / raw["query_path"]).resolve(),
-            gallery_path=(path.parent / raw["gallery_path"]).resolve(),
+            **{key: (path.parent / _json_field(raw[key], key, str)).resolve()
+               for key in ("query_path", "gallery_path")},
             seed=None if raw.get("seed") is None else _json_field(raw["seed"], "seed"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -297,23 +310,24 @@ def write_embedding_file(path: str | Path, data: np.ndarray) -> None:
     Path(path).write_bytes(arr.tobytes())
 
 
-def load_embeddings(manifest: DatasetManifest, split: str) -> EmbeddingMatrix:
-    """Load one split (``query`` or ``gallery``) as an un-normalized matrix."""
+def load_embeddings(manifest: DatasetManifest, split: str) -> np.ndarray:
+    """One split's (``query`` or ``gallery``) float32 rows as read_embedding_file
+    reads them: finite, not yet normalized (see l2_normalize)."""
     if split == "query":
         arr = read_embedding_file(manifest.query_path, manifest.query_count, manifest.dim)
     elif split == "gallery":
         arr = read_embedding_file(manifest.gallery_path, manifest.gallery_count, manifest.dim)
     else:
         raise InvalidConfig(f"split must be 'query' or 'gallery', got {split!r}")
-    return EmbeddingMatrix(data=arr, normalized=False)
+    return arr
 
 
 def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Divide the rows of a caller-owned float64 array by their L2 norms in
-    place; returns (rows, norms). The one finiteness check of the package's
-    unit rows: the first row whose norm is <= ZERO_NORM_THRESHOLD raises
-    ZeroVector, or whose norm is not finite (a NaN or inf entry)
-    NonFiniteValue, naming the row's index."""
+    place; returns (rows, norms). The one former of the package's unit rows
+    (EmbeddingMatrix is their one check): the first row whose norm is
+    <= ZERO_NORM_THRESHOLD raises ZeroVector, or whose norm is not finite (a
+    NaN or inf entry) NonFiniteValue, naming the row's index."""
     norms = np.linalg.norm(rows, axis=1)
     # NaN fails both comparisons
     bad = np.flatnonzero(~((norms > ZERO_NORM_THRESHOLD) & (norms < np.inf)))
@@ -326,10 +340,11 @@ def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, norms
 
 
-def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale every row to unit L2 norm. Idempotent; rejects near-zero and non-finite rows."""
-    wide, _ = _normalize_rows(m.data.astype(np.float64))
-    return EmbeddingMatrix(data=wide.astype(np.float32), normalized=True)
+def l2_normalize(rows: np.ndarray) -> EmbeddingMatrix:
+    """The EmbeddingMatrix of rows (n x d, e.g. load_embeddings') scaled to unit
+    L2 norm; rejects near-zero and non-finite rows. Divides a float64 copy."""
+    wide, _ = _normalize_rows(np.array(rows, dtype=np.float64))
+    return EmbeddingMatrix(data=wide.astype(np.float32))
 
 
 def _orthogonal_unit(rng: np.random.Generator, anchor: np.ndarray) -> np.ndarray:
@@ -410,15 +425,15 @@ def validate_dataset(manifest: DatasetManifest) -> ValidationReport:
 
     The manifest and each split are checked by the code that loads them, so
     a failed check's detail is that loader's error message. On top of the
-    loaders, ground truth must be one-to-one; rows that are not unit-norm
-    only warn.
+    loaders, ground truth must be one-to-one; a split that EmbeddingMatrix
+    would refuse as not unit-norm only warns, naming its first such row.
     """
     report = ValidationReport()
     arrays = {}
     for name, load in (
         ("manifest", manifest.validate),
-        ("query", lambda: load_embeddings(manifest, "query").data),
-        ("gallery", lambda: load_embeddings(manifest, "gallery").data),
+        ("query", lambda: load_embeddings(manifest, "query")),
+        ("gallery", lambda: load_embeddings(manifest, "gallery")),
     ):
         try:
             arrays[name] = load()
@@ -433,12 +448,9 @@ def validate_dataset(manifest: DatasetManifest) -> ValidationReport:
     ))
 
     for split in ("query", "gallery"):
-        if split not in arrays:
-            continue
-        norms = np.linalg.norm(arrays[split].astype(np.float64), axis=1)
-        dev = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-        if dev > UNIT_NORM_TOLERANCE:
-            report.warnings.append(
-                f"{split} rows are not unit-normalized (max norm deviation {dev:.3g})"
-            )
+        try:
+            if split in arrays:
+                EmbeddingMatrix(arrays[split])
+        except NotNormalized as exc:
+            report.warnings.append(f"{split} rows are not unit-normalized: {exc}")
     return report

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    EmbeddingMatrix, _normalize_rows, _require_file, _require_finite, _write_table,
+    EmbeddingMatrix, _check_fields, _normalize_rows, _require_file, _write_table,
     check_ground_truth,
 )
 from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteValue, ParseError
@@ -43,7 +43,7 @@ class AdapterParams:
         return cls(w_text=np.eye(dim), w_image=np.eye(dim))
 
     def validate(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if self.temperature <= 0:
             raise InvalidConfig("temperature must be positive")
         for name, value in (("w_text", self.w_text), ("w_image", self.w_image)):
@@ -103,7 +103,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
         if self.batch_size < 2:
@@ -398,7 +398,7 @@ def apply_adapter(m: EmbeddingMatrix, params: AdapterParams, side: str) -> Embed
     else:
         raise InvalidConfig(f"side must be 'text' or 'image', got {side!r}")
     projected, _ = _project(m.data.astype(np.float64), w)
-    return EmbeddingMatrix(data=projected.astype(np.float32), normalized=True)
+    return EmbeddingMatrix(data=projected.astype(np.float32))
 
 
 def save_adapter(path: str | Path, params: AdapterParams) -> None:

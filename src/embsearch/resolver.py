@@ -6,8 +6,8 @@ candidate; rounds repeat until no conflicts remain (or a cap is hit, which
 the Resolution reports). Members that run out of candidates keep their last
 entry and are flagged unresolved. A Resolution holds arrays: each row's final
 rank, the unresolved query ids and one audit record per replacement. The
-optional similarity gate takes the query embeddings as a normalized
-EmbeddingMatrix and uses the dot products of its rows as their cosines.
+optional similarity gate takes the query embeddings as an EmbeddingMatrix,
+whose rows are unit rows, and uses their dot products as their cosines.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingMatrix, _require_finite, _write_table
+from .data import EmbeddingMatrix, _check_fields, _write_table
 from .errors import EmptyList, InvalidConfig, MissingEmbedding, NotNormalized, PointerOutOfBounds
 from .similarity import Ranking, write_ranked_lists
 
@@ -36,7 +36,7 @@ class ResolutionPolicy:
     similarity_gate: float | None = None
 
     def validate(self, list_length: int) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if self.depth < 1 or self.depth > list_length:
             raise InvalidConfig(f"depth must be in [1, {list_length}]")
         if self.max_rounds is not None and self.max_rounds < 1:
@@ -100,8 +100,8 @@ def detect_conflicts(
     window of `depth` entries starting at its pointer. Returns (answers,
     rows, cols, starts): one entry per member, ordered by (answer id, query
     id), where cols is the member's 0-based rank of the answer and group g
-    spans starts[g]:starts[g + 1]. query_embeddings, when given, must be a
-    normalized EmbeddingMatrix (NotNormalized otherwise) with a row for
+    spans starts[g]:starts[g + 1]. query_embeddings, when given, must be an
+    EmbeddingMatrix (NotNormalized otherwise) with a row for
     every ranked query id (MissingEmbedding otherwise).
     """
     pos, active = np.asarray(pos), np.asarray(active)
@@ -119,9 +119,8 @@ def detect_conflicts(
         raise PointerOutOfBounds(
             f"query {ranking.query_ids[row]}: pointer {pos[row]} outside its list of {ranking.k}"
         )
-    if query_embeddings is not None and not (
-            isinstance(query_embeddings, EmbeddingMatrix) and query_embeddings.normalized):
-        raise NotNormalized("query embeddings must be a normalized EmbeddingMatrix")
+    if query_embeddings is not None and not isinstance(query_embeddings, EmbeddingMatrix):
+        raise NotNormalized("query embeddings must be an EmbeddingMatrix")
     gate = policy.similarity_gate
     if gate is not None:
         if query_embeddings is None:

@@ -1,6 +1,6 @@
 """Exact batched cosine similarity and deterministic top-k retrieval.
 
-Inputs must be normalized EmbeddingMatrix objects, whose constructor checks
+Inputs must be EmbeddingMatrix objects, whose constructor checks
 that every row is a finite unit row, so the dense product is cosine
 similarity and every score lies in [-1, 1] up to rounding.
 Ties are always broken toward the lower gallery id, which makes ranked
@@ -103,8 +103,8 @@ class Ranking:
 
 def similarity_matrix(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.ndarray:
     """Dense n_queries x n_gallery cosine score matrix (float32)."""
-    if not queries.normalized or not gallery.normalized:
-        raise NotNormalized("similarity_matrix requires normalized inputs")
+    if not (isinstance(queries, EmbeddingMatrix) and isinstance(gallery, EmbeddingMatrix)):
+        raise NotNormalized("similarity_matrix requires EmbeddingMatrix inputs")
     if queries.dim != gallery.dim:
         raise DimensionMismatch(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     return queries.data @ gallery.data.T

@@ -126,21 +126,41 @@ class TestManifest:
         error = captured.err.removeprefix("data error: ").strip()
         assert captured.out == f"FAIL  manifest  ({error})\n"
 
-    @pytest.mark.parametrize("value", [None, 5, 1.5, True, ["a"], {"a": 1}],
-                             ids=["null", "integer", "float", "bool", "list", "object"])
-    def test_name_holds_a_json_string(self, tmp_path, capsys, value):
-        """`search` copies the name into `# dataset=`; null loaded as "None"."""
+    @pytest.mark.parametrize("field, value", [
+        ("name", None), ("name", 5), ("name", 1.5), ("name", True), ("name", ["a"]),
+        ("name", {"a": 1}), ("query_path", None), ("query_path", 5), ("query_path", ["a"]),
+        ("gallery_path", None), ("gallery_path", 5), ("gallery_path", ["a"]),
+    ], ids=["null", "integer", "float", "bool", "list", "object", "query_path-null",
+            "query_path-integer", "query_path-list", "gallery_path-null", "gallery_path-integer",
+            "gallery_path-list"])
+    def test_name_holds_a_json_string(self, tmp_path, capsys, field, value):
+        """So do the file paths. `search` copies the name into `# dataset=`;
+        null loaded as "None". A path of 5 failed as "unsupported operand
+        type(s) for /", naming no field."""
         path = write_manifest_fixture(tmp_path)
         doc = json.loads(path.read_text())
-        doc["name"] = value
+        doc[field] = value
         path.write_text(json.dumps(doc))
-        message = f"name must be a JSON string, got {json.dumps(value)}"
+        message = f"{field} must be a JSON string, got {json.dumps(value)}"
         with pytest.raises(ParseError, match=re.escape(message)):
             data.load_manifest(path)
         assert run(["validate", str(path)]) == 2
         captured = capsys.readouterr()
         error = captured.err.removeprefix("data error: ").strip()
         assert captured.out == f"FAIL  manifest  ({error})\n"
+
+    @pytest.mark.parametrize("given, twice", [
+        ('"query_count": 4', '"query_count": 4, "query_count": 2'),
+        ('"name": "fixture"', '"name": "fixture", "name": "other"'),
+    ], ids=["query_count", "name"])
+    def test_key_given_twice(self, tmp_path, given, twice):
+        """json.loads keeps the last of two equal keys: query_count 2 used to
+        fail later as a ground-truth query id outside [0, 2)."""
+        path = write_manifest_fixture(tmp_path)
+        path.write_text(path.read_text().replace(given, twice))
+        key = given.split(":")[0]
+        with pytest.raises(ParseError, match=re.escape(f"gives the key {key} twice")):
+            data.load_manifest(path)
 
     def test_ground_truth_is_int64_in_query_order(self, tmp_path):
         path = write_manifest_fixture(tmp_path, gt=[[2, 2], [0, 1], [3, 0], [1, 3]])
@@ -208,30 +228,28 @@ class TestEmbeddingIO:
 
 class TestNormalize:
     def test_three_four_five(self):
-        m = data.EmbeddingMatrix(np.array([[3.0, 4.0]], dtype=np.float32))
-        out = data.l2_normalize(m)
-        assert out.normalized
+        out = data.l2_normalize(np.array([[3.0, 4.0]], dtype=np.float32))
+        assert isinstance(out, data.EmbeddingMatrix)
         np.testing.assert_allclose(out.data, [[0.6, 0.8]], atol=1e-7)
 
     def test_identity_on_unit_vector(self):
-        m = data.EmbeddingMatrix(np.array([[1.0, 0.0]], dtype=np.float32))
-        np.testing.assert_array_equal(data.l2_normalize(m).data, [[1.0, 0.0]])
+        rows = np.array([[1.0, 0.0]], dtype=np.float32)
+        np.testing.assert_array_equal(data.l2_normalize(rows).data, [[1.0, 0.0]])
 
     def test_zero_vector(self):
-        m = data.EmbeddingMatrix(np.zeros((1, 2), dtype=np.float32))
         with pytest.raises(ZeroVector):
-            data.l2_normalize(m)
+            data.l2_normalize(np.zeros((1, 2), dtype=np.float32))
 
     def test_first_offending_row_picks_the_error(self):
         rows = np.ones((3, 2), dtype=np.float32)
         rows[1], rows[2] = 0.0, np.nan
         with pytest.raises(ZeroVector, match="^row 1 has norm <= 1e-12$"):
-            data.l2_normalize(data.EmbeddingMatrix(rows))
+            data.l2_normalize(rows)
         rows[0] = np.inf
         with pytest.raises(NonFiniteValue, match="^row 0 has a non-finite norm$"):
-            data.l2_normalize(data.EmbeddingMatrix(rows))
+            data.l2_normalize(rows)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(deadline=None)
     @given(
         arr=arrays(
             np.float32,
@@ -243,13 +261,13 @@ class TestNormalize:
         norms = np.linalg.norm(arr.astype(np.float64), axis=1)
         if np.any(norms <= 1e-6):
             return
-        once = data.l2_normalize(data.EmbeddingMatrix(arr))
-        twice = data.l2_normalize(once)
+        once = data.l2_normalize(arr)
+        twice = data.l2_normalize(once.data)
         np.testing.assert_allclose(twice.data, once.data, atol=1e-7)
 
 
 class TestEmbeddingMatrix:
-    """normalized=True is checked when the matrix is built."""
+    """Every EmbeddingMatrix is checked for unit rows when it is built."""
 
     @pytest.mark.parametrize("scale", [0.0, 0.5, 1 - 2e-5, 1 + 2e-5, 1e19, 1e37])
     def test_non_unit_row_is_named(self, scale):
@@ -257,28 +275,27 @@ class TestEmbeddingMatrix:
         rows = unit_rows(4, 3, np.random.default_rng(1)).astype(np.float32)
         rows[1] *= scale
         with pytest.raises(NotNormalized, match="^row 1 has norm .+, not 1 within 1e-05$"):
-            data.EmbeddingMatrix(rows, normalized=True)
-        assert data.EmbeddingMatrix(rows).data is rows  # unflagged rows are not checked
+            data.EmbeddingMatrix(rows)
 
     def test_rows_within_the_tolerance_pass(self):
         rows = np.array([[1 + 0.9e-5, 0.0], [0.0, 1 - 0.9e-5]], dtype=np.float64)
-        data.EmbeddingMatrix(rows, normalized=True)
+        assert data.EmbeddingMatrix(rows).data is rows
 
     def test_first_offending_row_picks_the_error(self):
         rows = np.eye(3, dtype=np.float32)
         rows[1], rows[2] = 2.0, math.nan
         with pytest.raises(NotNormalized, match="^row 1 "):
-            data.EmbeddingMatrix(rows, normalized=True)
+            data.EmbeddingMatrix(rows)
         rows[0, 0] = math.inf
         with pytest.raises(NonFiniteValue, match="^row 0 "):
-            data.EmbeddingMatrix(rows, normalized=True)
+            data.EmbeddingMatrix(rows)
 
     def test_frozen(self):
-        m = data.l2_normalize(data.EmbeddingMatrix(np.ones((2, 2), dtype=np.float32)))
+        m = data.l2_normalize(np.ones((2, 2), dtype=np.float32))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            m.normalized = False
+            m.data = np.ones((2, 2), dtype=np.float32)  # checked rows stay the rows
 
-    @settings(max_examples=100, deadline=None)
+    @settings(deadline=None)
     @given(
         arr=arrays(
             np.float32,
@@ -288,35 +305,34 @@ class TestEmbeddingMatrix:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_formers_pass_the_check(self, arr, seed):
-        """l2_normalize and apply_adapter build their normalized matrices
-        through the check, at any magnitude of the input rows."""
+        """l2_normalize and apply_adapter build their matrices through the
+        constructor's check, and pass it, at any magnitude of the input rows."""
         try:
-            unit = data.l2_normalize(data.EmbeddingMatrix(arr))
+            unit = data.l2_normalize(arr)
             w = np.random.default_rng(seed).standard_normal((arr.shape[1],) * 2)
             objective.apply_adapter(unit, objective.AdapterParams(w, w), "text")
         except ZeroVector:
-            return
-        assert unit.normalized
+            pass
+
+
+def _matrix(rows):
+    """The EmbeddingMatrix of rows scaled to unit norm without _normalize_rows'
+    check: the matrix's constructor is then what names a non-finite row."""
+    with np.errstate(invalid="ignore"):  # inf / inf leaves the bad row NaN
+        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return data.EmbeddingMatrix(unit.astype(np.float32))
 
 
 def _train_on(rows):
-    images = np.random.default_rng(1).standard_normal(rows.shape).astype(np.float32)
-    objective.train_adapter(data.EmbeddingMatrix(rows.astype(np.float32)),
-                            data.EmbeddingMatrix(images), np.arange(len(rows)),
+    images = np.random.default_rng(1).standard_normal(rows.shape)
+    objective.train_adapter(_matrix(rows), _matrix(images), np.arange(len(rows)),
                             objective.TrainConfig(epochs=1, batch_size=2))
 
 
 def _gate_on(rows):
     lists = similarity.Ranking(np.arange(4), np.full((4, 1), 5), [[0.9], [0.8], [0.7], [0.6]])
     policy = resolver.ResolutionPolicy(similarity_gate=0.5)
-    with np.errstate(invalid="ignore"):  # inf / inf leaves the bad row NaN
-        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    # the gate takes a normalized matrix, whose constructor names the row
-    resolver.resolve(lists, policy, data.EmbeddingMatrix(unit.astype(np.float32), normalized=True))
-
-
-def _matrix(rows):
-    return data.EmbeddingMatrix(rows.astype(np.float32))
+    resolver.resolve(lists, policy, _matrix(rows))
 
 
 def _batch(rows):
@@ -325,9 +341,10 @@ def _batch(rows):
 
 
 # every function that forms or takes unit rows, called on 4 rows of dim 3;
-# each names the offending row
+# each names the offending row, a taker of an EmbeddingMatrix through its
+# constructor
 UNIT_ROW_FORMERS = {
-    "l2_normalize": lambda rows: data.l2_normalize(_matrix(rows)),
+    "l2_normalize": data.l2_normalize,
     "apply_adapter": lambda rows: objective.apply_adapter(
         _matrix(rows), objective.AdapterParams.identity(3), "text"),
     "contrastive_loss": lambda rows: objective.contrastive_loss(
@@ -343,7 +360,7 @@ UNIT_ROW_FORMERS = {
 @pytest.mark.parametrize("former", UNIT_ROW_FORMERS)
 def test_non_finite_row_is_named(former, bad):
     """A unit row is finite by construction: _normalize_rows, or the
-    constructor of a normalized EmbeddingMatrix, rejects the rest."""
+    constructor of an EmbeddingMatrix, rejects the rest."""
     rows = np.random.default_rng(0).standard_normal((4, 3))
     rows[2, 1] = bad
     with pytest.raises(NonFiniteValue, match="^row 2 has a non-finite norm$"):
@@ -354,8 +371,8 @@ class TestSynthetic:
     def test_zero_noise_queries_match_gallery(self, make_dataset):
         cfg = data.SynthConfig(8, 16, 0.0, 0.0, 0.5, seed=3)
         manifest = make_dataset(cfg)
-        q = data.load_embeddings(manifest, "query").data
-        g = data.load_embeddings(manifest, "gallery").data
+        q = data.load_embeddings(manifest, "query")
+        g = data.load_embeddings(manifest, "gallery")
         np.testing.assert_allclose(q, g, atol=1e-6)
 
     def test_same_seed_byte_identical(self, tmp_path):
@@ -368,7 +385,7 @@ class TestSynthetic:
     def test_confusable_pairs_are_close(self, make_dataset):
         cfg = data.SynthConfig(10, 12, 0.0, 1.0, 0.05, seed=5)
         manifest = make_dataset(cfg)
-        g = data.load_embeddings(manifest, "gallery").data.astype(np.float64)
+        g = data.load_embeddings(manifest, "gallery").astype(np.float64)
         g /= np.linalg.norm(g, axis=1)[:, None]
         cos = g @ g.T
         np.fill_diagonal(cos, -1)
@@ -382,7 +399,7 @@ class TestSynthetic:
         out = tmp_path / "ds"
         assert run(["gen-synth", "--out", str(out), "--seed", "1", "--n", str(n),
                     "--confusable-fraction", "1"]) == 0
-        g = data.load_embeddings(data.load_manifest(out / "manifest.json"), "gallery").data
+        g = data.load_embeddings(data.load_manifest(out / "manifest.json"), "gallery")
         g = g.astype(np.float64) / np.linalg.norm(g, axis=1)[:, None]
         cos = g @ g.T
         np.fill_diagonal(cos, -1)
@@ -395,6 +412,42 @@ class TestSynthetic:
             data.SynthConfig(4, 4, -0.1, 0.0, 0.1, seed=0).validate()
         with pytest.raises(InvalidConfig):
             data.SynthConfig(4, 4, 0.1, 0.0, 1.5, seed=0).validate()
+
+
+def _resolve_with(tmp_path, **policy):
+    lists = similarity.Ranking(np.arange(2), np.array([[0, 1], [0, 1]]), [[0.9, 0.8], [0.7, 0.6]])
+    resolver.resolve(lists, resolver.ResolutionPolicy(**policy))
+
+
+def _train_with(tmp_path, **cfg):
+    unit = data.l2_normalize(np.eye(4))
+    objective.train_adapter(unit, unit, np.arange(4), objective.TrainConfig(**cfg))
+
+
+def _synthesize_with(tmp_path, **cfg):
+    data.generate_synthetic(data.SynthConfig(**{"seed": 0, **cfg}), tmp_path)
+
+
+@pytest.mark.parametrize("entry_point, field, value", [
+    (_resolve_with, "depth", 1.5), (_resolve_with, "max_rounds", 2.5),
+    (_resolve_with, "depth", True), (_train_with, "epochs", 1.5),
+    (_train_with, "batch_size", 2.5), (_train_with, "seed", None),
+    (_synthesize_with, "n_identities", 4.5), (_synthesize_with, "dim", 3.0),
+    (_synthesize_with, "seed", np.float64(1)),
+], ids=["depth-float", "max_rounds-float", "depth-bool", "epochs-float", "batch_size-float",
+        "train-seed-none", "n_identities-float", "dim-float", "synth-seed-numpy-float"])
+def test_integer_config_fields(tmp_path, entry_point, field, value):
+    """An int field holding no integer is named; depth=1.5 used to end in an
+    IndexError, the others in a TypeError."""
+    message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(InvalidConfig, match=re.escape(message)):
+        entry_point(tmp_path, **{field: value})
+
+
+def test_numpy_integer_config_fields_pass(tmp_path):
+    _resolve_with(tmp_path, depth=np.int64(2), max_rounds=np.uint8(3))
+    _train_with(tmp_path, epochs=np.int32(1), batch_size=np.int64(2), seed=np.int16(7))
+    data.SynthConfig(n_identities=np.int64(4), dim=np.int8(3), seed=np.uint64(7)).validate()
 
 
 def _load(tmp_path, pairs, ground_truth):
@@ -459,10 +512,17 @@ class TestValidateDataset:
         assert "ground_truth_one_to_one" in failed
 
     def test_unnormalized_data_warns_not_fails(self, tmp_path):
+        """The warning is EmbeddingMatrix's refusal, naming the first non-unit row."""
         path = write_manifest_fixture(tmp_path)
+        rows = unit_rows(4, 8, np.random.default_rng(0))
+        rows[2] = np.eye(8)[0] * 2
+        data.write_embedding_file(tmp_path / "q.f32", rows)
         report = data.validate_dataset(data.load_manifest(path))
         assert report.ok
-        assert any("not unit-normalized" in w for w in report.warnings)
+        query, gallery = report.warnings
+        assert query == "query rows are not unit-normalized: row 2 has norm 2, not 1 within 1e-05"
+        assert re.fullmatch(r"gallery rows are not unit-normalized: "
+                            r"row 0 has norm [\d.]+, not 1 within 1e-05", gallery)
 
     def test_non_finite_gallery_fails_its_check(self, tmp_path):
         path = write_manifest_fixture(tmp_path)

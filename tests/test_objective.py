@@ -479,8 +479,7 @@ class TestTrainAdapter:
         # copy of one; scores still alive through that draw would make four
         rng = np.random.default_rng(8)
         n = 1000
-        q, g = (data.EmbeddingMatrix(unit_rows(n, 16, rng).astype(np.float32), normalized=True)
-                for _ in range(2))
+        q, g = (data.EmbeddingMatrix(unit_rows(n, 16, rng).astype(np.float32)) for _ in range(2))
         tracemalloc.start()
         try:
             train_adapter(q, g, np.arange(n), TrainConfig(epochs=2, batch_size=16))
@@ -528,14 +527,14 @@ class TestTrainAdapter:
 class TestApplyAdapter:
     def test_identity_is_noop(self):
         rows = unit_rows(5, 6, np.random.default_rng(3)).astype(np.float32)
-        m = data.EmbeddingMatrix(rows, normalized=True)
+        m = data.EmbeddingMatrix(rows)
         out = apply_adapter(m, AdapterParams.identity(6), "text")
         np.testing.assert_allclose(out.data, rows, atol=1e-6)
 
     def test_scaled_identity_invariant_downstream(self):
         rng = np.random.default_rng(4)
-        q = data.EmbeddingMatrix(unit_rows(6, 8, rng).astype(np.float32), normalized=True)
-        g = data.EmbeddingMatrix(unit_rows(10, 8, rng).astype(np.float32), normalized=True)
+        q = data.EmbeddingMatrix(unit_rows(6, 8, rng).astype(np.float32))
+        g = data.EmbeddingMatrix(unit_rows(10, 8, rng).astype(np.float32))
         adapter = AdapterParams(w_text=2.0 * np.eye(8), w_image=2.0 * np.eye(8))
         q2 = apply_adapter(q, adapter, "text")
         g2 = apply_adapter(g, adapter, "image")
@@ -544,7 +543,7 @@ class TestApplyAdapter:
         assert np.array_equal(base.ids, scaled.ids)
 
     def test_bad_side(self):
-        m = data.EmbeddingMatrix(np.eye(2, dtype=np.float32), normalized=True)
+        m = data.EmbeddingMatrix(np.eye(2, dtype=np.float32))
         with pytest.raises(InvalidConfig):
             apply_adapter(m, AdapterParams.identity(2), "audio")
 
@@ -552,19 +551,19 @@ class TestApplyAdapter:
     def test_non_finite_weight_is_the_adapters_fault(self, side):
         adapter = AdapterParams.identity(4)
         getattr(adapter, f"w_{side}")[0, 0] = math.inf
-        m = data.EmbeddingMatrix(np.eye(4, dtype=np.float32), normalized=True)
+        m = data.EmbeddingMatrix(np.eye(4, dtype=np.float32))
         with pytest.raises(NonFiniteValue, match=f"w_{side} contains non-finite entries"):
             apply_adapter(m, adapter, side)
 
     def test_nan_temperature_is_rejected(self):
         adapter = AdapterParams(np.eye(4), np.eye(4), temperature=math.nan)
-        m = data.EmbeddingMatrix(np.eye(4, dtype=np.float32), normalized=True)
+        m = data.EmbeddingMatrix(np.eye(4, dtype=np.float32))
         with pytest.raises(InvalidConfig, match="temperature must be finite"):
             apply_adapter(m, adapter, "text")
 
     def test_adapter_dim_must_match_the_rows(self):
         adapter = AdapterParams.identity(3)
-        m = data.EmbeddingMatrix(np.eye(2, dtype=np.float32), normalized=True)
+        m = data.EmbeddingMatrix(np.eye(2, dtype=np.float32))
         batch = random_batch(4, 2, seed=1)
         negatives = (np.array([1, 0, 3, 2]), np.array([1, 0, 3, 2]))
         for call in (

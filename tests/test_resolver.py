@@ -32,8 +32,8 @@ def rl(qid, *pairs):
 
 
 def unit_matrix(rows):
-    """The normalized EmbeddingMatrix of rows, as the gate takes it."""
-    return data.l2_normalize(data.EmbeddingMatrix(np.asarray(rows, dtype=np.float32)))
+    """The EmbeddingMatrix of rows scaled to unit norm, as the gate takes it."""
+    return data.l2_normalize(np.asarray(rows, dtype=np.float32))
 
 
 def reference_detect_conflicts(lists, policy, positions, query_embeddings=None, frozen=None):
@@ -197,19 +197,19 @@ class TestDetectConflicts:
             detect_groups(lists, policy, {0: 0, 1: 0})
 
     def test_gate_rejects_zero_query_row(self):
-        # a zero row cannot be flagged normalized, and the gate takes no
-        # other embeddings: a raw array or an unflagged matrix is refused
+        # a zero row cannot form an EmbeddingMatrix, and the gate takes no
+        # other embeddings: a raw array is refused
         lists = ranking([rl(3, (4, 0.9)), rl(5, (4, 0.8))])
         emb = np.zeros((6, 2), dtype=np.float32)
         emb[3] = [1.0, 0.0]
         with pytest.raises(NotNormalized, match="^row 0 has norm 0, not 1 within 1e-05$"):
-            data.EmbeddingMatrix(emb, normalized=True)
-        for raw in (emb, data.EmbeddingMatrix(emb)):
-            for policy in (ResolutionPolicy(similarity_gate=0.5), ResolutionPolicy()):
-                with pytest.raises(NotNormalized, match="normalized EmbeddingMatrix$"):
-                    resolve(lists, policy, raw)
-                with pytest.raises(NotNormalized, match="normalized EmbeddingMatrix$"):
-                    detect_conflicts(lists, policy, np.zeros(2, np.int64), np.ones(2, bool), raw)
+            data.EmbeddingMatrix(emb)
+        refused = "^query embeddings must be an EmbeddingMatrix$"
+        for policy in (ResolutionPolicy(similarity_gate=0.5), ResolutionPolicy()):
+            with pytest.raises(NotNormalized, match=refused):
+                resolve(lists, policy, emb)
+            with pytest.raises(NotNormalized, match=refused):
+                detect_conflicts(lists, policy, np.zeros(2, np.int64), np.ones(2, bool), emb)
 
 
 class TestResolve:

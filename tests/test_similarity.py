@@ -23,7 +23,7 @@ from rankings import ranking, rows_of
 
 
 def norm_matrix(arr):
-    return data.EmbeddingMatrix(np.asarray(arr, dtype=np.float32), normalized=True)
+    return data.EmbeddingMatrix(np.asarray(arr, dtype=np.float32))
 
 
 def sort_oracle(scores):
@@ -107,9 +107,12 @@ class TestSimilarityMatrix:
         np.testing.assert_allclose(a, b.T, atol=1e-6)
 
     def test_requires_normalized(self):
-        raw = data.EmbeddingMatrix(np.ones((2, 2), dtype=np.float32), normalized=False)
-        with pytest.raises(NotNormalized):
-            similarity.similarity_matrix(raw, raw)
+        """Only an EmbeddingMatrix is known to hold unit rows; raw rows are refused."""
+        raw = np.ones((2, 2), dtype=np.float32)
+        unit = norm_matrix(np.eye(2))
+        for q, g in ((raw, unit), (unit, raw), (raw, raw)):
+            with pytest.raises(NotNormalized, match="^similarity_matrix requires EmbeddingMatrix"):
+                similarity.similarity_matrix(q, g)
 
     def test_dim_mismatch(self):
         q = norm_matrix([[1.0, 0.0]])
@@ -355,7 +358,7 @@ class TestTopKBlocks:
 
 
 class TestSimilarityMatrixFinite:
-    """Scores are finite because the inputs are: a normalized EmbeddingMatrix
+    """Scores are finite because the inputs are: an EmbeddingMatrix
     rejects a non-finite or non-unit row when it is built, so
     similarity_matrix neither proves nor scans anything."""
 
@@ -392,7 +395,7 @@ class TestSimilarityMatrixFinite:
 
     @pytest.mark.parametrize("q_scale, g_scale", [(1e20, 1e20), (1e37, 1e3)])
     def test_finite_inputs_whose_products_overflow_raise(self, q_scale, g_scale):
-        # scaled rows cannot be flagged normalized, so no product overflows
+        # scaled rows cannot form an EmbeddingMatrix, so no product overflows
         rng = np.random.default_rng(16)
         for rows, scale in ((unit_rows(6, 4, rng), q_scale), (unit_rows(5, 4, rng), g_scale)):
             with pytest.raises(NotNormalized, match="^row 0 has norm .+, not 1 within 1e-05$"):

@@ -138,14 +138,14 @@ def _require_one_line(text: str, what: str) -> None:
 
 def _check_fields(cfg) -> None:
     """InvalidConfig naming the first field of cfg that is annotated `int` (or
-    `int | None`) but holds no integer (a bool is none, a numpy integer is
-    one), or that holds a NaN or infinite float. The annotations are read as
-    text: every config module imports `annotations` from __future__."""
+    `int | None`) but holds no Python int (a bool or a numpy integer, whose
+    arithmetic wraps, is none), or a NaN or infinite float. The annotations
+    are read as text: every config module imports `annotations` from __future__."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type in ("int", "int | None") and not (
                 value is None and f.type != "int"
-                or isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+                or isinstance(value, int) and not isinstance(value, bool)):
             raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
         if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise InvalidConfig(f"{f.name} must be finite, got {value}")

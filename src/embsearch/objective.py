@@ -402,10 +402,8 @@ def apply_adapter(m: EmbeddingMatrix, params: AdapterParams, side: str) -> Embed
 
 
 def save_adapter(path: str | Path, params: AdapterParams) -> None:
-    """Persist adapter parameters: magic, version, dim, dtype flag, payload.
-
-    Always writes float64 (flag 1); load_adapter also reads float32 (flag 0).
-    """
+    """Persist adapter parameters: magic, version, dim, dtype flag 1, then a
+    little-endian float64 payload, the only form load_adapter reads."""
     dim = params.w_text.shape[0]
     header = _ADAPTER_MAGIC + struct.pack("<III", _ADAPTER_VERSION, dim, 1)
     scalars = [params.match_scale, params.match_bias, params.temperature]
@@ -421,16 +419,15 @@ def load_adapter(path: str | Path) -> AdapterParams:
     buf = path.read_bytes()
     if len(buf) < 16 or buf[:4] != _ADAPTER_MAGIC:
         raise ParseError(f"{path}: not an adapter parameter file")
-    version, dim, f64 = struct.unpack("<III", buf[4:16])
+    version, dim, flag = struct.unpack("<III", buf[4:16])
     if version != _ADAPTER_VERSION:
         raise ParseError(f"{path}: unsupported format version {version}")
-    if f64 not in (0, 1):
-        raise ParseError(f"{path}: unknown dtype flag {f64}, expected 0 (float32) or 1 (float64)")
-    dtype = np.dtype("<f8" if f64 else "<f4")
-    need = 16 + (2 * dim * dim + 3) * dtype.itemsize
+    if flag != 1:
+        raise ParseError(f"{path}: unknown dtype flag {flag}, expected 1 (float64)")
+    need = 16 + (2 * dim * dim + 3) * 8
     if len(buf) != need:
         raise ParseError(f"{path}: {len(buf)} bytes, expected {need}")
-    body = np.frombuffer(buf, dtype=dtype, offset=16)
+    body = np.frombuffer(buf, dtype="<f8", offset=16)
     w_text = body[: dim * dim].reshape(dim, dim).astype(np.float64)
     w_image = body[dim * dim : 2 * dim * dim].reshape(dim, dim).astype(np.float64)
     scale, bias, temperature = (float(x) for x in body[2 * dim * dim :])

@@ -56,7 +56,9 @@ class Resolution:
     ascending ids of the queries that ran out of candidates; audit one
     AUDIT_DTYPE record per replacement, in the order made. live_conflicts
     counts the conflict groups among queries still in play when the round
-    cap stopped the run; it is 0 when resolution converged.
+    cap stopped the run; it is 0 when resolution converged. Converged means
+    no conflict among those queries only: an unresolved query is out of
+    play, so it may end on an answer that another query also holds.
     """
 
     ranks: np.ndarray

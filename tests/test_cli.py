@@ -318,6 +318,8 @@ class TestExitCodes:
         pytest.param("search", identity_adapter(16, math.inf), id="search-inf-temperature"),
         pytest.param("search", identity_adapter(16, 1.0, dtype_flag=7),
                      id="search-unknown-dtype-flag"),
+        pytest.param("search", identity_adapter(16, 1.0, dtype_flag=0),
+                     id="search-float32-dtype-flag"),
         pytest.param("report", GOOD_REPORT.replace(b"recall@1: 0.5", b"recall@1: nan"),
                      id="report-nan-recall"),
     ])

@@ -434,20 +434,27 @@ def _synthesize_with(tmp_path, **cfg):
     (_train_with, "batch_size", 2.5), (_train_with, "seed", None),
     (_synthesize_with, "n_identities", 4.5), (_synthesize_with, "dim", 3.0),
     (_synthesize_with, "seed", np.float64(1)),
+    (_resolve_with, "depth", np.int64(2)), (_resolve_with, "max_rounds", np.uint8(255)),
+    (_train_with, "epochs", np.uint8(20)), (_train_with, "batch_size", np.uint8(16)),
+    (_train_with, "seed", np.int16(7)), (_synthesize_with, "n_identities", np.int64(4)),
+    (_synthesize_with, "dim", np.int8(3)), (_synthesize_with, "seed", np.uint64(7)),
 ], ids=["depth-float", "max_rounds-float", "depth-bool", "epochs-float", "batch_size-float",
-        "train-seed-none", "n_identities-float", "dim-float", "synth-seed-numpy-float"])
+        "train-seed-none", "n_identities-float", "dim-float", "synth-seed-numpy-float",
+        "depth-numpy", "max_rounds-numpy", "epochs-numpy", "batch_size-numpy",
+        "train-seed-numpy", "n_identities-numpy", "dim-numpy", "synth-seed-numpy"])
 def test_integer_config_fields(tmp_path, entry_point, field, value):
-    """An int field holding no integer is named; depth=1.5 used to end in an
-    IndexError, the others in a TypeError."""
+    """An int field holding no Python int is named before anything is
+    written; depth=1.5 used to end in an IndexError, the other floats in a
+    TypeError. A numpy integer wraps where a Python int grows:
+    max_rounds=np.uint8(255) made zero rounds and reported convergence,
+    batch_size=np.uint8(16) sent an empty batch on at 300 rows,
+    epochs=np.uint8(20) sent the step size negative, and
+    n_identities=np.int64(4) wrote both embedding files before the
+    manifest's json.dumps failed."""
     message = f"{field} must be an integer, got {value!r}"
     with pytest.raises(InvalidConfig, match=re.escape(message)):
         entry_point(tmp_path, **{field: value})
-
-
-def test_numpy_integer_config_fields_pass(tmp_path):
-    _resolve_with(tmp_path, depth=np.int64(2), max_rounds=np.uint8(3))
-    _train_with(tmp_path, epochs=np.int32(1), batch_size=np.int64(2), seed=np.int16(7))
-    data.SynthConfig(n_identities=np.int64(4), dim=np.int8(3), seed=np.uint64(7)).validate()
+    assert list(tmp_path.iterdir()) == []
 
 
 def _load(tmp_path, pairs, ground_truth):

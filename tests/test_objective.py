@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import struct
 import tracemalloc
 
@@ -16,6 +17,7 @@ from embsearch.errors import (
     InvalidConfig,
     MissingGroundTruth,
     NonFiniteValue,
+    ParseError,
 )
 from embsearch.objective import (
     AdapterParams,
@@ -600,10 +602,11 @@ class TestAdapterPersistence:
             with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
                 params.validate()
 
-    def test_float32_round_trip(self, tmp_path):
+    def test_float32_payload_is_refused(self, tmp_path):
+        """A float32 payload under dtype flag 0 is refused: float64 (flag 1),
+        the form save_adapter writes, is the only one."""
         params = random_adapter(4, seed=12)
         path = tmp_path / "params32.adapter"
-        # version 1, dtype flag 0: float32 payload
         header = b"ADAP" + struct.pack("<III", 1, 4, 0)
         scalars = [params.match_scale, params.match_bias, params.temperature]
         payload = b"".join(
@@ -611,5 +614,5 @@ class TestAdapterPersistence:
             for a in (params.w_text, params.w_image, scalars)
         )
         path.write_bytes(header + payload)
-        back = load_adapter(path)
-        np.testing.assert_allclose(back.w_text, params.w_text, atol=1e-6)
+        with pytest.raises(ParseError, match=re.escape("unknown dtype flag 0, expected 1 (float64)")):
+            load_adapter(path)

@@ -266,6 +266,18 @@ class TestResolve:
         assert assignments[1] == (7, 0.8, 1)
         assert unresolved == {1}
 
+    def test_converged_run_can_leave_exhausted_answers_shared(self):
+        """converged counts conflicts among queries still in play only: query 1
+        runs out of candidates on 8, the answer query 2 holds, and the run
+        still converges."""
+        lists = ranking([rl(0, (7, 0.9), (8, 0.5)), rl(1, (7, 0.8), (8, 0.7)),
+                         rl(2, (8, 0.95), (7, 0.1))])
+        result = resolve(lists)
+        assignments, _, unresolved = resolved(lists, result)
+        assert result.converged and result.live_conflicts == 0 and result.rounds == 2
+        assert unresolved == {1}
+        assert assignments[1][0] == assignments[2][0] == 8
+
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyList):
             resolve(ranking([]))

@@ -11,6 +11,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import data, evaluation, objective, resolver, similarity
 from .errors import PipelineError
 
@@ -128,9 +130,12 @@ def cmd_resolve(args) -> int:
         f"; stopped at the round cap with {resolution.live_conflicts} "
         "conflict group(s) still live"
     )
+    # gallery ids that end as the answer of two or more queries
+    _, holders = np.unique(lists.ids[np.arange(len(lists)), resolution.ranks], return_counts=True)
     print(f"resolved {len(lists)} lists in {resolution.rounds} round(s); "
           f"{len(resolution.audit)} replacement(s), "
-          f"{len(resolution.unresolved)} unresolved{stopped}")
+          f"{len(resolution.unresolved)} unresolved{stopped}; "
+          f"{np.count_nonzero(holders > 1)} answer(s) held by more than one query")
     return 0
 
 

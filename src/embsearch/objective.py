@@ -23,6 +23,7 @@ from .data import (
     check_ground_truth,
 )
 from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteValue, ParseError
+from .similarity import _block_rows
 
 _ADAPTER_MAGIC = b"ADAP"
 _ADAPTER_VERSION = 1
@@ -116,30 +117,53 @@ class TrainConfig:
             raise InvalidConfig("temperature must be positive")
 
 
-def _contrastive(sims: np.ndarray, tau: float, probs: bool = True):
+def _contrastive(sims: np.ndarray, tau: float, probs: bool = False, rng=None):
     """Symmetric in-batch cross-entropy of square image-by-text scores.
 
-    Returns (loss, softmaxes): softmaxes is [image_to_text, text_to_image]
-    when probs is set and empty otherwise, in which case only the positives'
-    probabilities are formed and one n x n softmax term is alive at a time.
-    tau must already be validated; sims are dot products of finite unit rows.
+    Each direction's scores (sims for image-to-text, sims.T for text-to-image)
+    are taken in blocks of similarity._block_rows(n) rows, at least 2, each
+    row shifted by its own max, so one block's exponentials are alive at a
+    time and every value is bit for bit the one a whole-matrix evaluation
+    gives. Returns (loss, softmaxes, negatives). softmaxes is
+    [image_to_text, text_to_image] when probs is set, formed whole, and
+    empty otherwise. negatives is [neg_text_idx, neg_image_idx] when rng is
+    given, drawn block by block as sample_hard_negatives draws them from the
+    whole softmaxes, and empty otherwise. tau must already be validated;
+    sims are dot products of finite unit rows.
     """
-    positives, softmaxes = [], []
-    for scores in (sims, sims.T):
-        # max-shifted exponentials; the softmax is e / rowsum
-        e = scores / tau
-        e -= e.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
-        rowsum = e.sum(axis=1, keepdims=True)
-        positives.append(np.diagonal(e) / rowsum[:, 0])
-        if probs:
-            e /= rowsum
-            softmaxes.append(e)
-        del e  # without probs, one n x n term at a time
-    loss = -(np.log(positives[0]).sum() + np.log(positives[1]).sum()) / (2 * len(sims))
+    n = len(sims)
+    step = n if probs else max(2, _block_rows(n))
+    # numpy sums a one-row block of sims.T pairwise, not in sequence, so a
+    # last block of one row joins the block before it
+    bounds = [*range(0, max(n - 1, 1), step), n]
+    # both uniform vectors up front, image rows first, as sample_hard_negatives takes them
+    uniforms = (rng.random(n), rng.random(n)) if rng is not None else (None, None)
+    positives, softmaxes, negatives = [], [], []
+    for scores, u in zip((sims, sims.T), uniforms):
+        picks = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            # max-shifted exponentials; the softmax is e / rowsum. A block of
+            # sims.T keeps its column-major layout, so each row sum adds the
+            # image rows in sequence as the whole transpose does
+            e = scores[lo:hi] / tau
+            e -= e.max(axis=1, keepdims=True)
+            np.exp(e, out=e)
+            rowsum = e.sum(axis=1, keepdims=True)
+            rows = np.arange(len(e))
+            positives.append(e[rows, lo + rows] / rowsum[:, 0])
+            if probs or u is not None:
+                e /= rowsum
+            if probs:
+                softmaxes.append(e)
+            if u is not None:
+                picks.append(_draw_rows(e, lo, u[lo:hi]))
+        if u is not None:
+            negatives.append(np.concatenate(picks))
+    logs = np.log(np.concatenate(positives))
+    loss = -(logs[:n].sum() + logs[n:].sum()) / (2 * n)
     if not np.isfinite(loss):
         raise NonFiniteValue("contrastive loss is non-finite")
-    return float(loss), softmaxes
+    return float(loss), softmaxes, negatives
 
 
 def _project(rows: np.ndarray, w: np.ndarray):
@@ -180,7 +204,7 @@ def _contrastive_grads(batch: Batch, forward, tau: float):
     texts, _, images, _ = forward
     n = batch.size
     sims = images @ texts.T
-    loss, (p_i2t, p_t2i) = _contrastive(sims, tau)
+    loss, (p_i2t, p_t2i), _ = _contrastive(sims, tau, probs=True)
     eye = np.eye(n)
     g_sims = ((p_i2t - eye) + (p_t2i - eye).T) / (2 * n * tau)
     grads = _backprop(batch, forward, g_sims.T @ images, g_sims @ texts)
@@ -221,33 +245,39 @@ def sample_hard_negatives(
     n = len(p_i2t)
     if p_i2t.shape != (n, n) or p_t2i.shape != (n, n):
         raise DimensionMismatch(f"softmaxes {p_i2t.shape} and {p_t2i.shape} must both be (n, n)")
+    # image rows draw first
+    return tuple(_draw_rows(probs, 0, rng.random(n)) for probs in (p_i2t, p_t2i))
+
+
+def _draw_rows(probs: np.ndarray, offset: int, u: np.ndarray) -> np.ndarray:
+    """sample_hard_negatives' draw for rows offset, offset+1, ... of an n x n
+    softmax, given as the (rows, n) block probs with one uniform per row in u.
+    Returns global column indices; row and error numbers are global too."""
+    n = probs.shape[1]
     if n < 2:
         raise BatchTooSmall("hard-negative sampling needs at least 2 pairs")
-    diag = np.arange(n)
-
-    def draw(probs: np.ndarray) -> np.ndarray:
-        rows = probs.astype(np.float64, order="C")
-        rows[diag, diag] = 0.0
-        totals = rows.sum(axis=1)
-        bad = np.flatnonzero(~(np.abs(totals) < np.inf))  # NaN fails the comparison
-        if bad.size:
-            raise NonFiniteValue(f"probability row {bad[0]} has a non-finite off-diagonal total")
-        empty = totals <= 0
-        if empty.any():
-            rows[empty] = 1.0
-            rows[diag[empty], diag[empty]] = 0.0
-            totals[empty] = rows[empty].sum(axis=1)
-        rows /= totals[:, None]
-        cdf = np.cumsum(rows, axis=1, out=rows)
-        u = rng.random(n)
-        picks = (cdf <= u[:, None]).sum(axis=1)
-        # a rounded CDF can end below u < 1, which picks n: take the column
-        # where that CDF last rises, the row's last column with mass
-        over = np.flatnonzero(picks == n)
-        picks[over] = np.argmax(cdf[over] >= cdf[over, -1:], axis=1)
-        return picks
-
-    return draw(p_i2t), draw(p_t2i)  # image rows draw first
+    rows = probs.astype(np.float64, order="C")
+    local = np.arange(len(rows))
+    diag = offset + local
+    rows[local, diag] = 0.0
+    totals = rows.sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(totals) < np.inf))  # NaN fails the comparison
+    if bad.size:
+        raise NonFiniteValue(
+            f"probability row {offset + bad[0]} has a non-finite off-diagonal total")
+    empty = totals <= 0
+    if empty.any():
+        rows[empty] = 1.0
+        rows[local[empty], diag[empty]] = 0.0
+        totals[empty] = rows[empty].sum(axis=1)
+    rows /= totals[:, None]
+    cdf = np.cumsum(rows, axis=1, out=rows)
+    picks = (cdf <= u[:, None]).sum(axis=1)
+    # a rounded CDF can end below u < 1, which picks n: take the column
+    # where that CDF last rises, the row's last column with mass
+    over = np.flatnonzero(picks == n)
+    picks[over] = np.argmax(cdf[over] >= cdf[over, -1:], axis=1)
+    return picks
 
 
 def _match_logits(forward, negatives, adapter: AdapterParams):
@@ -322,7 +352,10 @@ def train_adapter(
     of evaluation negatives so the trace reflects parameter movement rather
     than shuffle noise. The trace computes loss values only, from one
     full-dataset forward per entry; the first also draws the evaluation
-    negatives. Projections start at identity, the match head at (scale=10,
+    negatives, as sample_hard_negatives would from the whole softmaxes. Each
+    entry keeps the n x n scores whole and takes both softmaxes, and that
+    draw, in row blocks, so about one n x n float64 array is alive at a time.
+    A single pair raises BatchTooSmall at that draw. Projections start at identity, the match head at (scale=10,
     bias=0) and temperature stays at cfg.temperature: training neither
     computes nor applies its gradient. Shuffling, hard-negative
     draws and updates all come from seeded generators, so the result is
@@ -351,8 +384,8 @@ def train_adapter(
 
     forward = _adapter_forward(full_batch, params)
     texts, _, images, _ = forward
-    c_loss, softmaxes = _contrastive(images @ texts.T, tau)
-    eval_negatives = sample_hard_negatives(*softmaxes, np.random.default_rng([cfg.seed, 1]))
+    c_loss, _, eval_negatives = _contrastive(
+        images @ texts.T, tau, rng=np.random.default_rng([cfg.seed, 1]))
     record(forward, c_loss)
 
     rng = np.random.default_rng([cfg.seed, 0])
@@ -383,7 +416,7 @@ def train_adapter(
             step += 1
         forward = _adapter_forward(full_batch, params)
         texts, _, images, _ = forward
-        record(forward, _contrastive(images @ texts.T, tau, probs=False)[0])
+        record(forward, _contrastive(images @ texts.T, tau)[0])
     return params, trace
 
 

@@ -256,10 +256,17 @@ class TestExitCodes:
         ranked = tmp_path / "ranked.tsv"
         assert run_cli("search", dataset_dir / "manifest.json", "--k", 10, "--out", ranked) == 0
         capsys.readouterr()
-        assert run_cli("resolve", ranked, "--out", tmp_path / "r.tsv", "--max-rounds", 1) == 0
-        capped = capsys.readouterr().out
-        assert run_cli("resolve", ranked, "--out", tmp_path / "r.tsv", "--max-rounds", 100) == 0
-        converged = capsys.readouterr().out
+        summaries = []
+        for cap in (1, 100):
+            out = tmp_path / f"r{cap}.tsv"
+            assert run_cli("resolve", ranked, "--out", out, "--max-rounds", cap) == 0
+            summary = capsys.readouterr().out
+            # the summary ends with the answers that two or more queries hold
+            answers = similarity.read_ranked_lists(out).ids[:, 0].tolist()
+            shared = sum(answers.count(a) > 1 for a in set(answers))
+            assert summary.endswith(f"; {shared} answer(s) held by more than one query\n")
+            summaries.append(summary)
+        capped, converged = summaries
         assert "stopped at the round cap with" in capped
         assert "conflict group(s) still live" in capped
         assert "stopped" not in converged
@@ -395,7 +402,8 @@ class TestBenchmarkScript:
         stdout = runs[0].stdout
         before = stdout.index("recall@1: 0.4688")
         assert stdout.index("recall@1: 0.5312") > before
-        assert "stopped at the round cap with 2 conflict group(s) still live" in stdout
+        assert ("stopped at the round cap with 2 conflict group(s) still live; "
+                "2 answer(s) held by more than one query\n") in stdout
 
         # every ranked list the script writes is read by numpy's C reader,
         # so the per-line parser is only a fallback for hand-edited files

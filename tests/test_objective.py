@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, evaluation, objective, similarity
@@ -415,6 +415,45 @@ class TestMatchLoss:
         )
 
 
+def assert_trace_is_the_whole_matrix_evaluation(q, g, ground_truth, cfg, block_scores=None):
+    """Train with similarity.BLOCK_SCORES set to block_scores, if given, and
+    check every trace entry and the evaluation negatives, bit for bit, against
+    contrastive_loss, match_loss and sample_hard_negatives at the same
+    full-dataset forward; those form each softmax whole. Returns the entry-0
+    softmaxes."""
+    seen = []  # (full batch, parameters) at each full-dataset forward
+    drawn = []  # the negatives each full-dataset match loss was given
+    forward, match_logits = objective._adapter_forward, objective._match_logits
+
+    def recording_forward(batch, adapter):
+        if batch.size == q.rows:
+            seen.append((batch, copy.deepcopy(adapter)))
+        return forward(batch, adapter)
+
+    def recording_match_logits(fwd, negatives, adapter):
+        if len(fwd[0]) == q.rows:
+            drawn.append(negatives)
+        return match_logits(fwd, negatives, adapter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objective, "_adapter_forward", recording_forward)
+        mp.setattr(objective, "_match_logits", recording_match_logits)
+        if block_scores is not None:
+            mp.setattr(similarity, "BLOCK_SCORES", block_scores)
+        _, trace = train_adapter(q, g, ground_truth, cfg)
+
+    assert len(seen) == len(drawn) == cfg.epochs + 1
+    full_batch, initial = seen[0]
+    _, _, p_i2t, p_t2i = contrastive_loss(full_batch, initial)
+    eval_negatives = sample_hard_negatives(p_i2t, p_t2i, np.random.default_rng([cfg.seed, 1]))
+    for entry, (batch, params), negatives in zip(trace, seen, drawn):
+        assert entry.contrastive == contrastive_loss(batch, params)[0]
+        assert entry.match == match_loss(batch, eval_negatives, params)[0]
+        for got, want in zip(negatives, eval_negatives, strict=True):
+            np.testing.assert_array_equal(got, want)
+    return p_i2t, p_t2i
+
+
 class TestTrainAdapter:
     def normalized_pair(self, make_dataset, seed=7):
         cfg = data.SynthConfig(16, 8, 0.3, 0.5, 0.05, seed=seed)
@@ -449,38 +488,53 @@ class TestTrainAdapter:
         assert (tmp_path / "a.adapter").read_bytes() == (tmp_path / "b.adapter").read_bytes()
 
     @pytest.mark.parametrize("temperature", [0.05, 1.0, 10.0])
-    def test_one_full_dataset_forward_per_trace_entry(
-        self, make_dataset, monkeypatch, temperature
-    ):
+    def test_one_full_dataset_forward_per_trace_entry(self, make_dataset, temperature):
         manifest, q, g = self.normalized_pair(make_dataset)
         cfg = TrainConfig(epochs=3, batch_size=8, seed=4, temperature=temperature)
-        seen = []  # (full batch, parameters) at each full-dataset forward
-        forward = objective._adapter_forward
+        assert_trace_is_the_whole_matrix_evaluation(q, g, manifest.ground_truth, cfg)
 
-        def recording_forward(batch, adapter):
-            if batch.size == q.rows:
-                seen.append((batch, copy.deepcopy(adapter)))
-            return forward(batch, adapter)
-
-        monkeypatch.setattr(objective, "_adapter_forward", recording_forward)
-        _, trace = train_adapter(q, g, manifest.ground_truth, cfg)
-        monkeypatch.undo()
-
-        assert len(seen) == cfg.epochs + 1
-        full_batch, initial = seen[0]
-        _, _, p_i2t, p_t2i = contrastive_loss(full_batch, initial)
-        eval_negatives = sample_hard_negatives(
-            p_i2t, p_t2i, np.random.default_rng([cfg.seed, 1])
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(12, 24),
+        rows=st.integers(1, 5),
+        extra=st.integers(0, 5),
+        temperature=st.sampled_from([1e-3, 0.05, 1.0, 10.0]),
+    )
+    # a last block of one row would change these losses (numpy would sum its
+    # sims.T row pairwise), as would blocks of one row
+    @example(seed=0, n=16, rows=3, extra=0, temperature=0.05)
+    @example(seed=0, n=16, rows=1, extra=0, temperature=0.05)
+    def test_trace_in_row_blocks_is_the_whole_matrix_evaluation(
+        self, seed, n, rows, extra, temperature
+    ):
+        gen = np.random.default_rng(seed)
+        # orthonormal texts, some before the last two made confusable with
+        # the row before them, and images close to their texts: at tau = 1e-3
+        # a row that is not confusable, such as the last, has no off-diagonal mass
+        texts = np.linalg.qr(gen.standard_normal((32, 32)))[0][:n]
+        for j in np.flatnonzero(gen.random(n - 2) < 0.3)[1:]:
+            texts[j] = texts[j - 1] + 0.3 * texts[j]
+        texts /= np.linalg.norm(texts, axis=1, keepdims=True)
+        images = texts + 0.01 * gen.standard_normal(texts.shape)
+        images /= np.linalg.norm(images, axis=1, keepdims=True)
+        q, g = (data.EmbeddingMatrix(m.astype(np.float32)) for m in (texts, images))
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=seed, temperature=temperature)
+        # blocks of `rows` rows (at least 2), the last one ragged when n says
+        # so; n > 6 puts the last row beyond the first block
+        p_i2t, p_t2i = assert_trace_is_the_whole_matrix_evaluation(
+            q, g, np.arange(n), cfg, block_scores=rows * n + extra
         )
-        for entry, (batch, params) in zip(trace, seen):
-            assert entry.contrastive == contrastive_loss(batch, params)[0]
-            assert entry.match == match_loss(batch, eval_negatives, params)[0]
+        if temperature == 1e-3:
+            # the draw's uniform fallback runs at a non-zero row offset
+            for probs in (p_i2t, p_t2i):
+                assert not probs[-1, :-1].any()
 
-    def test_peak_memory_is_about_three_score_matrices(self):
-        # trace entry 0 holds both n x n softmaxes and the sampler's float64
-        # copy of one; scores still alive through that draw would make four
+    def test_peak_memory_is_about_one_score_matrix(self):
+        # the trace keeps the n x n scores whole but takes both softmaxes, and
+        # entry 0's negative draw, in blocks of O(BLOCK_SCORES) scores
         rng = np.random.default_rng(8)
-        n = 1000
+        n = 2000
         q, g = (data.EmbeddingMatrix(unit_rows(n, 16, rng).astype(np.float32)) for _ in range(2))
         tracemalloc.start()
         try:
@@ -488,7 +542,13 @@ class TestTrainAdapter:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * n * n * 8
+        assert peak < 1.3 * n * n * 8
+
+    def test_single_pair_is_too_small(self):
+        q, g = (data.EmbeddingMatrix(unit_rows(1, 4, np.random.default_rng(s)).astype(np.float32))
+                for s in range(2))
+        with pytest.raises(BatchTooSmall, match="^hard-negative sampling needs at least 2 pairs$"):
+            train_adapter(q, g, np.arange(1), TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_ground_truth_checked_against_inputs(self, make_dataset, epochs):

@@ -269,16 +269,24 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-# rows that _write_table formats at once: its Python objects and text then
-# peak near 13 MB for a ranked list, however long the table
-TABLE_BLOCK_ROWS = 1 << 16
+# values in one row block (1 MB of top-k's float32 scores); the table
+# writer's Python objects and text then peak near 11 MB for a ranked list
+BLOCK_SCORES = 1 << 18
+
+
+def _row_bounds(n_rows: int, n_cols: int) -> list[int]:
+    """Row-block bounds of an n_rows x n_cols array, [0] for no rows: blocks
+    of BLOCK_SCORES // n_cols rows, at least 2, a last block of one row joined
+    to the one before (numpy sums a one-row block of a transpose pairwise)."""
+    step = max(2, BLOCK_SCORES // max(1, n_cols))
+    return [*range(0, max(n_rows - 1, 1), step), n_rows] if n_rows else [0]
 
 
 def _write_table(path: str | Path, meta: dict | None, line: str, columns: list, tail="") -> None:
     """Write `# key=value` lines for meta, `line % row` for each row of the
     equal-length array columns, then tail: else one newline. A meta line
     holding a line break raises InvalidConfig before the file is opened.
-    Rows are formatted TABLE_BLOCK_ROWS at a time, each block by one `%` call
+    Rows are formatted a _row_bounds block at a time, each by one `%` call
     over its interleaved fields ('%.9g' % x formats a float as f"{x:.9g}" does)."""
     lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     for text in lines:
@@ -287,8 +295,12 @@ def _write_table(path: str | Path, meta: dict | None, line: str, columns: list, 
     n = len(columns[0])
     with open(path, "w", encoding="utf-8") as out:
         out.write(head)
-        for lo in range(0, n, TABLE_BLOCK_ROWS):
-            block = [column[lo:lo + TABLE_BLOCK_ROWS].tolist() for column in columns]
+        # every table takes the blocks of the widest, 5 columns: sized per
+        # table (65536 rows of 4 columns, then 52428 of 5), the blocks of a
+        # search-and-resolve run raised its peak RSS by about 9 MB
+        bounds = _row_bounds(n, 5)
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = [column[lo:hi].tolist() for column in columns]
             fields = [None] * (len(block) * len(block[0]))
             for j, values in enumerate(block):
                 fields[j::len(block)] = values

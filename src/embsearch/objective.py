@@ -19,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    EmbeddingMatrix, _check_fields, _normalize_rows, _require_file, _write_table,
+    EmbeddingMatrix, _check_fields, _normalize_rows, _require_file, _row_bounds, _write_table,
     check_ground_truth,
 )
 from .errors import BatchTooSmall, DimensionMismatch, InvalidConfig, NonFiniteValue, ParseError
-from .similarity import _block_rows
 
 _ADAPTER_MAGIC = b"ADAP"
 _ADAPTER_VERSION = 1
@@ -121,36 +120,35 @@ def _contrastive(sims: np.ndarray, tau: float, probs: bool = False, rng=None):
     """Symmetric in-batch cross-entropy of square image-by-text scores.
 
     Each direction's scores (sims for image-to-text, sims.T for text-to-image)
-    are taken in blocks of similarity._block_rows(n) rows, at least 2, each
-    row shifted by its own max, so one block's exponentials are alive at a
-    time and every value is bit for bit the one a whole-matrix evaluation
-    gives. Returns (loss, softmaxes, negatives). softmaxes is
-    [image_to_text, text_to_image] when probs is set, formed whole, and
-    empty otherwise. negatives is [neg_text_idx, neg_image_idx] when rng is
-    given, drawn block by block as sample_hard_negatives draws them from the
-    whole softmaxes, and empty otherwise. tau must already be validated;
-    sims are dot products of finite unit rows.
+    are taken in the row blocks of data._row_bounds, each row shifted by its
+    own max, so one block's exponentials are alive at a time and every value
+    is bit for bit the one a whole-matrix evaluation gives. Returns (loss,
+    softmaxes, negatives). softmaxes is [image_to_text, text_to_image] when
+    probs is set, formed whole, and empty otherwise. negatives is
+    [neg_text_idx, neg_image_idx] when rng is given, drawn block by block as
+    sample_hard_negatives draws them from the whole softmaxes, and empty
+    otherwise. tau must already be validated; sims are dot products of
+    finite unit rows.
     """
     n = len(sims)
-    step = n if probs else max(2, _block_rows(n))
-    # numpy sums a one-row block of sims.T pairwise, not in sequence, so a
-    # last block of one row joins the block before it
-    bounds = [*range(0, max(n - 1, 1), step), n]
+    bounds = [0, n] if probs else _row_bounds(n, n)
     # both uniform vectors up front, image rows first, as sample_hard_negatives takes them
     uniforms = (rng.random(n), rng.random(n)) if rng is not None else (None, None)
     positives, softmaxes, negatives = [], [], []
     for scores, u in zip((sims, sims.T), uniforms):
         picks = []
         for lo, hi in zip(bounds, bounds[1:]):
-            # max-shifted exponentials; the softmax is e / rowsum. A block of
-            # sims.T keeps its column-major layout, so each row sum adds the
-            # image rows in sequence as the whole transpose does
+            # max-shifted exponentials: the softmax is e / rowsum, a positive's
+            # log-probability its shifted score - log(rowsum). A block of sims.T
+            # keeps its column-major layout, so each row sum adds the image
+            # rows in sequence as the whole transpose does
             e = scores[lo:hi] / tau
             e -= e.max(axis=1, keepdims=True)
+            rows = np.arange(len(e))
+            shifted = e[rows, lo + rows]
             np.exp(e, out=e)
             rowsum = e.sum(axis=1, keepdims=True)
-            rows = np.arange(len(e))
-            positives.append(e[rows, lo + rows] / rowsum[:, 0])
+            positives.append(shifted - np.log(rowsum[:, 0]))
             if probs or u is not None:
                 e /= rowsum
             if probs:
@@ -159,7 +157,7 @@ def _contrastive(sims: np.ndarray, tau: float, probs: bool = False, rng=None):
                 picks.append(_draw_rows(e, lo, u[lo:hi]))
         if u is not None:
             negatives.append(np.concatenate(picks))
-    logs = np.log(np.concatenate(positives))
+    logs = np.concatenate(positives)
     loss = -(logs[:n].sum() + logs[n:].sum()) / (2 * n)
     if not np.isfinite(loss):
         raise NonFiniteValue("contrastive loss is non-finite")
@@ -330,6 +328,8 @@ def match_loss(
     cosine(adapted image, adapted text) through scale and bias to a logit.
     """
     n = batch.size
+    if n < 1:
+        raise BatchTooSmall("match loss needs at least 1 pair")
     for idx in map(np.asarray, negatives):
         if idx.shape != (n,):
             raise InvalidConfig("negatives must contain one index per batch row")
@@ -355,12 +355,13 @@ def train_adapter(
     negatives, as sample_hard_negatives would from the whole softmaxes. Each
     entry keeps the n x n scores whole and takes both softmaxes, and that
     draw, in row blocks, so about one n x n float64 array is alive at a time.
-    A single pair raises BatchTooSmall at that draw. Projections start at identity, the match head at (scale=10,
+    With epochs >= 1, fewer than 2 pairs raise BatchTooSmall, as that draw
+    needs two. Projections start at identity, the match head at (scale=10,
     bias=0) and temperature stays at cfg.temperature: training neither
-    computes nor applies its gradient. Shuffling, hard-negative
-    draws and updates all come from seeded generators, so the result is
-    bit-identical per seed. ground_truth (int64[queries.rows]) names each
-    query row's gallery row, as data.check_ground_truth requires.
+    computes nor applies its gradient. Shuffling, hard-negative draws and
+    updates all come from seeded generators, so the result is bit-identical
+    per seed. ground_truth (int64[queries.rows]) names each query row's
+    gallery row, as data.check_ground_truth requires.
     """
     cfg.validate()
     if queries.dim != gallery.dim:
@@ -375,6 +376,8 @@ def train_adapter(
     trace: list[LossBreakdown] = []
     if cfg.epochs == 0:
         return params, trace
+    if queries.rows < 2:
+        raise BatchTooSmall("hard-negative sampling needs at least 2 pairs")
 
     full_batch = Batch(image_embeddings=images_all, text_embeddings=texts_all)
 

@@ -14,7 +14,7 @@ column at or above it holds the row's true top k. Only those columns are
 ordered by (-score, gallery id). This reads each score twice (chunk maxima,
 then the floor comparison) and partitions only the ~4k maxima, never a whole
 row. Beyond the score matrix and the returned ranking, its working memory is
-O(BLOCK_SCORES), i.e. O(block rows x n_gallery), never O(n_queries x n_gallery).
+one data._row_bounds block, O(data.BLOCK_SCORES), never O(n_queries x n_gallery).
 
 Ranked lists are held as one columnar Ranking: ascending query ids and
 (n_queries, k) arrays of gallery ids and scores. Every query's list has the
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingMatrix, _read_text, _write_table
+from .data import EmbeddingMatrix, _read_text, _row_bounds, _write_table
 from .errors import (
     DimensionMismatch,
     InvalidRanking,
@@ -37,17 +37,8 @@ from .errors import (
     ParseError,
 )
 
-# Scores examined at once (1 MB of float32) by top_k: a block holds
-# max(1, BLOCK_SCORES // n_gallery) query rows, which bounds working memory
-# independently of n_queries and keeps each block cache-sized.
-BLOCK_SCORES = 1 << 18
-
 # int64 range: ids outside it cannot be stored in a Ranking
 _INT64 = range(-(1 << 63), 1 << 63)
-
-
-def _block_rows(n_gallery: int) -> int:
-    return max(1, BLOCK_SCORES // max(1, n_gallery))
 
 
 def _int64_ids(values) -> np.ndarray:
@@ -123,7 +114,6 @@ def top_k(sims: np.ndarray, k: int) -> Ranking:
     n_queries, n_gallery = sims.shape
     if not 1 <= k <= n_gallery:
         raise KOutOfRange(f"k={k} outside [1, {n_gallery}]")
-    step = _block_rows(n_gallery)
     # chunks of `width` columns, the leftover columns one chunk each: at
     # least k chunks, about 4k when n_gallery >= 8k, every column when narrow
     width = max(1, n_gallery // (4 * k))
@@ -131,8 +121,9 @@ def top_k(sims: np.ndarray, k: int) -> Ranking:
     kth = split // width + (n_gallery - split) - k
     ids = np.empty((n_queries, k), dtype=np.int64)
     top = np.empty((n_queries, k), dtype=np.float64)
-    for lo in range(0, n_queries, step):
-        block = sims[lo:lo + step]
+    bounds = _row_bounds(n_queries, n_gallery)
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = sims[lo:hi]
         # max propagates NaN, so a NaN anywhere in a row is a chunk maximum
         maxima = np.concatenate(
             (block[:, :split].reshape(len(block), -1, width).max(axis=2), block[:, split:]),
@@ -151,8 +142,8 @@ def top_k(sims: np.ndarray, k: int) -> Ranking:
         # every row keeps at least k columns; rows are contiguous in order
         starts = np.searchsorted(rows, np.arange(len(block)))
         pick = order[(starts[:, None] + np.arange(k)).ravel()]
-        ids[lo:lo + step] = cols[pick].reshape(-1, k)
-        top[lo:lo + step] = scores[pick].reshape(-1, k)
+        ids[lo:hi] = cols[pick].reshape(-1, k)
+        top[lo:hi] = scores[pick].reshape(-1, k)
     return Ranking(query_ids=np.arange(n_queries, dtype=np.int64), ids=ids, scores=top)
 
 

@@ -614,7 +614,8 @@ class TestTableWriters:
 
     @pytest.mark.parametrize("block_rows", [1, 2, 4, 5])
     def test_blocks_join_byte_identically(self, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(data, "TABLE_BLOCK_ROWS", block_rows)
+        # every table in blocks of block_rows rows, at least 2
+        monkeypatch.setattr(data, "BLOCK_SCORES", 5 * block_rows)
         rng = np.random.default_rng(21)
         ids, scores = rng.integers(-9, 99, (3, 2)), rng.random((3, 2))
         sources = rng.integers(1, 3, (3, 2))
@@ -653,5 +654,42 @@ class TestTableWriters:
             finally:
                 tracemalloc.stop()
 
-        one, four = peak(data.TABLE_BLOCK_ROWS), peak(4 * data.TABLE_BLOCK_ROWS)
+        # a block holds BLOCK_SCORES // 5 rows: one block, then four
+        block = data.BLOCK_SCORES // 5
+        one, four = peak(block), peak(4 * block)
         assert four < 1.5 * one
+
+
+class TestRowBounds:
+    """data._row_bounds, the one rule for row blocks: top-k, the training
+    trace and the table writer loop over its bounds."""
+
+    @given(n_rows=st.integers(0, 300), n_cols=st.integers(0, 500), budget=st.integers(1, 2000))
+    def test_row_bounds_property(self, n_rows, n_cols, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "BLOCK_SCORES", budget)
+            bounds = data._row_bounds(n_rows, n_cols)
+        step = max(2, budget // max(1, n_cols))
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n_rows and (sizes > 0).all()
+        if n_rows >= 2:
+            # a one-row tail joins the block before it: at most step + 1 <= 2 step - 1
+            assert (sizes[:-1] == step).all() and 2 <= sizes[-1] <= step + 1
+
+    @pytest.mark.parametrize("n_rows,n_cols,bounds", [
+        (0, 4, [0]), (1, 4, [0, 1]), (2, 4, [0, 2]), (3, 4, [0, 3]),
+        # more columns than the budget still makes blocks of 2 rows
+        (0, data.BLOCK_SCORES + 1, [0]), (1, data.BLOCK_SCORES + 1, [0, 1]),
+        (2, data.BLOCK_SCORES + 1, [0, 2]), (3, data.BLOCK_SCORES + 1, [0, 3]),
+        (4, data.BLOCK_SCORES + 1, [0, 2, 4]), (5, data.BLOCK_SCORES + 1, [0, 2, 5]),
+    ])
+    def test_row_bounds_cases(self, n_rows, n_cols, bounds):
+        assert data._row_bounds(n_rows, n_cols) == bounds
+
+    def test_workload_blocks(self):
+        # top-k at n=10000: 385 blocks of 26 rows, the last of 16
+        sizes = np.diff(data._row_bounds(10_000, 10_000)).tolist()
+        assert sizes == [26] * 384 + [16]
+        # the trace at n=2000, and the table writer's 5-column blocks
+        assert set(np.diff(data._row_bounds(2000, 2000))[:-1]) == {131}
+        assert data._row_bounds(100_000, 5)[1] == 52428

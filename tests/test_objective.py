@@ -391,6 +391,12 @@ class TestMatchLoss:
         loss, _ = match_loss(batch, negatives, adapter)
         assert loss < 1e-8
 
+    def test_empty_batch_is_too_small(self):
+        empty = np.empty((0, 4))
+        with pytest.raises(BatchTooSmall, match="^match loss needs at least 1 pair$"):
+            match_loss(Batch(empty, empty.copy()), (np.arange(0), np.arange(0)),
+                       AdapterParams.identity(4))
+
     @pytest.mark.parametrize("bad", [[1, 0, 3], [1, 0, 3, -1], [1, 0, 3, 4], [1.0, 0.0, 3.0, 0.5]])
     def test_negatives_must_be_one_row_index_per_row(self, bad):
         batch = random_batch(4, 8, seed=9)
@@ -416,7 +422,7 @@ class TestMatchLoss:
 
 
 def assert_trace_is_the_whole_matrix_evaluation(q, g, ground_truth, cfg, block_scores=None):
-    """Train with similarity.BLOCK_SCORES set to block_scores, if given, and
+    """Train with data.BLOCK_SCORES set to block_scores, if given, and
     check every trace entry and the evaluation negatives, bit for bit, against
     contrastive_loss, match_loss and sample_hard_negatives at the same
     full-dataset forward; those form each softmax whole. Returns the entry-0
@@ -439,7 +445,7 @@ def assert_trace_is_the_whole_matrix_evaluation(q, g, ground_truth, cfg, block_s
         mp.setattr(objective, "_adapter_forward", recording_forward)
         mp.setattr(objective, "_match_logits", recording_match_logits)
         if block_scores is not None:
-            mp.setattr(similarity, "BLOCK_SCORES", block_scores)
+            mp.setattr(data, "BLOCK_SCORES", block_scores)
         _, trace = train_adapter(q, g, ground_truth, cfg)
 
     assert len(seen) == len(drawn) == cfg.epochs + 1
@@ -549,6 +555,23 @@ class TestTrainAdapter:
                 for s in range(2))
         with pytest.raises(BatchTooSmall, match="^hard-negative sampling needs at least 2 pairs$"):
             train_adapter(q, g, np.arange(1), TrainConfig(epochs=1))
+
+    def test_no_pairs_are_too_small(self):
+        q = data.EmbeddingMatrix(np.empty((0, 4), dtype=np.float32))
+        g = data.EmbeddingMatrix(unit_rows(1, 4, np.random.default_rng(0)).astype(np.float32))
+        with pytest.raises(BatchTooSmall, match="^hard-negative sampling needs at least 2 pairs$"):
+            train_adapter(q, g, np.arange(0), TrainConfig(epochs=1))
+
+    def test_small_temperature_trains(self, seed7_dataset):
+        # the README set at tau = 1e-4: positives' probabilities underflow to
+        # 0, but their logs, shifted score - log(rowsum), stay finite, and
+        # nothing warns (pytest turns warnings into errors)
+        _, manifest = seed7_dataset
+        q, g = (data.l2_normalize(data.load_embeddings(manifest, split))
+                for split in ("query", "gallery"))
+        cfg = TrainConfig(epochs=1, temperature=1e-4, seed=7)
+        _, trace = train_adapter(q, g, manifest.ground_truth, cfg)
+        assert [t.total for t in trace] == pytest.approx([773.758633229, 714.133058893], abs=1e-6)
 
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_ground_truth_checked_against_inputs(self, make_dataset, epochs):

@@ -72,10 +72,11 @@ def assert_equals_reference(lists, sims, k):
 @pytest.fixture
 def rows_per_block(monkeypatch):
     """Shrink the score budget so a call spans several blocks of `rows`
-    query rows each; callers choose n_queries so the last block is partial."""
+    query rows each (at least 2, as data._row_bounds makes them); callers
+    choose n_queries so the last block is partial."""
 
     def _set(rows, n_gallery):
-        monkeypatch.setattr(similarity, "BLOCK_SCORES", rows * n_gallery + n_gallery - 1)
+        monkeypatch.setattr(data, "BLOCK_SCORES", rows * n_gallery + n_gallery - 1)
 
     return _set
 
@@ -145,6 +146,10 @@ class TestTopK:
         for k in (0, 4):
             with pytest.raises(KOutOfRange):
                 similarity.top_k(sims, k)
+
+    def test_no_queries_give_an_empty_ranking(self):
+        lists = similarity.top_k(np.zeros((0, 5), dtype=np.float32), 3)
+        assert len(lists) == 0 and lists.ids.shape == lists.scores.shape == (0, 3)
 
     def test_matches_full_sort_oracle_100x50(self):
         rng = np.random.default_rng(6)
@@ -259,7 +264,7 @@ class TestTopKBlocks:
         # yields -0.0 to tie with 0.0
         sims = np.round(rng.random((n_q, n_g)) * 2 - 1, 1).astype(np.float32)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(similarity, "BLOCK_SCORES", rows * n_g)
+            mp.setattr(data, "BLOCK_SCORES", rows * n_g)
             lists = similarity.top_k(sims, k)
         for q, entries in rows_of(lists):
             assert [g for g, _ in entries] == sort_oracle(sims[q])[:k]
@@ -324,7 +329,7 @@ class TestTopKBlocks:
         for row, col, value in plants:
             sims[row, col] = value
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(similarity, "BLOCK_SCORES", rows * n_g)
+            mp.setattr(data, "BLOCK_SCORES", rows * n_g)
             lists = similarity.top_k(sims, k)
         assert_equals_reference(lists, sims, k)
 

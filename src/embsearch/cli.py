@@ -64,6 +64,7 @@ def cmd_validate(args) -> int:
         # the loader checks split files before validate_dataset can report them
         print(f"FAIL  manifest  ({exc})")
         raise
+    print("PASS  manifest")  # a DatasetManifest checks its rules when built
     report = data.validate_dataset(manifest)
     for check in report.checks:
         detail = f"  ({check.detail})" if check.detail else ""

@@ -33,8 +33,9 @@ UNIT_NORM_TOLERANCE = 1e-5
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Shape and ground-truth metadata for one query/gallery embedding pair;
-    ground_truth (int64[query_count]) holds query row q's gallery row at q."""
+    """Shape and ground-truth metadata for one query/gallery embedding pair,
+    checked when built; ground_truth (int64[query_count]) holds query row q's
+    gallery row at q, as check_ground_truth requires."""
 
     name: str
     dim: int
@@ -45,7 +46,7 @@ class DatasetManifest:
     ground_truth: np.ndarray
     seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _require_one_line(self.name, "dataset name")
         if self.dim < 1:
             raise ParseError(f"dim must be >= 1, got {self.dim}")
@@ -104,8 +105,8 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Parameters for a deterministic synthetic retrieval benchmark.
-    `embsearch gen-synth` takes its flag defaults from here; seed has none."""
+    """Parameters for a deterministic synthetic retrieval benchmark, checked
+    when built. `embsearch gen-synth` takes its flag defaults from here; seed has none."""
 
     n_identities: int = 64
     dim: int = 32
@@ -114,12 +115,14 @@ class SynthConfig:
     confusable_gap: float = 0.02
     seed: int = field(kw_only=True)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_fields(self)
         if self.n_identities < 1 or self.dim < 1:
             raise InvalidConfig("n_identities and dim must be >= 1")
-        if self.confusable_fraction > 0 and self.n_identities < 2:
-            raise InvalidConfig("n_identities must be >= 2 when confusable_fraction > 0")
+        # a planted pair takes two identities, and a direction orthogonal to its anchor
+        for name in ("n_identities", "dim"):
+            if self.confusable_fraction > 0 and getattr(self, name) < 2:
+                raise InvalidConfig(f"{name} must be >= 2 when confusable_fraction > 0")
         if self.noise_sigma < 0:
             raise InvalidConfig("noise_sigma must be nonnegative")
         if not 0.0 <= self.confusable_fraction <= 1.0:
@@ -243,13 +246,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise GroundTruthOutOfRange(f"query id {outside[0]} outside [0, {parsed['query_count']})")
     # q ascends inside [0, query_count): q[i] == i holds up to the first missing query
     manifest = DatasetManifest(**parsed, ground_truth=g[:np.count_nonzero(q == np.arange(len(q)))])
-    manifest.validate()
 
-    for split, fpath, rows in (
-        ("query", manifest.query_path, manifest.query_count),
-        ("gallery", manifest.gallery_path, manifest.gallery_count),
-    ):
-        _require_file(fpath, f"{split} file", rows * manifest.dim * 4)
+    _require_file(manifest.query_path, "query file", manifest.query_count * manifest.dim * 4)
+    _require_file(manifest.gallery_path, "gallery file", manifest.gallery_count * manifest.dim * 4)
     return manifest
 
 
@@ -326,12 +325,10 @@ def load_embeddings(manifest: DatasetManifest, split: str) -> np.ndarray:
     """One split's (``query`` or ``gallery``) float32 rows as read_embedding_file
     reads them: finite, not yet normalized (see l2_normalize)."""
     if split == "query":
-        arr = read_embedding_file(manifest.query_path, manifest.query_count, manifest.dim)
-    elif split == "gallery":
-        arr = read_embedding_file(manifest.gallery_path, manifest.gallery_count, manifest.dim)
-    else:
-        raise InvalidConfig(f"split must be 'query' or 'gallery', got {split!r}")
-    return arr
+        return read_embedding_file(manifest.query_path, manifest.query_count, manifest.dim)
+    if split == "gallery":
+        return read_embedding_file(manifest.gallery_path, manifest.gallery_count, manifest.dim)
+    raise InvalidConfig(f"split must be 'query' or 'gallery', got {split!r}")
 
 
 def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +381,6 @@ def generate_synthetic(
     from an independent noise stream is written alongside, sharing the
     gallery, as ``manifest_heldout.json``.
     """
-    cfg.validate()
     _require_one_line(name, "dataset name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -435,34 +431,27 @@ def generate_synthetic(
 def validate_dataset(manifest: DatasetManifest) -> ValidationReport:
     """Run every dataset health check; failures become report entries.
 
-    The manifest and each split are checked by the code that loads them, so
-    a failed check's detail is that loader's error message. On top of the
-    loaders, ground truth must be one-to-one; a split that EmbeddingMatrix
-    would refuse as not unit-norm only warns, naming its first such row.
+    The manifest checked its own rules when it was built. Each split is
+    checked by the code that loads it, so a failed check's detail is that
+    loader's error message. On top of the loaders, ground truth must be
+    one-to-one; a split that EmbeddingMatrix would refuse as not unit-norm
+    only warns, naming its first such row.
     """
     report = ValidationReport()
-    arrays = {}
-    for name, load in (
-        ("manifest", manifest.validate),
-        ("query", lambda: load_embeddings(manifest, "query")),
-        ("gallery", lambda: load_embeddings(manifest, "gallery")),
-    ):
+    for split in ("query", "gallery"):
         try:
-            arrays[name] = load()
+            rows = load_embeddings(manifest, split)
         except PipelineError as exc:
-            report.checks.append(ValidationCheck(name, False, str(exc)))
-        else:
-            report.checks.append(ValidationCheck(name, True))
+            report.checks.append(ValidationCheck(split, False, str(exc)))
+            continue
+        report.checks.append(ValidationCheck(split, True))
+        try:
+            EmbeddingMatrix(rows)
+        except NotNormalized as exc:
+            report.warnings.append(f"{split} rows are not unit-normalized: {exc}")
 
     one_to_one = len(np.unique(manifest.ground_truth)) == len(manifest.ground_truth)
     report.checks.append(ValidationCheck(
         "ground_truth_one_to_one", one_to_one, "" if one_to_one else "duplicate gallery targets"
     ))
-
-    for split in ("query", "gallery"):
-        try:
-            if split in arrays:
-                EmbeddingMatrix(arrays[split])
-        except NotNormalized as exc:
-            report.warnings.append(f"{split} rows are not unit-normalized: {exc}")
     return report

@@ -12,6 +12,7 @@ step-size decay, deterministic per seed.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,11 +45,18 @@ class AdapterParams:
 
     def validate(self) -> None:
         _check_fields(self)
-        if self.temperature <= 0:
-            raise InvalidConfig("temperature must be positive")
+        _check_temperature(self.temperature)
         for name, value in (("w_text", self.w_text), ("w_image", self.w_image)):
             if not np.all(np.isfinite(value)):
                 raise NonFiniteValue(f"{name} contains non-finite entries")
+
+
+def _check_temperature(tau: float) -> None:
+    """tau > 0, and 2 / tau (the widest max-shifted row of cosines / tau) finite."""
+    if tau <= 0:
+        raise InvalidConfig("temperature must be positive")
+    if math.isinf(2 / float(tau)):
+        raise InvalidConfig(f"temperature must keep 2 / temperature finite, got {tau}")
 
 
 @dataclass
@@ -91,8 +99,8 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training knobs. temperature is fixed for the whole run: its gradient
-    is reported by contrastive_loss but never applied."""
+    """Training knobs, checked when built. temperature is fixed for the whole
+    run: its gradient is reported by contrastive_loss but never applied."""
 
     epochs: int = 10
     batch_size: int = 16
@@ -102,7 +110,7 @@ class TrainConfig:
     temperature: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_fields(self)
         if self.epochs < 0:
             raise InvalidConfig("epochs must be >= 0")
@@ -112,8 +120,7 @@ class TrainConfig:
             raise InvalidConfig("step_size must be positive")
         if self.weight_decay < 0:
             raise InvalidConfig("weight_decay must be nonnegative")
-        if self.temperature <= 0:
-            raise InvalidConfig("temperature must be positive")
+        _check_temperature(self.temperature)
 
 
 def _contrastive(sims: np.ndarray, tau: float, probs: bool = False, rng=None):
@@ -127,7 +134,7 @@ def _contrastive(sims: np.ndarray, tau: float, probs: bool = False, rng=None):
     probs is set, formed whole, and empty otherwise. negatives is
     [neg_text_idx, neg_image_idx] when rng is given, drawn block by block as
     sample_hard_negatives draws them from the whole softmaxes, and empty
-    otherwise. tau must already be validated; sims are dot products of
+    otherwise. tau must pass _check_temperature; sims are dot products of
     finite unit rows.
     """
     n = len(sims)
@@ -158,7 +165,8 @@ def _contrastive(sims: np.ndarray, tau: float, probs: bool = False, rng=None):
         if u is not None:
             negatives.append(np.concatenate(picks))
     logs = np.concatenate(positives)
-    loss = -(logs[:n].sum() + logs[n:].sum()) / (2 * n)
+    with np.errstate(over="ignore"):  # an overflowing sum fails the check below
+        loss = -(logs[:n].sum() + logs[n:].sum()) / (2 * n)
     if not np.isfinite(loss):
         raise NonFiniteValue("contrastive loss is non-finite")
     return float(loss), softmaxes, negatives
@@ -363,7 +371,6 @@ def train_adapter(
     per seed. ground_truth (int64[queries.rows]) names each query row's
     gallery row, as data.check_ground_truth requires.
     """
-    cfg.validate()
     if queries.dim != gallery.dim:
         raise DimensionMismatch("query and gallery dims differ")
     check_ground_truth(ground_truth, queries.rows, gallery.rows)

@@ -29,16 +29,17 @@ class ResolutionPolicy:
     answers other queries hold within their next `depth` ranks. max_rounds
     defaults to the retrieval depth. similarity_gate, when set, keeps a
     group only if some pair of member query embeddings exceeds that cosine.
+    The fields are checked when built, depth against k by resolve.
     """
 
     depth: int = 1
     max_rounds: int | None = None
     similarity_gate: float | None = None
 
-    def validate(self, list_length: int) -> None:
+    def __post_init__(self):
         _check_fields(self)
-        if self.depth < 1 or self.depth > list_length:
-            raise InvalidConfig(f"depth must be in [1, {list_length}]")
+        if self.depth < 1:
+            raise InvalidConfig("depth must be >= 1")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise InvalidConfig("max_rounds must be >= 1")
 
@@ -176,7 +177,8 @@ def resolve(
         raise EmptyList("no ranked lists to resolve")
     if not k:
         raise EmptyList(f"query {ranking.query_ids[0]} has an empty ranked list")
-    policy.validate(k)
+    if policy.depth > k:
+        raise InvalidConfig(f"depth must be in [1, {k}]")
     max_rounds = policy.max_rounds if policy.max_rounds is not None else k
 
     qids = ranking.query_ids

@@ -209,9 +209,8 @@ class TestNonFiniteConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("cls, field", FLOAT_FIELDS, ids=[f for _, f in FLOAT_FIELDS])
     def test_validate_rejects(self, cls, field, value):
-        cfg = cls(**{field: value, **({"seed": 0} if cls is data.SynthConfig else {})})
         with pytest.raises(InvalidConfig, match=f"^{field} must be finite, got {value}$"):
-            cfg.validate(1) if cls is resolver.ResolutionPolicy else cfg.validate()
+            cls(**{field: value, **({"seed": 0} if cls is data.SynthConfig else {})})
 
     FLAGS = [("gen-synth", "--sigma", "noise_sigma"),
              ("gen-synth", "--confusable-fraction", "confusable_fraction"),
@@ -233,6 +232,47 @@ class TestNonFiniteConfig:
                 "resolve": ["resolve", ranked, "--out", out, "--manifest", manifest]}[command]
         assert run_cli(*argv, f"{flag}={value}") == 2  # "-inf" alone reads as a flag
         error = f"{field} must be finite, got {float(value)}"
+        assert capsys.readouterr().err == f"data error: {error}\n"
+        assert not out.exists()
+
+
+class TestConfigRules:
+    """A flag that breaks a config rule is a data error before any output."""
+
+    @pytest.mark.parametrize("temperature, error", [
+        ("1e-310", "temperature must keep 2 / temperature finite, got 1e-310"),
+        ("1.2e-308", "contrastive loss is non-finite"),
+    ])
+    def test_tiny_temperature_is_one_data_error_line(self, tmp_path, temperature, error):
+        """Run with warnings as errors on the README's dataset: 1e-310 used to
+        overflow scores / tau and blame a probability row, 1.2e-308 to
+        overflow the loss sum."""
+        ds, out, trace = tmp_path / "ds", tmp_path / "model.adapter", tmp_path / "trace.tsv"
+        gen_synth = readme_commands()[0]
+        gen_synth[gen_synth.index("--out") + 1] = str(ds)
+        assert run(gen_synth) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "embsearch.cli", "train-adapter",
+             str(ds / "manifest.json"), "--out", str(out), "--trace", str(trace),
+             "--temperature", temperature],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"data error: {error}\n")
+        assert not out.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("flags, error", [
+        (("--depth", 0), "depth must be >= 1"),
+        (("--max-rounds", 0), "max_rounds must be >= 1"),
+        (("--depth", 11), "depth must be in [1, 10]"),
+    ], ids=["depth-0", "max-rounds-0", "depth-past-k"])
+    def test_resolve_policy_rule(self, dataset_dir, tmp_path, capsys, flags, error):
+        ranked, out = tmp_path / "ranked.tsv", tmp_path / "resolved.tsv"
+        assert run_cli("search", dataset_dir / "manifest.json", "--k", 10, "--out", ranked) == 0
+        capsys.readouterr()
+        assert run_cli("resolve", ranked, "--out", out, *flags) == 2
         assert capsys.readouterr().err == f"data error: {error}\n"
         assert not out.exists()
 

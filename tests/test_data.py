@@ -407,11 +407,25 @@ class TestSynthetic:
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
-            data.SynthConfig(1, 4, 0.1, 0.5, 0.1, seed=0).validate()
+            data.SynthConfig(1, 4, 0.1, 0.5, 0.1, seed=0)
         with pytest.raises(InvalidConfig):
-            data.SynthConfig(4, 4, -0.1, 0.0, 0.1, seed=0).validate()
+            data.SynthConfig(4, 4, -0.1, 0.0, 0.1, seed=0)
         with pytest.raises(InvalidConfig):
-            data.SynthConfig(4, 4, 0.1, 0.0, 1.5, seed=0).validate()
+            data.SynthConfig(4, 4, 0.1, 0.0, 1.5, seed=0)
+
+    def test_confusable_pairs_need_two_dims(self, tmp_path, capsys):
+        """A 1-D anchor has no orthogonal direction: gen-synth --dim 1 used to
+        loop forever drawing one for its first planted pair."""
+        message = "dim must be >= 2 when confusable_fraction > 0"
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            data.SynthConfig(4, 1, seed=0)
+        out = tmp_path / "ds"
+        argv = ["gen-synth", "--out", str(out), "--seed", "1", "--n", "4", "--dim", "1"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+        assert run([*argv, "--confusable-fraction", "0"]) == 0
+        assert data.load_manifest(out / "manifest.json").dim == 1
 
 
 def _resolve_with(tmp_path, **policy):
@@ -463,7 +477,7 @@ def _load(tmp_path, pairs, ground_truth):
 
 def _validate(tmp_path, pairs, ground_truth):
     manifest = data.load_manifest(write_manifest_fixture(tmp_path))
-    dataclasses.replace(manifest, ground_truth=ground_truth).validate()
+    dataclasses.replace(manifest, ground_truth=ground_truth)
 
 
 def _train(tmp_path, pairs, ground_truth):

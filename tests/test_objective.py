@@ -586,11 +586,23 @@ class TestTrainAdapter:
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
-            TrainConfig(epochs=-1).validate()
+            TrainConfig(epochs=-1)
         with pytest.raises(InvalidConfig):
-            TrainConfig(batch_size=1).validate()
+            TrainConfig(batch_size=1)
         with pytest.raises(InvalidConfig):
-            TrainConfig(step_size=0.0).validate()
+            TrainConfig(step_size=0.0)
+
+    @pytest.mark.parametrize("tau, message", [
+        (0.0, "temperature must be positive"),
+        (-1.0, "temperature must be positive"),
+        (1e-310, "temperature must keep 2 / temperature finite, got 1e-310"),
+    ])
+    def test_one_temperature_rule(self, tau, message):
+        """TrainConfig and AdapterParams refuse the same temperatures alike."""
+        adapter = AdapterParams(np.eye(2), np.eye(2), temperature=tau)
+        for build in (lambda: TrainConfig(temperature=tau), adapter.validate):
+            with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+                build()
 
     def test_trace_file_format(self, make_dataset, tmp_path):
         manifest, q, g = self.normalized_pair(make_dataset)

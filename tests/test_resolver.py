@@ -79,7 +79,6 @@ def reference_resolve(lists, policy=ResolutionPolicy(), query_embeddings=None):
     them back, then rounds and live_conflicts."""
     lists = sorted(lists, key=lambda row: row[0])
     depth_n = max(len(entries) for _, entries in lists)
-    policy.validate(depth_n)
     max_rounds = policy.max_rounds if policy.max_rounds is not None else depth_n
     by_query = dict(lists)
     positions = {qid: 0 for qid, _ in lists}
@@ -210,6 +209,21 @@ class TestDetectConflicts:
                 resolve(lists, policy, emb)
             with pytest.raises(NotNormalized, match=refused):
                 detect_conflicts(lists, policy, np.zeros(2, np.int64), np.ones(2, bool), emb)
+
+
+class TestPolicyRules:
+    @pytest.mark.parametrize("field, message", [
+        ("depth", "depth must be >= 1"), ("max_rounds", "max_rounds must be >= 1"),
+    ])
+    def test_construction_refuses_zero(self, field, message):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            ResolutionPolicy(**{field: 0})
+
+    def test_resolve_refuses_depth_past_k(self):
+        lists = ranking([rl(1, (100, 0.9), (102, 0.6)), rl(2, (100, 0.8), (101, 0.7))])
+        with pytest.raises(InvalidConfig, match=r"^depth must be in \[1, 2\]$"):
+            resolve(lists, ResolutionPolicy(depth=3))
+        assert resolve(lists, ResolutionPolicy(depth=2)).converged
 
 
 class TestResolve:

@@ -334,10 +334,14 @@ def load_embeddings(manifest: DatasetManifest, split: str) -> np.ndarray:
 def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Divide the rows of a caller-owned float64 array by their L2 norms in
     place; returns (rows, norms). The one former of the package's unit rows
-    (EmbeddingMatrix is their one check): the first row whose norm is
-    <= ZERO_NORM_THRESHOLD raises ZeroVector, or whose norm is not finite (a
-    NaN or inf entry) NonFiniteValue, naming the row's index."""
-    norms = np.linalg.norm(rows, axis=1)
+    (EmbeddingMatrix is their one check): the first row whose norm is <=
+    ZERO_NORM_THRESHOLD raises ZeroVector, or whose norm is not finite (a NaN
+    or inf entry) NonFiniteValue, naming the row; np.hypot, which does not
+    square, gives the norm of a finite row whose squares overflow."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+        over = np.flatnonzero(norms == np.inf)
+        norms[over] = np.hypot.reduce(rows[over], axis=1)
     # NaN fails both comparisons
     bad = np.flatnonzero(~((norms > ZERO_NORM_THRESHOLD) & (norms < np.inf)))
     if bad.size:

@@ -8,7 +8,8 @@ All gradients are derived analytically and checked against central finite
 differences in the test suite.
 
 Training is plain gradient descent with decoupled weight decay and a linear
-step-size decay, deterministic per seed.
+step-size decay, deterministic per seed. AdapterParams is a frozen value,
+checked when built like the configs; each training step builds the next one.
 """
 from __future__ import annotations
 
@@ -29,9 +30,11 @@ _ADAPTER_MAGIC = b"ADAP"
 _ADAPTER_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdapterParams:
-    """Linear projections per modality plus the logistic match head."""
+    """Linear projections per modality plus the logistic match head, checked
+    when built: a NaN or infinite scalar or a temperature that breaks
+    _check_temperature raises InvalidConfig, a non-finite weight NonFiniteValue."""
 
     w_text: np.ndarray
     w_image: np.ndarray
@@ -40,10 +43,10 @@ class AdapterParams:
     temperature: float = 1.0
 
     @classmethod
-    def identity(cls, dim: int) -> "AdapterParams":
-        return cls(w_text=np.eye(dim), w_image=np.eye(dim))
+    def identity(cls, dim: int, temperature: float = 1.0) -> "AdapterParams":
+        return cls(w_text=np.eye(dim), w_image=np.eye(dim), temperature=temperature)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_fields(self)
         _check_temperature(self.temperature)
         for name, value in (("w_text", self.w_text), ("w_image", self.w_image)):
@@ -120,6 +123,8 @@ class TrainConfig:
             raise InvalidConfig("step_size must be positive")
         if self.weight_decay < 0:
             raise InvalidConfig("weight_decay must be nonnegative")
+        if self.step_size * self.weight_decay >= 1:  # a step scales weights by 1 - lr * wd
+            raise InvalidConfig("step_size * weight_decay must be < 1")
         _check_temperature(self.temperature)
 
 
@@ -183,8 +188,7 @@ def _project(rows: np.ndarray, w: np.ndarray):
 
 
 def _adapter_forward(batch: Batch, adapter: AdapterParams):
-    """Validated adapter, then (texts, t_norms, images, i_norms) of the batch."""
-    adapter.validate()
+    """(texts, t_norms, images, i_norms) of the batch through the adapter."""
     texts, t_norms = _project(batch.text_embeddings, adapter.w_text)
     images, i_norms = _project(batch.image_embeddings, adapter.w_image)
     return texts, t_norms, images, i_norms
@@ -298,9 +302,10 @@ def _match_logits(forward, negatives, adapter: AdapterParams):
     labels = np.concatenate([np.ones(n), np.zeros(2 * n)])
 
     cos = np.sum(images[img_idx] * texts[txt_idx], axis=1)
-    z = adapter.match_scale * cos + adapter.match_bias
     # softplus(z) - y*z is the numerically stable BCE-on-logits form
-    loss = float(np.mean(np.logaddexp(0.0, z) - labels * z))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss fails below
+        z = adapter.match_scale * cos + adapter.match_bias
+        loss = float(np.mean(np.logaddexp(0.0, z) - labels * z))
     if not np.isfinite(loss):
         raise NonFiniteValue("match loss is non-finite")
     return loss, (img_idx, txt_idx, labels, cos, z)
@@ -310,7 +315,8 @@ def _match_loss(batch: Batch, forward, negatives, adapter: AdapterParams):
     texts, _, images, _ = forward
     loss, (img_idx, txt_idx, labels, cos, z) = _match_logits(forward, negatives, adapter)
 
-    p = 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives p = 0
+        p = 1.0 / (1.0 + np.exp(-z))
     dz = (p - labels) / len(labels)
     d_cos = adapter.match_scale * dz
 
@@ -358,18 +364,19 @@ def train_adapter(
     entry per epoch boundary: entry 0 is the pre-training loss, entry e the
     loss after epoch e, both measured on the full dataset with a fixed set
     of evaluation negatives so the trace reflects parameter movement rather
-    than shuffle noise. The trace computes loss values only, from one
-    full-dataset forward per entry; the first also draws the evaluation
-    negatives, as sample_hard_negatives would from the whole softmaxes. Each
-    entry keeps the n x n scores whole and takes both softmaxes, and that
-    draw, in row blocks, so about one n x n float64 array is alive at a time.
-    With epochs >= 1, fewer than 2 pairs raise BatchTooSmall, as that draw
-    needs two. Projections start at identity, the match head at (scale=10,
-    bias=0) and temperature stays at cfg.temperature: training neither
-    computes nor applies its gradient. Shuffling, hard-negative draws and
-    updates all come from seeded generators, so the result is bit-identical
-    per seed. ground_truth (int64[queries.rows]) names each query row's
-    gallery row, as data.check_ground_truth requires.
+    than shuffle noise. Each of the epochs + 1 passes ends in one full-dataset
+    forward that computes loss values only; pass 0 takes no steps and draws
+    the evaluation negatives, as sample_hard_negatives would from the whole
+    softmaxes. Each entry keeps the n x n scores whole and takes both
+    softmaxes, and that draw, in row blocks, so about one n x n float64 array
+    is alive at a time. With epochs >= 1, fewer than 2 pairs raise
+    BatchTooSmall, as that draw needs two. Projections start at identity, the
+    match head at (scale=10, bias=0) and temperature stays at cfg.temperature.
+    Each step builds new AdapterParams, so a non-finite step raises there.
+    Shuffling, hard-negative draws and updates all come from seeded
+    generators, so the result is bit-identical per seed. ground_truth
+    (int64[queries.rows]) names each query row's gallery row, as
+    data.check_ground_truth requires.
     """
     if queries.dim != gallery.dim:
         raise DimensionMismatch("query and gallery dims differ")
@@ -378,8 +385,7 @@ def train_adapter(
     texts_all = queries.data.astype(np.float64)
     images_all = gallery.data[ground_truth].astype(np.float64)
 
-    params = AdapterParams.identity(queries.dim)
-    params.temperature = tau = cfg.temperature
+    params = AdapterParams.identity(queries.dim, cfg.temperature)
     trace: list[LossBreakdown] = []
     if cfg.epochs == 0:
         return params, trace
@@ -387,17 +393,6 @@ def train_adapter(
         raise BatchTooSmall("hard-negative sampling needs at least 2 pairs")
 
     full_batch = Batch(image_embeddings=images_all, text_embeddings=texts_all)
-
-    def record(forward, c_loss: float) -> None:
-        m_loss, _ = _match_logits(forward, eval_negatives, params)
-        trace.append(LossBreakdown(c_loss, m_loss, cfg.lambda_match))
-
-    forward = _adapter_forward(full_batch, params)
-    texts, _, images, _ = forward
-    c_loss, _, eval_negatives = _contrastive(
-        images @ texts.T, tau, rng=np.random.default_rng([cfg.seed, 1]))
-    record(forward, c_loss)
-
     rng = np.random.default_rng([cfg.seed, 0])
     n = queries.rows
     # a final batch of fewer than 2 rows is skipped (batch_size >= 2)
@@ -405,35 +400,39 @@ def train_adapter(
     total_steps = cfg.epochs * len(starts)
     step = 0
 
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in starts:
+    for epoch in range(cfg.epochs + 1):
+        perm = rng.permutation(n) if epoch else None  # pass 0 takes no steps
+        for start in starts if epoch else []:
             idx = perm[start : start + cfg.batch_size]
             batch = Batch(image_embeddings=images_all[idx], text_embeddings=texts_all[idx])
             forward = _adapter_forward(batch, params)
-            _, c_grads, softmaxes, _ = _contrastive_grads(batch, forward, tau)
+            _, c_grads, softmaxes, _ = _contrastive_grads(batch, forward, cfg.temperature)
             negatives = sample_hard_negatives(*softmaxes, rng)
             _, m_grads = _match_loss(batch, forward, negatives, params)
 
-            lr = cfg.step_size * (1.0 - step / total_steps)
-            params.w_text -= lr * (c_grads.w_text + cfg.lambda_match * m_grads.w_text)
-            params.w_image -= lr * (c_grads.w_image + cfg.lambda_match * m_grads.w_image)
-            params.w_text -= lr * cfg.weight_decay * params.w_text
-            params.w_image -= lr * cfg.weight_decay * params.w_image
-            params.match_scale -= lr * cfg.lambda_match * m_grads.match_scale
-            params.match_bias -= lr * cfg.lambda_match * m_grads.match_bias
-
+            lr, lam = cfg.step_size * (1.0 - step / total_steps), cfg.lambda_match
+            # a step whose result is not finite is refused when its parameters are built
+            with np.errstate(over="ignore", invalid="ignore"):
+                w_text = params.w_text - lr * (c_grads.w_text + lam * m_grads.w_text)
+                w_image = params.w_image - lr * (c_grads.w_image + lam * m_grads.w_image)
+                params = AdapterParams(
+                    w_text - lr * cfg.weight_decay * w_text,
+                    w_image - lr * cfg.weight_decay * w_image,
+                    params.match_scale - lr * lam * m_grads.match_scale,
+                    params.match_bias - lr * lam * m_grads.match_bias, cfg.temperature)
             step += 1
         forward = _adapter_forward(full_batch, params)
         texts, _, images, _ = forward
-        record(forward, _contrastive(images @ texts.T, tau)[0])
+        eval_rng = None if epoch else np.random.default_rng([cfg.seed, 1])
+        c_loss, _, drawn = _contrastive(images @ texts.T, cfg.temperature, rng=eval_rng)
+        eval_negatives = eval_negatives if epoch else drawn
+        m_loss, _ = _match_logits(forward, eval_negatives, params)
+        trace.append(LossBreakdown(c_loss, m_loss, cfg.lambda_match))
     return params, trace
 
 
 def apply_adapter(m: EmbeddingMatrix, params: AdapterParams, side: str) -> EmbeddingMatrix:
-    """Project one modality's rows through its adapter matrix and renormalize.
-    The adapter is validated first, so its own faults are named as its own."""
-    params.validate()
+    """Project one modality's rows through its adapter matrix and renormalize."""
     if side == "text":
         w = params.w_text
     elif side == "image":
@@ -474,15 +473,7 @@ def load_adapter(path: str | Path) -> AdapterParams:
     w_text = body[: dim * dim].reshape(dim, dim).astype(np.float64)
     w_image = body[dim * dim : 2 * dim * dim].reshape(dim, dim).astype(np.float64)
     scale, bias, temperature = (float(x) for x in body[2 * dim * dim :])
-    params = AdapterParams(
-        w_text=w_text,
-        w_image=w_image,
-        match_scale=scale,
-        match_bias=bias,
-        temperature=temperature,
-    )
-    params.validate()
-    return params
+    return AdapterParams(w_text, w_image, scale, bias, temperature)
 
 
 def write_trace(path: str | Path, trace: list[LossBreakdown], meta: dict | None = None) -> None:

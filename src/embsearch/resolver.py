@@ -212,7 +212,7 @@ def resolve(
         made = np.empty(len(lose), AUDIT_DTYPE)
         made["round"], made["answer_id"] = round_index, answers[lose]
         made["winner"], made["loser"] = qids[rows[winner[lose]]], qids[rows[lose]]
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf, as Python floats give
             made["delta_s"] = scores[winner[lose]] - scores[lose]
         audit.append(made)
         # only a loser sitting on the contested answer moves; with depth > 1

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import embsearch
@@ -236,6 +237,25 @@ class TestNonFiniteConfig:
         assert not out.exists()
 
 
+def readme_dataset(root: Path) -> Path:
+    """The README's data set, written under root; returns its directory."""
+    ds = root / "ds"
+    gen_synth = readme_commands()[0]
+    gen_synth[gen_synth.index("--out") + 1] = str(ds)
+    assert run(gen_synth) == 0
+    return ds
+
+
+def run_strict(*argv):
+    """An `embsearch` process with warnings as errors, as a CompletedProcess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "embsearch.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 class TestConfigRules:
     """A flag that breaks a config rule is a data error before any output."""
 
@@ -247,19 +267,9 @@ class TestConfigRules:
         """Run with warnings as errors on the README's dataset: 1e-310 used to
         overflow scores / tau and blame a probability row, 1.2e-308 to
         overflow the loss sum."""
-        ds, out, trace = tmp_path / "ds", tmp_path / "model.adapter", tmp_path / "trace.tsv"
-        gen_synth = readme_commands()[0]
-        gen_synth[gen_synth.index("--out") + 1] = str(ds)
-        assert run(gen_synth) == 0
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
-                                                          env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "embsearch.cli", "train-adapter",
-             str(ds / "manifest.json"), "--out", str(out), "--trace", str(trace),
-             "--temperature", temperature],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        ds, out, trace = readme_dataset(tmp_path), tmp_path / "model.adapter", tmp_path / "trace.tsv"
+        done = run_strict("train-adapter", ds / "manifest.json", "--out", out, "--trace", trace,
+                          "--temperature", temperature)
         assert (done.returncode, done.stdout, done.stderr) == (2, "", f"data error: {error}\n")
         assert not out.exists() and not trace.exists()
 
@@ -275,6 +285,69 @@ class TestConfigRules:
         assert run_cli("resolve", ranked, "--out", out, *flags) == 2
         assert capsys.readouterr().err == f"data error: {error}\n"
         assert not out.exists()
+
+
+class TestOverflow:
+    """Overflowing values and diverging training, run with warnings as errors:
+    each command exits 0, or 2 with one `data error:` line and no output. An
+    adapter's or a config's fault is never blamed on a data row."""
+
+    def test_huge_sigma_synthesizes(self, tmp_path):
+        # squares of 1e200 overflow: the norm used to be inf, leaving gallery.f32 alone
+        done = run_strict("gen-synth", "--out", tmp_path / "gs", "--seed", 1, "--sigma", "1e200")
+        assert (done.returncode, done.stderr) == (0, "")
+        manifest = data.load_manifest(tmp_path / "gs" / "manifest.json")
+        data.EmbeddingMatrix(data.load_embeddings(manifest, "query"))
+
+    def test_huge_adapter_searches(self, tmp_path):
+        ds, huge = readme_dataset(tmp_path), tmp_path / "huge.adapter"
+        objective.save_adapter(huge, objective.AdapterParams(1e200 * np.eye(32), np.eye(32)))
+        done = run_strict("search", ds / "manifest.json", "--k", 10, "--adapter", huge,
+                          "--out", tmp_path / "adapted.tsv")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert run_cli("search", ds / "manifest.json", "--k", 10, "--out", tmp_path / "plain.tsv") == 0
+        # a scaled identity leaves every unit row where it was
+        adapted, plain = (similarity.read_ranked_lists(tmp_path / name)
+                          for name in ("adapted.tsv", "plain.tsv"))
+        np.testing.assert_array_equal(adapted.ids, plain.ids)
+
+    RULE = "step_size * weight_decay must be < 1"
+
+    @pytest.mark.parametrize("flags, error", [
+        (("--temperature", "1e-306", "--epochs", 2, "--seed", 7), None),
+        # lr * weight_decay = 1 used to zero the weights and blame row 0's norm
+        (("--step-size", "1e2"), RULE),
+        (("--step-size", "1e5"), RULE),
+        (("--step-size", "1e10"), RULE),
+        (("--step-size", "1e300"), RULE),
+        (("--weight-decay", "1e300"), RULE),
+        (("--lambda-match", "1e300"), None),
+        # the match head's exp overflows, and its p is 0 as before
+        (("--step-size", "1e5", "--weight-decay", 0, "--epochs", 2), None),
+        (("--step-size", "1e10", "--weight-decay", 0, "--temperature", "1e-306", "--epochs", 2),
+         "w_text contains non-finite entries"),
+        (("--step-size", "1e10", "--weight-decay", 0, "--lambda-match", "1e300", "--epochs", 2),
+         "match_scale must be finite, got -inf"),
+        (("--step-size", "1e3", "--weight-decay", 0, "--lambda-match", "1e305", "--epochs", 2),
+         "match loss is non-finite"),
+    ])
+    def test_training_ends_in_one_outcome(self, tmp_path, flags, error):
+        ds, out, trace = readme_dataset(tmp_path), tmp_path / "model.adapter", tmp_path / "trace.tsv"
+        done = run_strict("train-adapter", ds / "manifest.json", "--out", out, "--trace", trace,
+                          *flags)
+        if error is None:
+            assert (done.returncode, done.stderr) == (0, "")
+            objective.load_adapter(out)
+        else:
+            assert (done.returncode, done.stdout, done.stderr) == (2, "", f"data error: {error}\n")
+            assert not out.exists() and not trace.exists()
+
+    def test_resolve_overflowing_score_difference(self, tmp_path):
+        ranked, audit = tmp_path / "ranked.tsv", tmp_path / "audit.tsv"
+        ranked.write_text("0\t1\t5\t1.7e308\n0\t2\t6\t0.1\n1\t1\t5\t-1.7e308\n1\t2\t7\t0.1\n")
+        done = run_strict("resolve", ranked, "--out", tmp_path / "resolved.tsv", "--audit", audit)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert audit.read_text().splitlines()[-1] == "1\t5\t0\t1\tinf"
 
 
 class TestExitCodes:

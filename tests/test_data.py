@@ -265,6 +265,23 @@ class TestNormalize:
         twice = data.l2_normalize(once.data)
         np.testing.assert_allclose(twice.data, once.data, atol=1e-7)
 
+    @settings(deadline=None)
+    @given(
+        arr=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 40)),
+            elements=st.floats(-1e3, 1e3),
+        ),
+        e=st.integers(0, 300),
+    )
+    def test_scaled_rows_normalize_to_the_unit_rows(self, arr, e):
+        """A finite row whose squares overflow (10^e with e >= 154) still has a
+        finite norm, so rows scaled by 10^e normalize to the unscaled unit rows."""
+        if np.any(np.linalg.norm(arr, axis=1) <= 1e-6):
+            return
+        np.testing.assert_allclose(data.l2_normalize(arr * 10.0**e).data,
+                                   data.l2_normalize(arr).data, rtol=0, atol=1e-7)
+
 
 class TestEmbeddingMatrix:
     """Every EmbeddingMatrix is checked for unit rows when it is built."""

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import re
 import struct
@@ -162,9 +163,8 @@ class TestInbatchSoftmax:
     def test_bad_temperature(self):
         batch = random_batch(2, 2, seed=0)
         for temperature in (0.0, -1.0, math.nan):
-            adapter = AdapterParams(np.eye(2), np.eye(2), temperature=temperature)
             with pytest.raises(InvalidConfig):
-                contrastive_loss(batch, adapter)
+                contrastive_loss(batch, AdapterParams(np.eye(2), np.eye(2), temperature=temperature))
 
 
 class TestContrastiveLoss:
@@ -372,8 +372,7 @@ class TestMatchLoss:
     def test_uncertain_head_gives_log2(self):
         # scale 0, bias 0 puts every pair at probability 0.5
         batch = random_batch(4, 8, seed=9)
-        adapter = AdapterParams.identity(8)
-        adapter.match_scale, adapter.match_bias = 0.0, 0.0
+        adapter = dataclasses.replace(AdapterParams.identity(8), match_scale=0.0, match_bias=0.0)
         negatives = sample_hard_negatives(
             np.full((4, 4), 0.25), np.full((4, 4), 0.25), np.random.default_rng(1)
         )
@@ -385,8 +384,7 @@ class TestMatchLoss:
         # orthonormal rows: positives at cosine 1, negatives at cosine 0
         eye = np.eye(4)
         batch = Batch(image_embeddings=eye.copy(), text_embeddings=eye.copy())
-        adapter = AdapterParams.identity(4)
-        adapter.match_scale, adapter.match_bias = 50.0, -25.0
+        adapter = dataclasses.replace(AdapterParams.identity(4), match_scale=50.0, match_bias=-25.0)
         negatives = (np.array([1, 0, 3, 2]), np.array([1, 0, 3, 2]))
         loss, _ = match_loss(batch, negatives, adapter)
         assert loss < 1e-8
@@ -592,6 +590,49 @@ class TestTrainAdapter:
         with pytest.raises(InvalidConfig):
             TrainConfig(step_size=0.0)
 
+    def test_decay_cannot_zero_or_flip_the_weights(self):
+        """A step scales the weights by 1 - lr * weight_decay, and lr starts at
+        step_size: at step_size 100 the README set's first step zeroed them."""
+        for step_size, weight_decay in ((100.0, 0.01), (1.0, 1.0), (1e300, 0.01),
+                                        (3e-5, 1e300), (1e5, 0.01)):
+            with pytest.raises(InvalidConfig, match=r"^step_size \* weight_decay must be < 1$"):
+                TrainConfig(step_size=step_size, weight_decay=weight_decay)
+        assert TrainConfig(step_size=99.0, weight_decay=0.01).step_size == 99.0
+
+    def test_parameters_are_values(self, make_dataset):
+        """Every AdapterParams that training projects through is left as built,
+        and none can be assigned to."""
+        manifest, q, g = self.normalized_pair(make_dataset)
+        seen = []
+        forward = objective._adapter_forward
+
+        def recording_forward(batch, adapter):
+            seen.append((adapter, copy.deepcopy(adapter)))
+            return forward(batch, adapter)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objective, "_adapter_forward", recording_forward)
+            params, _ = train_adapter(q, g, manifest.ground_truth,
+                                      TrainConfig(epochs=2, batch_size=8, step_size=0.1, seed=3))
+        assert len(seen) == 2 * 2 + 3  # two steps per epoch, three trace entries
+        for adapter, built in seen:
+            for field in dataclasses.fields(AdapterParams):
+                np.testing.assert_array_equal(getattr(adapter, field.name),
+                                              getattr(built, field.name))
+        assert not np.array_equal(params.w_text, np.eye(8))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.match_scale = 1.0
+
+    def test_non_finite_step_is_refused_at_that_step(self, seed7_dataset):
+        """A step that leaves the weights non-finite raises AdapterParams' own
+        error, with no numpy warning (pytest turns warnings into errors)."""
+        _, manifest = seed7_dataset
+        q, g = (data.l2_normalize(data.load_embeddings(manifest, split))
+                for split in ("query", "gallery"))
+        cfg = TrainConfig(epochs=2, step_size=1e10, weight_decay=0.0, temperature=1e-306, seed=7)
+        with pytest.raises(NonFiniteValue, match="^w_text contains non-finite entries$"):
+            train_adapter(q, g, manifest.ground_truth, cfg)
+
     @pytest.mark.parametrize("tau, message", [
         (0.0, "temperature must be positive"),
         (-1.0, "temperature must be positive"),
@@ -599,8 +640,8 @@ class TestTrainAdapter:
     ])
     def test_one_temperature_rule(self, tau, message):
         """TrainConfig and AdapterParams refuse the same temperatures alike."""
-        adapter = AdapterParams(np.eye(2), np.eye(2), temperature=tau)
-        for build in (lambda: TrainConfig(temperature=tau), adapter.validate):
+        for build in (lambda: TrainConfig(temperature=tau),
+                      lambda: AdapterParams(np.eye(2), np.eye(2), temperature=tau)):
             with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
                 build()
 
@@ -646,17 +687,17 @@ class TestApplyAdapter:
 
     @pytest.mark.parametrize("side", ["text", "image"])
     def test_non_finite_weight_is_the_adapters_fault(self, side):
-        adapter = AdapterParams.identity(4)
-        getattr(adapter, f"w_{side}")[0, 0] = math.inf
+        w = np.eye(4)
+        w[0, 0] = math.inf
         m = data.EmbeddingMatrix(np.eye(4, dtype=np.float32))
         with pytest.raises(NonFiniteValue, match=f"w_{side} contains non-finite entries"):
-            apply_adapter(m, adapter, side)
+            apply_adapter(m, dataclasses.replace(AdapterParams.identity(4), **{f"w_{side}": w}),
+                          side)
 
     def test_nan_temperature_is_rejected(self):
-        adapter = AdapterParams(np.eye(4), np.eye(4), temperature=math.nan)
         m = data.EmbeddingMatrix(np.eye(4, dtype=np.float32))
         with pytest.raises(InvalidConfig, match="temperature must be finite"):
-            apply_adapter(m, adapter, "text")
+            apply_adapter(m, AdapterParams(np.eye(4), np.eye(4), temperature=math.nan), "text")
 
     def test_adapter_dim_must_match_the_rows(self):
         adapter = AdapterParams.identity(3)
@@ -688,14 +729,15 @@ class TestAdapterPersistence:
     def test_non_finite_scalars_are_rejected(self, tmp_path):
         path = tmp_path / "params.adapter"
         for temperature in (math.nan, math.inf):
-            save_adapter(path, AdapterParams(np.eye(2), np.eye(2), temperature=temperature))
+            # the bytes save_adapter would write, had such parameters been built
+            eye = np.eye(2).ravel()
+            path.write_bytes(b"ADAP" + struct.pack("<III", 1, 2, 1) + np.concatenate(
+                [eye, eye, [10.0, 0.0, temperature]]).astype("<f8").tobytes())
             with pytest.raises(InvalidConfig, match="temperature must be finite"):
                 load_adapter(path)
         for field in ("match_scale", "match_bias"):
-            params = AdapterParams.identity(2)
-            setattr(params, field, np.float32(math.nan))
             with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
-                params.validate()
+                dataclasses.replace(AdapterParams.identity(2), **{field: np.float32(math.nan)})
 
     def test_float32_payload_is_refused(self, tmp_path):
         """A float32 payload under dtype flag 0 is refused: float64 (flag 1),

@@ -241,6 +241,15 @@ class TestResolve:
         assert delta_s == pytest.approx(0.1)
         assert not unresolved
 
+    def test_overflowing_score_difference_is_inf(self, tmp_path):
+        """1.7e308 - -1.7e308 overflows: delta_s is inf, as Python floats give,
+        with no numpy warning (pytest turns warnings into errors)."""
+        path = tmp_path / "ranked.tsv"
+        path.write_text("0\t1\t5\t1.7e308\n0\t2\t6\t0.1\n1\t1\t5\t-1.7e308\n1\t2\t7\t0.1\n")
+        audit = resolve(similarity.read_ranked_lists(path)).audit
+        assert audit[["winner", "loser"]].tolist() == [(0, 1)]
+        assert audit["delta_s"].tolist() == [1.7e308 - -1.7e308] == [math.inf]
+
     def test_cascading_three_query_trace(self):
         lists = ranking([
             rl(1, (100, 0.9), (103, 0.5), (104, 0.4)),

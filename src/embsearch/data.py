@@ -1,4 +1,4 @@
-"""Dataset loading, validation, normalization, and synthesis.
+"""Dataset loading, normalization, and synthesis.
 
 Embedding files are headerless little-endian float32, row-major; all shape
 metadata lives in a JSON manifest next to them. Ground truth is an int64
@@ -22,7 +22,6 @@ from .errors import (
     NonFiniteValue,
     NotNormalized,
     ParseError,
-    PipelineError,
     ZeroVector,
 )
 
@@ -152,23 +151,6 @@ def _check_fields(cfg) -> None:
             raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
         if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise InvalidConfig(f"{f.name} must be finite, got {value}")
-
-
-@dataclass
-class ValidationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class ValidationReport:
-    checks: list[ValidationCheck] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _require_file(path: str | Path, what: str, size: int | None = None) -> Path:
@@ -430,32 +412,3 @@ def generate_synthetic(
     if heldout:
         write_split(2, "queries_heldout.f32", "manifest_heldout.json", name + "-heldout")
     return manifest
-
-
-def validate_dataset(manifest: DatasetManifest) -> ValidationReport:
-    """Run every dataset health check; failures become report entries.
-
-    The manifest checked its own rules when it was built. Each split is
-    checked by the code that loads it, so a failed check's detail is that
-    loader's error message. On top of the loaders, ground truth must be
-    one-to-one; a split that EmbeddingMatrix would refuse as not unit-norm
-    only warns, naming its first such row.
-    """
-    report = ValidationReport()
-    for split in ("query", "gallery"):
-        try:
-            rows = load_embeddings(manifest, split)
-        except PipelineError as exc:
-            report.checks.append(ValidationCheck(split, False, str(exc)))
-            continue
-        report.checks.append(ValidationCheck(split, True))
-        try:
-            EmbeddingMatrix(rows)
-        except NotNormalized as exc:
-            report.warnings.append(f"{split} rows are not unit-normalized: {exc}")
-
-    one_to_one = len(np.unique(manifest.ground_truth)) == len(manifest.ground_truth)
-    report.checks.append(ValidationCheck(
-        "ground_truth_one_to_one", one_to_one, "" if one_to_one else "duplicate gallery targets"
-    ))
-    return report

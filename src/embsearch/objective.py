@@ -34,7 +34,8 @@ _ADAPTER_VERSION = 1
 class AdapterParams:
     """Linear projections per modality plus the logistic match head, checked
     when built: a NaN or infinite scalar or a temperature that breaks
-    _check_temperature raises InvalidConfig, a non-finite weight NonFiniteValue."""
+    _check_temperature raises InvalidConfig, a non-finite weight NonFiniteValue.
+    Each weight is stored as a read-only copy of the array passed in."""
 
     w_text: np.ndarray
     w_image: np.ndarray
@@ -49,7 +50,11 @@ class AdapterParams:
     def __post_init__(self):
         _check_fields(self)
         _check_temperature(self.temperature)
-        for name, value in (("w_text", self.w_text), ("w_image", self.w_image)):
+        for name in ("w_text", "w_image"):
+            # a read-only copy: no later write, to it or to the input, skips this check
+            value = np.array(getattr(self, name))
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
             if not np.all(np.isfinite(value)):
                 raise NonFiniteValue(f"{name} contains non-finite entries")
 
@@ -372,7 +377,9 @@ def train_adapter(
     is alive at a time. With epochs >= 1, fewer than 2 pairs raise
     BatchTooSmall, as that draw needs two. Projections start at identity, the
     match head at (scale=10, bias=0) and temperature stays at cfg.temperature.
-    Each step builds new AdapterParams, so a non-finite step raises there.
+    Each step builds new AdapterParams, so a non-finite step raises there,
+    and a trace entry whose total is not finite raises NonFiniteValue naming
+    the entry.
     Shuffling, hard-negative draws and updates all come from seeded
     generators, so the result is bit-identical per seed. ground_truth
     (int64[queries.rows]) names each query row's gallery row, as
@@ -428,6 +435,8 @@ def train_adapter(
         eval_negatives = eval_negatives if epoch else drawn
         m_loss, _ = _match_logits(forward, eval_negatives, params)
         trace.append(LossBreakdown(c_loss, m_loss, cfg.lambda_match))
+        if not math.isfinite(trace[-1].total):  # lambda_match * match can overflow
+            raise NonFiniteValue(f"trace entry {epoch} has a non-finite total loss")
     return params, trace
 
 

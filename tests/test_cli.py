@@ -321,7 +321,8 @@ class TestOverflow:
         (("--step-size", "1e10"), RULE),
         (("--step-size", "1e300"), RULE),
         (("--weight-decay", "1e300"), RULE),
-        (("--lambda-match", "1e300"), None),
+        # lambda_match * match stays finite when the step size offsets it
+        (("--lambda-match", "1e300", "--step-size", "1e-300"), None),
         # the match head's exp overflows, and its p is 0 as before
         (("--step-size", "1e5", "--weight-decay", 0, "--epochs", 2), None),
         (("--step-size", "1e10", "--weight-decay", 0, "--temperature", "1e-306", "--epochs", 2),
@@ -330,6 +331,9 @@ class TestOverflow:
          "match_scale must be finite, got -inf"),
         (("--step-size", "1e3", "--weight-decay", 0, "--lambda-match", "1e305", "--epochs", 2),
          "match loss is non-finite"),
+        # entry 1's match loss is about 2e294, so its total overflows: it used to exit 0
+        (("--lambda-match", "1e300", "--epochs", 2, "--seed", 7),
+         "trace entry 1 has a non-finite total loss"),
     ])
     def test_training_ends_in_one_outcome(self, tmp_path, flags, error):
         ds, out, trace = readme_dataset(tmp_path), tmp_path / "model.adapter", tmp_path / "trace.tsv"
@@ -348,6 +352,77 @@ class TestOverflow:
         done = run_strict("resolve", ranked, "--out", tmp_path / "resolved.tsv", "--audit", audit)
         assert (done.returncode, done.stderr) == (0, "")
         assert audit.read_text().splitlines()[-1] == "1\t5\t0\t1\tinf"
+
+
+VALIDATE_PASSES = ["PASS  manifest", "PASS  query", "PASS  gallery",
+                   "PASS  ground_truth_one_to_one"]
+
+
+def _nan_gallery(ds: Path) -> tuple[int, list[str]]:
+    gallery = ds / "gallery.f32"
+    values = np.fromfile(gallery, dtype="<f4")
+    values[5 * 32 + 3] = np.nan  # in row 5 of the 32-dim rows
+    values.tofile(gallery)
+    detail = f"{gallery.resolve()}: non-finite value in row 5"
+    return 2, [*VALIDATE_PASSES[:2], f"FAIL  gallery  ({detail})", VALIDATE_PASSES[3]]
+
+
+def _non_unit_queries(ds: Path) -> tuple[int, list[str]]:
+    queries = ds / "queries.f32"
+    rows = np.fromfile(queries, dtype="<f4").reshape(64, 32)
+    rows[2] = 2 * np.eye(32)[0]
+    rows.tofile(queries)
+    return 0, [*VALIDATE_PASSES,
+               "WARN  query rows are not unit-normalized: row 2 has norm 2, not 1 within 1e-05"]
+
+
+def _non_unit_rows_in_both(ds: Path) -> tuple[int, list[str]]:
+    code, lines = _non_unit_queries(ds)
+    gallery = ds / "gallery.f32"
+    rows = np.fromfile(gallery, dtype="<f4").reshape(64, 32)
+    rows[0] = 3 * np.eye(32)[1]
+    rows.tofile(gallery)
+    return code, [*lines,
+                  "WARN  gallery rows are not unit-normalized: row 0 has norm 3, not 1 within 1e-05"]
+
+
+def _duplicate_ground_truth(ds: Path) -> tuple[int, list[str]]:
+    manifest = ds / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["ground_truth"][0] = [0, 1]  # query 1's gallery row
+    manifest.write_text(json.dumps(doc))
+    return 2, [*VALIDATE_PASSES[:3], "FAIL  ground_truth_one_to_one  (duplicate gallery targets)"]
+
+
+# each damages the README set and returns validate's exit code and stdout lines
+VALIDATE_CASES = {
+    "readme-set": lambda ds: (0, VALIDATE_PASSES),
+    "nan-gallery": _nan_gallery,
+    "non-unit-queries": _non_unit_queries,
+    "non-unit-rows-in-both": _non_unit_rows_in_both,
+    "duplicate-ground-truth": _duplicate_ground_truth,
+}
+
+
+class TestValidateOutput:
+    """`embsearch validate`'s whole output: a PASS or FAIL line per check in
+    order, then a WARN line per split whose rows are not unit-normalized. A
+    failed check exits 2 with nothing on stderr; a warning alone exits 0."""
+
+    @pytest.mark.parametrize("case", VALIDATE_CASES)
+    def test_stdout_and_exit_code(self, tmp_path, capsys, case):
+        ds = readme_dataset(tmp_path)
+        code, lines = VALIDATE_CASES[case](ds)
+        capsys.readouterr()
+        assert run_cli("validate", ds / "manifest.json") == code
+        assert capsys.readouterr() == ("".join(line + "\n" for line in lines), "")
+
+    def test_warnings_as_errors(self, tmp_path):
+        ds = readme_dataset(tmp_path)
+        code, lines = _nan_gallery(ds)
+        done = run_strict("validate", ds / "manifest.json")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, "".join(line + "\n" for line in lines), "")
 
 
 class TestExitCodes:
@@ -456,6 +531,18 @@ class TestExitCodes:
         }[command]
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_report_out_writes_the_printed_table(tmp_path, capsys):
+    before, after, out = tmp_path / "before.txt", tmp_path / "after.txt", tmp_path / "delta.txt"
+    before.write_bytes(GOOD_REPORT)
+    after.write_bytes(GOOD_REPORT.replace(b"recall@1: 0.5", b"recall@1: 1"))
+    assert run_cli("report", before, after) == 0
+    table = capsys.readouterr().out
+    assert run_cli("report", before, after, "--out", out) == 0
+    assert capsys.readouterr().out == table
+    assert out.read_bytes() == table.encode("utf-8")  # the table and print's newline
+    assert table.endswith("\n") and not table.endswith("\n\n")
 
 
 def test_cli_imports_no_test_only_dependency():

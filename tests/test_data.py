@@ -536,45 +536,6 @@ def test_one_ground_truth_rule(tmp_path, entry_point, fault):
     assert (type(raised.value), str(raised.value)) == (error, message)
 
 
-class TestValidateDataset:
-    def test_clean_fixture_passes(self, make_dataset):
-        manifest = make_dataset(data.SynthConfig(6, 4, 0.1, 0.0, 0.5, seed=1))
-        report = data.validate_dataset(manifest)
-        assert report.ok
-        assert not report.warnings
-
-    def test_duplicate_ground_truth_flagged(self, tmp_path):
-        path = write_manifest_fixture(tmp_path, gt=[[0, 1], [1, 1], [2, 2], [3, 3]])
-        report = data.validate_dataset(data.load_manifest(path))
-        failed = {c.name for c in report.checks if not c.passed}
-        assert "ground_truth_one_to_one" in failed
-
-    def test_unnormalized_data_warns_not_fails(self, tmp_path):
-        """The warning is EmbeddingMatrix's refusal, naming the first non-unit row."""
-        path = write_manifest_fixture(tmp_path)
-        rows = unit_rows(4, 8, np.random.default_rng(0))
-        rows[2] = np.eye(8)[0] * 2
-        data.write_embedding_file(tmp_path / "q.f32", rows)
-        report = data.validate_dataset(data.load_manifest(path))
-        assert report.ok
-        query, gallery = report.warnings
-        assert query == "query rows are not unit-normalized: row 2 has norm 2, not 1 within 1e-05"
-        assert re.fullmatch(r"gallery rows are not unit-normalized: "
-                            r"row 0 has norm [\d.]+, not 1 within 1e-05", gallery)
-
-    def test_non_finite_gallery_fails_its_check(self, tmp_path):
-        path = write_manifest_fixture(tmp_path)
-        gfile = tmp_path / "g.f32"
-        values = np.frombuffer(gfile.read_bytes(), dtype="<f4").copy()
-        values[5] = np.nan
-        gfile.write_bytes(values.tobytes())
-        report = data.validate_dataset(data.load_manifest(path))
-        failed = [c for c in report.checks if not c.passed]
-        assert [c.name for c in failed] == ["gallery"]
-        assert "non-finite" in failed[0].detail
-        assert run(["validate", str(path)]) == 2
-
-
 INT64 = st.integers(-(1 << 63), (1 << 63) - 1) | st.sampled_from([-(1 << 63), (1 << 63) - 1])
 FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
 METAS = st.sampled_from([None, {}, {"dataset": "d", "seed": 7}])

@@ -633,6 +633,17 @@ class TestTrainAdapter:
         with pytest.raises(NonFiniteValue, match="^w_text contains non-finite entries$"):
             train_adapter(q, g, manifest.ground_truth, cfg)
 
+    def test_non_finite_trace_total_is_refused(self, seed7_dataset):
+        """lambda_match * match overflows at entry 1 (its match loss is about
+        2e294) while every weight stays finite; training used to return that
+        trace with an inf total."""
+        _, manifest = seed7_dataset
+        q, g = (data.l2_normalize(data.load_embeddings(manifest, split))
+                for split in ("query", "gallery"))
+        cfg = TrainConfig(epochs=2, lambda_match=1e300, seed=7)
+        with pytest.raises(NonFiniteValue, match="^trace entry 1 has a non-finite total loss$"):
+            train_adapter(q, g, manifest.ground_truth, cfg)
+
     @pytest.mark.parametrize("tau, message", [
         (0.0, "temperature must be positive"),
         (-1.0, "temperature must be positive"),
@@ -660,6 +671,23 @@ class TestTrainAdapter:
             assert float(fields[3]) == pytest.approx(
                 float(fields[1]) + trace[0].lambda_match * float(fields[2]), rel=1e-9
             )
+
+
+class TestAdapterParams:
+    @pytest.mark.parametrize("name", ["w_text", "w_image"])
+    def test_weights_are_read_only(self, name):
+        """An assignment into a weight would skip the finiteness check."""
+        params = AdapterParams.identity(4)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(params, name)[0, 0] = math.inf
+        np.testing.assert_array_equal(getattr(params, name), np.eye(4))
+
+    def test_writes_to_the_input_do_not_reach_the_params(self):
+        w_text, w_image = np.eye(4), 2 * np.eye(4)
+        params = AdapterParams(w_text, w_image)
+        w_text[0, 0] = w_image[1, 1] = math.inf
+        np.testing.assert_array_equal(params.w_text, np.eye(4))
+        np.testing.assert_array_equal(params.w_image, 2 * np.eye(4))
 
 
 class TestApplyAdapter:

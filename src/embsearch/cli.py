@@ -144,8 +144,8 @@ def cmd_resolve(args) -> int:
     if args.audit:
         resolver.write_audit(args.audit, resolution, meta=meta)
     stopped = "" if resolution.converged else (
-        f"; stopped at the round cap with {resolution.live_conflicts} "
-        "conflict group(s) still live"
+        f"; {'stalled' if resolution.stalled else 'stopped at the round cap'} "
+        f"with {resolution.live_conflicts} conflict group(s) still live"
     )
     # gallery ids that end as the answer of two or more queries
     _, holders = np.unique(lists.ids[np.arange(len(lists)), resolution.ranks], return_counts=True)

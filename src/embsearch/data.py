@@ -118,6 +118,11 @@ class SynthConfig:
         _check_fields(self)
         if self.n_identities < 1 or self.dim < 1:
             raise InvalidConfig("n_identities and dim must be >= 1")
+        # numpy refuses a larger n_identities x dim float64 array with a ValueError
+        if self.n_identities * self.dim > np.iinfo(np.intp).max // 8:
+            raise InvalidConfig("n_identities * dim must fit one float64 array")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise InvalidConfig("seed must be >= 0")
         # a planted pair takes two identities, and a direction orthogonal to its anchor
         for name in ("n_identities", "dim"):
             if self.confusable_fraction > 0 and getattr(self, name) < 2:

@@ -34,13 +34,18 @@ class EvalReport:
 
 @dataclass
 class DeltaReport:
-    dataset: str
-    k_values: list[int]
+    """Two runs' recall per k, in the runs' k order; the changes are derived."""
+
     before: dict[int, float]
     after: dict[int, float]
-    delta: dict[int, float]
-    relative: dict[int, float]
-    regressions: list[int]
+
+    @property
+    def delta(self) -> dict[int, float]:
+        return {k: self.after[k] - self.before[k] for k in self.before}
+
+    @property
+    def regressions(self) -> list[int]:
+        return [k for k, d in self.delta.items() if d < 0]
 
 
 def recall_at_k(
@@ -86,25 +91,11 @@ def recall_at_k(
 
 
 def compare_reports(before: EvalReport, after: EvalReport) -> DeltaReport:
-    """Per-k signed and relative recall change; negative deltas are flagged."""
+    """The pair of two runs' recall; runs over other datasets or k values raise."""
     if before.dataset != after.dataset or before.k_values != after.k_values:
         raise MismatchedRuns("reports cover different datasets or k values")
-    delta, relative, regressions = {}, {}, []
-    for k in before.k_values:
-        d = after.recall[k] - before.recall[k]
-        delta[k] = d
-        relative[k] = d / before.recall[k] if before.recall[k] else 0.0
-        if d < 0:
-            regressions.append(k)
-    return DeltaReport(
-        dataset=before.dataset,
-        k_values=before.k_values,
-        before=dict(before.recall),
-        after=dict(after.recall),
-        delta=delta,
-        relative=relative,
-        regressions=regressions,
-    )
+    return DeltaReport(before={k: before.recall[k] for k in before.k_values},
+                       after={k: after.recall[k] for k in after.k_values})
 
 
 def write_report(path: str | Path, report: EvalReport) -> None:
@@ -160,13 +151,17 @@ def read_report(path: str | Path) -> EvalReport:
 
 
 def render_delta_table(delta: DeltaReport) -> str:
-    """Aligned plain-text comparison table, recall as percent to 2 decimals."""
+    """Aligned plain-text comparison table, recall as percent to 2 decimals;
+    rel% is the change relative to before, 0 where before is 0."""
     header = f"{'k':>4}  {'before':>8}  {'after':>8}  {'delta':>8}  {'rel%':>8}"
     rows = [header, "-" * len(header)]
-    for k in delta.k_values:
-        flag = "  (regression)" if k in delta.regressions else ""
+    regressions = delta.regressions
+    for k, d in delta.delta.items():
+        before = delta.before[k]
+        relative = d / before if before else 0.0
+        flag = "  (regression)" if k in regressions else ""
         rows.append(
-            f"{k:>4}  {100 * delta.before[k]:>8.2f}  {100 * delta.after[k]:>8.2f}  "
-            f"{100 * delta.delta[k]:>+8.2f}  {100 * delta.relative[k]:>+8.2f}{flag}"
+            f"{k:>4}  {100 * before:>8.2f}  {100 * delta.after[k]:>8.2f}  "
+            f"{100 * d:>+8.2f}  {100 * relative:>+8.2f}{flag}"
         )
     return "\n".join(rows)

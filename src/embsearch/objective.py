@@ -128,6 +128,10 @@ class TrainConfig:
             raise InvalidConfig("step_size must be positive")
         if self.weight_decay < 0:
             raise InvalidConfig("weight_decay must be nonnegative")
+        if self.lambda_match < 0:  # a negative weight would ascend the match loss
+            raise InvalidConfig("lambda_match must be nonnegative")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise InvalidConfig("seed must be >= 0")
         if self.step_size * self.weight_decay >= 1:  # a step scales weights by 1 - lr * wd
             raise InvalidConfig("step_size * weight_decay must be < 1")
         _check_temperature(self.temperature)
@@ -412,6 +416,10 @@ def train_adapter(
         for start in starts if epoch else []:
             idx = perm[start : start + cfg.batch_size]
             batch = Batch(image_embeddings=images_all[idx], text_embeddings=texts_all[idx])
+            # both losses share this one forward through the private helpers; the
+            # public contrastive_loss and match_loss give the same bits but project
+            # each batch twice: 65 ms more per n=2000, d=64, 2-epoch run (median of
+            # 16 runs on a 2-core x86_64 VM)
             forward = _adapter_forward(batch, params)
             _, c_grads, softmaxes, _ = _contrastive_grads(batch, forward, cfg.temperature)
             negatives = sample_hard_negatives(*softmaxes, rng)

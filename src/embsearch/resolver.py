@@ -2,12 +2,13 @@
 
 When several queries retrieve the same gallery answer, the member with the
 highest score keeps it and every other member advances to its next-ranked
-candidate; rounds repeat until no conflicts remain (or a cap is hit, which
-the Resolution reports). Members that run out of candidates keep their last
-entry and are flagged unresolved. A Resolution holds arrays: each row's final
-rank, the unresolved query ids and one audit record per replacement. The
-optional similarity gate takes the query embeddings as an EmbeddingMatrix,
-whose rows are unit rows, and uses their dot products as their cosines.
+candidate; rounds repeat until no conflicts remain, or until a cap is hit
+or a round would move no query, which the Resolution reports. Members that
+run out of candidates keep their last entry and are flagged unresolved. A
+Resolution holds arrays: each row's final rank, the unresolved query ids and
+one audit record per replacement. The optional similarity gate takes the
+query embeddings as an EmbeddingMatrix, whose rows are unit rows, and uses
+their dot products as their cosines.
 """
 from __future__ import annotations
 
@@ -56,10 +57,12 @@ class Resolution:
     ranks (int64[n]) holds each row's final 0-based pointer; unresolved the
     ascending ids of the queries that ran out of candidates; audit one
     AUDIT_DTYPE record per replacement, in the order made. live_conflicts
-    counts the conflict groups among queries still in play when the round
-    cap stopped the run; it is 0 when resolution converged. Converged means
-    no conflict among those queries only: an unresolved query is out of
-    play, so it may end on an answer that another query also holds.
+    counts the conflict groups among queries still in play when the run
+    stopped with groups left: at the round cap, or (stalled) at a round in
+    which no loser sits on its contested answer; it is 0 when resolution
+    converged. Converged means no conflict among those queries only: an
+    unresolved query is out of play, so it may end on an answer that
+    another query also holds.
     """
 
     ranks: np.ndarray
@@ -67,6 +70,7 @@ class Resolution:
     audit: np.ndarray
     rounds: int = 0
     live_conflicts: int = 0
+    stalled: bool = False
 
     @property
     def converged(self) -> bool:
@@ -170,6 +174,10 @@ def resolve(
     Exhausted queries keep their last entry, are flagged unresolved, and
     stop participating. A run that reaches max_rounds with groups still
     live records their number in live_conflicts (converged is then False).
+    So does a round in which no loser sits on its contested answer, which
+    only depth > 1 allows: it would move nobody, so the run ends there as
+    stalled, the round neither counted nor audited. Every other round moves
+    or exhausts a query, so a run ends within n * k rounds whatever the cap.
     Deterministic for a given input.
     """
     k = ranking.k
@@ -186,6 +194,7 @@ def resolve(
     active = np.ones(len(ranking), dtype=bool)
     audit = [np.empty(0, AUDIT_DTYPE)]
     rounds = live_conflicts = 0
+    stalled = False
 
     # one detection past the cap tells whether the run stopped with conflicts
     for round_index in range(1, max_rounds + 2):
@@ -197,7 +206,6 @@ def resolve(
         if round_index > max_rounds:
             live_conflicts = len(starts) - 1
             break
-        rounds = round_index
         scores = ranking.scores[rows, cols]
         sizes = np.diff(starts)
         group = np.repeat(np.arange(len(sizes)), sizes)
@@ -209,6 +217,10 @@ def resolve(
         winners[led_by_nan] = leaders[led_by_nan]
         winner = winners[group]
         lose = np.flatnonzero(winner != np.arange(len(rows)))
+        if not np.any(cols[lose] == pos[rows[lose]]):
+            live_conflicts, stalled = len(starts) - 1, True
+            break
+        rounds = round_index
         made = np.empty(len(lose), AUDIT_DTYPE)
         made["round"], made["answer_id"] = round_index, answers[lose]
         made["winner"], made["loser"] = qids[rows[winner[lose]]], qids[rows[lose]]
@@ -222,7 +234,7 @@ def resolve(
                 pos[row], active[row] = min(col + 1, k - 1), col + 1 < k
 
     return Resolution(ranks=pos, unresolved=qids[~active], audit=np.concatenate(audit),
-                      rounds=rounds, live_conflicts=live_conflicts)
+                      rounds=rounds, live_conflicts=live_conflicts, stalled=stalled)
 
 
 def resolution_to_lists(ranking: Ranking, resolution: Resolution) -> tuple[Ranking, np.ndarray]:

@@ -1,16 +1,23 @@
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import os
 import shlex
+import signal
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import embsearch
 from embsearch import data, evaluation, objective, resolver, similarity
@@ -273,6 +280,31 @@ class TestConfigRules:
         assert (done.returncode, done.stdout, done.stderr) == (2, "", f"data error: {error}\n")
         assert not out.exists() and not trace.exists()
 
+    HUGE = "9" * 30  # past numpy's largest array dimension
+    SIZE_RULE = "n_identities * dim must fit one float64 array"
+
+    @pytest.mark.parametrize("command, flags, error", [
+        # numpy's generators ended these in a ValueError traceback with exit 1
+        ("gen-synth", ("--seed=-1",), "seed must be >= 0"),
+        ("train-adapter", ("--seed=-1",), "seed must be >= 0"),
+        ("gen-synth", ("--seed", 1, "--n", HUGE), SIZE_RULE),
+        ("gen-synth", ("--seed", 1, "--dim", HUGE), SIZE_RULE),
+        ("gen-synth", ("--seed", 1, "--n", 2**32, "--dim", 2**32), SIZE_RULE),
+        # a negative weight trained toward a higher match loss under a falling total
+        ("train-adapter", ("--lambda-match=-1", "--epochs", 3, "--seed", 7),
+         "lambda_match must be nonnegative"),
+    ], ids=["synth-seed", "train-seed", "huge-n", "huge-dim", "huge-product", "lambda-match"])
+    def test_config_rule_is_one_data_error_line(self, dataset_dir, tmp_path, capsys,
+                                                command, flags, error):
+        out, trace = tmp_path / "out", tmp_path / "trace.tsv"
+        argv = {"gen-synth": ["gen-synth", "--out", out],
+                "train-adapter": ["train-adapter", dataset_dir / "manifest.json", "--out", out,
+                                  "--trace", trace]}[command]
+        capsys.readouterr()
+        assert run_cli(*argv, *flags) == 2
+        assert capsys.readouterr() == ("", f"data error: {error}\n")
+        assert not out.exists() and not trace.exists()
+
     @pytest.mark.parametrize("flags, error", [
         (("--depth", 0), "depth must be >= 1"),
         (("--max-rounds", 0), "max_rounds must be >= 1"),
@@ -459,6 +491,26 @@ class TestExitCodes:
         assert "conflict group(s) still live" in capped
         assert "stopped" not in converged
 
+    def test_depth2_stall_gives_one_result_at_every_cap(self, tmp_path, capsys):
+        """On this set a depth-2 run used to add an audit record per round
+        until its cap: 21, 1011 and 100011 replacements at these caps."""
+        ds, ranked = tmp_path / "ds", tmp_path / "ranked.tsv"
+        assert run_cli("gen-synth", "--out", ds, "--seed", 7, "--n", 8, "--dim", 4) == 0
+        assert run_cli("search", ds / "manifest.json", "--k", 3, "--out", ranked) == 0
+        capsys.readouterr()
+        runs = []
+        for cap in (10, 1000, 100000):
+            out, audit = tmp_path / f"r{cap}.tsv", tmp_path / f"a{cap}.tsv"
+            assert run_cli("resolve", ranked, "--out", out, "--audit", audit, "--depth", 2,
+                           "--max-rounds", cap) == 0
+            runs.append([capsys.readouterr().out] + [
+                [l for l in path.read_text().splitlines() if not l.startswith("# max_rounds=")]
+                for path in (out, audit)])
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == (
+            "resolved 8 lists in 2 round(s); 13 replacement(s), 3 unresolved; stalled with "
+            "1 conflict group(s) still live; 3 answer(s) held by more than one query\n")
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("search", "manifest.json", "--nope") == 1
         assert "usage" in capsys.readouterr().err.lower()
@@ -531,6 +583,90 @@ class TestExitCodes:
         }[command]
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+
+# a flag's value is one of these: an int flag refuses the floats as a usage error
+BOUNDARY = ["0", "1", "-1", "-0.0", "1e-300", "1e300", "nan", "inf", "9" * 30]
+# sizes and epochs stay small, so that no example allocates much or loops for long;
+# the 30-digit size is refused before anything is allocated
+SIZES = ["0", "1", "-1", "2", "8", "9" * 30]
+EPOCHS = ["0", "1", "2", "-1"]
+CONTRACT_FLAGS = {
+    "gen-synth": {"--seed": BOUNDARY, "--n": SIZES, "--dim": SIZES, "--sigma": BOUNDARY,
+                  "--confusable-fraction": BOUNDARY, "--confusable-gap": BOUNDARY},
+    "search": {"--k": BOUNDARY},
+    "train-adapter": {"--epochs": EPOCHS, **{flag: BOUNDARY for flag in (
+        "--batch-size", "--step-size", "--weight-decay", "--lambda-match", "--temperature",
+        "--seed")}},
+    "resolve": {"--depth": BOUNDARY, "--max-rounds": BOUNDARY, "--gate": BOUNDARY},
+    "eval": {"--ks": BOUNDARY},
+}
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """An n=8 set and its k=3 ranked lists, on which a depth-2 resolve stalls."""
+    root = tmp_path_factory.mktemp("contract")
+    assert run_cli("gen-synth", "--out", root / "ds", "--seed", 7, "--n", 8, "--dim", 4) == 0
+    assert run_cli("search", root / "ds" / "manifest.json", "--k", 3,
+                   "--out", root / "ranked.tsv") == 0
+    return root
+
+
+def contract_argv(command, inputs, out):
+    """The argv of command that no example draws: inputs and outputs, and a
+    seed for gen-synth, which requires one."""
+    manifest = inputs / "ds" / "manifest.json"
+    return {
+        "gen-synth": ["gen-synth", "--out", out / "ds", "--seed", "1"],
+        "search": ["search", manifest, "--k", "3", "--out", out / "ranked.tsv"],
+        "train-adapter": ["train-adapter", manifest, "--out", out / "model.adapter",
+                          "--trace", out / "trace.tsv"],
+        "resolve": ["resolve", inputs / "ranked.tsv", "--out", out / "resolved.tsv",
+                    "--audit", out / "audit.tsv", "--manifest", manifest],
+        "eval": ["eval", inputs / "ranked.tsv", "--manifest", manifest, "--out", out / "r.txt"],
+    }[command]
+
+
+def _deadline(signum, frame):
+    raise TimeoutError("the command ran past its 10 s deadline")
+
+
+@settings(deadline=None)
+@given(command=st.sampled_from(sorted(CONTRACT_FLAGS)), data_=st.data())
+def test_exit_contract(contract_inputs, command, data_):
+    """Any 1-3 flags of a subcommand, each set to a boundary value: the
+    command returns 0, 1 or 2 with warnings as errors, inside its deadline;
+    a non-zero exit prints exactly one error line, of its kind, and writes
+    no file. Drawn flags follow the fixed ones, so a drawn --k or --seed wins."""
+    flags = CONTRACT_FLAGS[command]
+    drawn = data_.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1,
+                                max_size=min(3, len(flags)), unique=True))
+    before = files_under(contract_inputs)
+    with tempfile.TemporaryDirectory(dir=contract_inputs) as tmp:
+        out = Path(tmp)
+        # --flag=value, since "-1" alone reads as a flag
+        argv = contract_argv(command, contract_inputs, out) + [
+            f"{flag}={data_.draw(st.sampled_from(flags[flag]), label=flag)}" for flag in drawn]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _deadline)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                code = run([str(a) for a in argv])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1, 2)
+        if code:
+            errors = [line for line in stderr.getvalue().splitlines()
+                      if line.startswith(("usage error:", "data error:"))]
+            assert len(errors) == 1, stderr.getvalue()
+            assert errors[0].startswith({1: "usage error:", 2: "data error:"}[code])
+            assert files_under(out) == {}
+    assert files_under(contract_inputs) == before
 
 
 def test_report_out_writes_the_printed_table(tmp_path, capsys):

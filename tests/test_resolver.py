@@ -76,7 +76,8 @@ def reference_detect_conflicts(lists, policy, positions, query_embeddings=None, 
 def reference_resolve(lists, policy=ResolutionPolicy(), query_embeddings=None):
     """The per-query round loop the array resolver replaced, kept as its
     reference: (assignments, audit, unresolved) as rankings.resolved reads
-    them back, then rounds and live_conflicts."""
+    them back, then rounds and live_conflicts. A round in which no loser
+    sits on its contested answer ends the run with its groups live."""
     lists = sorted(lists, key=lambda row: row[0])
     depth_n = max(len(entries) for _, entries in lists)
     max_rounds = policy.max_rounds if policy.max_rounds is not None else depth_n
@@ -90,6 +91,11 @@ def reference_resolve(lists, policy=ResolutionPolicy(), query_embeddings=None):
         if not groups:
             break
         if round_index > max_rounds:
+            live_conflicts = len(groups)
+            break
+        winners = {a: max(members, key=lambda m: (m[1], -m[0]))[0] for a, members in groups}
+        if not any(rank - 1 == positions[qid] for a, members in groups
+                   for qid, _, rank in members if qid != winners[a]):
             live_conflicts = len(groups)
             break
         rounds = round_index
@@ -373,10 +379,10 @@ class TestAgainstReference:
         lists = similarity.top_k(sims, k)
         embeddings = unit_matrix(rng.standard_normal((n, 3)))
         policy = ResolutionPolicy(depth=depth, max_rounds=cap, similarity_gate=gate)
-        assert_same_resolution(
-            lists, resolve(lists, policy, embeddings),
-            reference_resolve(rows_of(lists), policy, embeddings),
-        )
+        res = resolve(lists, policy, embeddings)
+        assert_same_resolution(lists, res, reference_resolve(rows_of(lists), policy, embeddings))
+        # at depth 1 every loser sits on its contested answer
+        assert depth > 1 or not res.stalled
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -464,7 +470,7 @@ class TestRoundCap:
         }
         assert len(detect_groups(lists, policy, pointers)) == 2
         assert res.live_conflicts == 2
-        assert not res.converged
+        assert not res.converged and not res.stalled
 
     def test_converged_run_reports_no_live_conflicts(self, seed7_dataset):
         _, manifest = seed7_dataset
@@ -504,6 +510,18 @@ class TestRoundCap:
         assert res.converged == (max_rounds is not None)
         assert len(calls) == res.rounds + 1
         assert len(calls[-1][3]) - 1 == res.live_conflicts
+
+
+class TestStall:
+    """With depth > 1 every loser of a round can sit off its contested answer:
+    the round would move nobody, so the run ends before it, whatever the cap."""
+
+    def test_round_that_moves_nobody_ends_the_run(self):
+        # answer 7 is second in both windows; query 1 loses it but sits on 6
+        lists = ranking([rl(0, (5, 0.9), (7, 0.8)), rl(1, (6, 0.9), (7, 0.5))])
+        res = resolve(lists, ResolutionPolicy(depth=2, max_rounds=1000))
+        assert (res.rounds, len(res.audit), res.live_conflicts, res.stalled) == (0, 0, 1, True)
+        assert res.ranks.tolist() == [0, 0] and not res.converged
 
 
 def tied_rankings(seed, n, data_):

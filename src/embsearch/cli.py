@@ -257,7 +257,7 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except PipelineError as exc:
+    except (PipelineError, OSError) as exc:  # OSError: an output the file system refuses
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,13 +77,19 @@ def check_ground_truth(ground_truth: np.ndarray, n_queries: int, n_gallery: int)
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """Dense row-major float32 matrix of unit embeddings, one vector per row.
-    The constructor checks the rows: the first whose float64 norm is not within
-    UNIT_NORM_TOLERANCE of 1 raises NonFiniteValue if it holds a NaN or inf
-    entry, else NotNormalized, naming the row."""
+    The constructor checks the array and its rows: anything but a 2-D float32
+    np.ndarray raises NotNormalized, and the first row whose float64 norm is
+    not within UNIT_NORM_TOLERANCE of 1 raises NonFiniteValue if it holds a
+    NaN or inf entry, else NotNormalized, naming the row."""
 
     data: np.ndarray
 
     def __post_init__(self):
+        if not (isinstance(self.data, np.ndarray) and self.data.dtype == np.float32
+                and self.data.ndim == 2):
+            got = (f"{self.data.ndim}-D {self.data.dtype}" if isinstance(self.data, np.ndarray)
+                   else type(self.data).__name__)
+            raise NotNormalized(f"embeddings must be a 2-D np.ndarray of float32, got {got}")
         norms = np.sqrt(np.einsum("ij,ij->i", self.data, self.data, dtype=np.float64))
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE))  # NaN fails
         if bad.size:

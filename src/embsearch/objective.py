@@ -34,7 +34,8 @@ _ADAPTER_VERSION = 1
 class AdapterParams:
     """Linear projections per modality plus the logistic match head, checked
     when built: a NaN or infinite scalar or a temperature that breaks
-    _check_temperature raises InvalidConfig, a non-finite weight NonFiniteValue.
+    _check_temperature raises InvalidConfig, a non-finite weight NonFiniteValue,
+    and weights that are not two d x d matrices of one d DimensionMismatch.
     Each weight is stored as a read-only copy of the array passed in."""
 
     w_text: np.ndarray
@@ -57,6 +58,10 @@ class AdapterParams:
             object.__setattr__(self, name, value)
             if not np.all(np.isfinite(value)):
                 raise NonFiniteValue(f"{name} contains non-finite entries")
+        shape = self.w_text.shape
+        if len(shape) != 2 or shape[0] != shape[1] or self.w_image.shape != shape:
+            raise DimensionMismatch(f"adapter weights must be two d x d matrices of one d, "
+                                    f"got w_text {shape} and w_image {self.w_image.shape}")
 
 
 def _check_temperature(tau: float) -> None:

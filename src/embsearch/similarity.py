@@ -41,27 +41,14 @@ from .errors import (
 _INT64 = range(-(1 << 63), 1 << 63)
 
 
-def _int64_ids(values) -> np.ndarray:
-    """values as int64; InvalidRanking if the cast changes an entry (NaN, inf
-    and out-of-range floats cast to garbage, their warning silenced)."""
-    ids = raw = np.asarray(values)
-    if raw.dtype != np.int64:
-        with np.errstate(invalid="ignore"):
-            ids = raw.astype(np.int64)
-        if not np.array_equal(ids, raw):
-            raise InvalidRanking("ids must be finite integral values within the int64 range")
-    return ids
-
-
 @dataclass
 class Ranking:
     """Ranked lists of every query, one row per query, best entry first.
 
     query_ids (int64[n]) ascend strictly; ids (int64[n, k]) and scores
     (float64[n, k]) hold each query's list, so every list has the same
-    length k. The fields are coerced to those dtypes (no copy when they
-    already have them); input that cannot take this form, such as an id
-    that is not a finite integral value, raises InvalidRanking.
+    length k. It converts nothing: a field that is not an np.ndarray of
+    its dtype raises InvalidRanking, and the arrays are kept as given.
     """
 
     query_ids: np.ndarray
@@ -69,12 +56,11 @@ class Ranking:
     scores: np.ndarray
 
     def __post_init__(self):
-        try:
-            self.query_ids = _int64_ids(self.query_ids)
-            self.ids = _int64_ids(self.ids)
-            self.scores = np.asarray(self.scores, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidRanking(f"ranked lists do not form int64/float64 arrays: {exc}") from None
+        for name, dtype in (("query_ids", np.int64), ("ids", np.int64), ("scores", np.float64)):
+            value = getattr(self, name)
+            if not (isinstance(value, np.ndarray) and value.dtype == dtype):
+                raise InvalidRanking(f"{name} must be an np.ndarray of {np.dtype(dtype)}, "
+                                     f"got {getattr(value, 'dtype', type(value).__name__)}")
         if (self.query_ids.ndim != 1 or self.ids.ndim != 2 or self.ids.shape != self.scores.shape
                 or len(self.ids) != len(self.query_ids)):
             raise InvalidRanking(
@@ -256,7 +242,7 @@ def read_ranked_lists(path: str | Path) -> Ranking:
     lines = text.splitlines()
     qids, ranks, gids, scores = _load_columns(text, lines) or _parse_columns(path, lines)
     if not len(qids):
-        return Ranking(np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
+        return Ranking(np.empty(0, np.int64), np.empty((0, 0), np.int64), np.empty((0, 0)))
 
     def fail(row, message):
         # row counts body lines, as both parsers return them

@@ -10,11 +10,11 @@ def ranking(rows):
     """The Ranking of rows given in any query order."""
     rows = sorted(rows, key=lambda row: row[0])
     if not rows:
-        return Ranking(np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
+        return Ranking(np.empty(0, np.int64), np.empty((0, 0), np.int64), np.empty((0, 0)))
     return Ranking(
-        query_ids=[q for q, _ in rows],
-        ids=[[g for g, _ in entries] for _, entries in rows],
-        scores=[[s for _, s in entries] for _, entries in rows],
+        query_ids=np.array([q for q, _ in rows], np.int64),
+        ids=np.array([[g for g, _ in entries] for _, entries in rows], np.int64),
+        scores=np.array([[s for _, s in entries] for _, entries in rows], np.float64),
     )
 
 

@@ -584,6 +584,38 @@ class TestExitCodes:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("data error: ")
 
+    @pytest.mark.parametrize("command, out", [
+        pytest.param(command, out, id=f"{command}-{out}")
+        for command in ("search", "resolve", "eval", "report")
+        for out in ("missing-parent", "directory")
+    ] + [pytest.param("gen-synth", "regular-file", id="gen-synth-regular-file")])
+    def test_unwritable_out_is_one_data_error_line(self, dataset_dir, tmp_path, capsys,
+                                                    command, out):
+        """An --out the file system refuses ended in a FileNotFoundError,
+        IsADirectoryError or FileExistsError traceback with exit 1."""
+        manifest = dataset_dir / "manifest.json"
+        ranked, report = tmp_path / "ranked.tsv", tmp_path / "report.txt"
+        assert run_cli("search", manifest, "--k", 10, "--out", ranked) == 0
+        assert run_cli("eval", ranked, "--manifest", manifest, "--out", report) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "taken").write_bytes(b"kept")
+        target = {"missing-parent": work / "missing" / "out", "directory": work,
+                  "regular-file": work / "taken"}[out]
+        argv = {
+            "search": ["search", manifest, "--k", 5],
+            "resolve": ["resolve", ranked],
+            "eval": ["eval", ranked, "--manifest", manifest],
+            "report": ["report", report, report],
+            "gen-synth": ["gen-synth", "--seed", 7, "--n", 8],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", target) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("data error: ")
+        assert files_under(work) == {"taken": b"kept"}
+
 
 # a flag's value is one of these: an int flag refuses the floats as a usage error
 BOUNDARY = ["0", "1", "-1", "-0.0", "1e-300", "1e300", "nan", "inf", "9" * 30]

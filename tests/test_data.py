@@ -295,8 +295,22 @@ class TestEmbeddingMatrix:
             data.EmbeddingMatrix(rows)
 
     def test_rows_within_the_tolerance_pass(self):
-        rows = np.array([[1 + 0.9e-5, 0.0], [0.0, 1 - 0.9e-5]], dtype=np.float64)
+        rows = np.array([[1 + 0.9e-5, 0.0], [0.0, 1 - 0.9e-5]], dtype=np.float32)
         assert data.EmbeddingMatrix(rows).data is rows
+
+    @pytest.mark.parametrize("rows, got", [
+        (np.array([1, 0, 0], np.float32), "1-D float32"),
+        (np.eye(2, dtype=np.float32)[None], "3-D float32"),
+        (np.eye(2, dtype=np.int64), "2-D int64"),
+        (np.eye(2), "2-D float64"),
+        ([[1.0, 0.0], [0.0, 1.0]], "list"),
+    ], ids=["1-d", "3-d", "int64", "float64", "list"])
+    def test_only_a_2d_float32_array_is_held(self, rows, got):
+        """numpy's einsum ValueError for a 1-D or 3-D array was no
+        PipelineError, and an int64 array of unit rows was accepted."""
+        message = f"^embeddings must be a 2-D np.ndarray of float32, got {got}$"
+        with pytest.raises(NotNormalized, match=message):
+            data.EmbeddingMatrix(rows)
 
     def test_first_offending_row_picks_the_error(self):
         rows = np.eye(3, dtype=np.float32)
@@ -347,7 +361,8 @@ def _train_on(rows):
 
 
 def _gate_on(rows):
-    lists = similarity.Ranking(np.arange(4), np.full((4, 1), 5), [[0.9], [0.8], [0.7], [0.6]])
+    scores = np.array([[0.9], [0.8], [0.7], [0.6]])
+    lists = similarity.Ranking(np.arange(4), np.full((4, 1), 5), scores)
     policy = resolver.ResolutionPolicy(similarity_gate=0.5)
     resolver.resolve(lists, policy, _matrix(rows))
 
@@ -446,7 +461,8 @@ class TestSynthetic:
 
 
 def _resolve_with(tmp_path, **policy):
-    lists = similarity.Ranking(np.arange(2), np.array([[0, 1], [0, 1]]), [[0.9, 0.8], [0.7, 0.6]])
+    lists = similarity.Ranking(np.arange(2), np.array([[0, 1], [0, 1]]),
+                               np.array([[0.9, 0.8], [0.7, 0.6]]))
     resolver.resolve(lists, resolver.ResolutionPolicy(**policy))
 
 

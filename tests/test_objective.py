@@ -7,8 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from embsearch import data, evaluation, objective, similarity
 from embsearch.errors import (
@@ -753,6 +754,46 @@ class TestAdapterPersistence:
         assert back.match_scale == params.match_scale
         assert back.match_bias == params.match_bias
         assert back.temperature == params.temperature
+
+    @pytest.mark.parametrize("w_text, w_image", [
+        (np.eye(3), np.eye(4)), (np.ones((3, 4)), np.ones((3, 4))),
+        (np.ones(3), np.ones(3)), (np.eye(3)[None], np.eye(3)[None]),
+    ], ids=["two-dims", "not-square", "one-dimensional", "three-dimensional"])
+    def test_weights_of_two_shapes_are_refused(self, tmp_path, w_text, w_image):
+        """Such weights used to build, and save_adapter then wrote a file
+        that load_adapter refused (`240 bytes, expected 184` for two dims)."""
+        message = (f"^adapter weights must be two d x d matrices of one d, "
+                   f"got w_text {re.escape(str(w_text.shape))} and w_image ")
+        with pytest.raises(DimensionMismatch, match=message):
+            AdapterParams(w_text, w_image)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        shapes=st.tuples(*[st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple)] * 2),
+        scalars=st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
+        draws=st.data(),
+    )
+    def test_every_built_adapter_round_trips_bit_for_bit(self, tmp_path, shapes, scalars, draws):
+        """float64 weights of any shapes build only as two d x d matrices of
+        one d, and then save_adapter writes what load_adapter reads back exactly."""
+        assume(math.isfinite(2 / scalars[2]))  # the temperature rule
+        w_text, w_image = (draws.draw(arrays(np.float64, shape, elements=st.floats(
+            allow_nan=False, allow_infinity=False))) for shape in shapes)
+        if not (len(shapes[0]) == 2 and shapes[0][0] == shapes[0][1] and shapes[1] == shapes[0]):
+            with pytest.raises(DimensionMismatch):
+                AdapterParams(w_text, w_image, *scalars)
+            return
+        params = AdapterParams(w_text, w_image, *scalars)
+        path = tmp_path / "params.adapter"
+        save_adapter(path, params)
+        back = load_adapter(path)
+        for name in ("w_text", "w_image"):
+            assert getattr(back, name).shape == getattr(params, name).shape
+            assert getattr(back, name).tobytes() == getattr(params, name).tobytes()
+        for name, value in zip(("match_scale", "match_bias", "temperature"), scalars):
+            assert struct.pack("<d", getattr(back, name)) == struct.pack("<d", value)
 
     def test_non_finite_scalars_are_rejected(self, tmp_path):
         path = tmp_path / "params.adapter"

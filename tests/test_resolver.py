@@ -446,8 +446,9 @@ class TestAgainstReference:
             detect_conflicts(lists, policy, np.array([0.0, 0.0]), np.array([True, True]))
 
     def test_unequal_lengths_rejected(self):
-        with pytest.raises(InvalidRanking):
-            resolve(ranking([rl(0, (5, 0.9), (6, 0.1)), rl(1, (5, 0.8))]))
+        with pytest.raises(InvalidRanking, match="do not hold one equal-length list per query"):
+            resolve(similarity.Ranking(np.arange(2), np.array([[5, 6], [5, 7]]),
+                                       np.array([[0.9], [0.8]])))
 
 
 class TestRoundCap:

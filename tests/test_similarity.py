@@ -407,6 +407,20 @@ class TestSimilarityMatrixFinite:
                 norm_matrix(rows * scale)
 
 
+def i64(values):
+    return np.array(values, np.int64)
+
+
+def f64(values):
+    return np.array(values, np.float64)
+
+
+SHAPE = "do not hold one equal-length list per query$"
+ASCENDING = "^query ids must be strictly ascending$"
+NOT_INT64_IDS = "^ids must be an np.ndarray of int64, got "
+NOT_INT64_QUERY_IDS = "^query_ids must be an np.ndarray of int64, got "
+
+
 class TestRanking:
     def test_top_k_widens_scores_exactly(self):
         sims = np.random.default_rng(15).random((4, 9)).astype(np.float32)
@@ -429,46 +443,61 @@ class TestRanking:
         assert rows_of(ranked) == sorted(lists)
         assert ranked.ids.dtype == np.int64 and ranked.scores.dtype == np.float64
 
-    @pytest.mark.parametrize("query_ids, ids, scores", [
-        ([0, 1], [[1], [1, 2]], [[0.5], [0.5, 0.1]]),
-        ([0, 0], [[1], [2]], [[0.5], [0.5]]),
-        ([1, 0], [[1], [2]], [[0.5], [0.5]]),
-        ([0, 1], [[1, 2], [3, 4]], [[0.5], [0.5]]),
-        ([0, 1], [[1, 2], [3, 4]], [[0.5, 0.4], [0.5, 0.4], [0.3, 0.2]]),
-        ([0, 1], [[1, 2]], [[0.5, 0.4]]),
-        ([0], [1, 2], [0.5, 0.4]),
-        ([[0]], [[1, 2]], [[0.5, 0.4]]),
-        ([0], [[1, "two"]], [[0.5, 0.4]]),
-        ([0, 1], [[1.7, 2.2], [3.9, 4.0]], [[0.5, 0.4], [0.3, 0.2]]),
-        ([0.9, 1.2], [[1, 2], [3, 4]], [[0.5, 0.4], [0.3, 0.2]]),
-        ([0, 1], [[np.nan, 2], [3, 4]], [[0.5, 0.4], [0.3, 0.2]]),
-        ([0, np.inf], [[1, 2], [3, 4]], [[0.5, 0.4], [0.3, 0.2]]),
-        ([0, 1], [[1e300, 2], [3, 4]], [[0.5, 0.4], [0.3, 0.2]]),
-        (np.array([0, 1 << 63], np.uint64), [[1, 2], [3, 4]], [[0.5, 0.4], [0.3, 0.2]]),
+    @pytest.mark.parametrize("query_ids, ids, scores, message", [
+        (i64([0, 1]), i64([[1], [2]]), f64([[0.5, 0.4], [0.5, 0.1]]), SHAPE),
+        (i64([0, 0]), i64([[1], [2]]), f64([[0.5], [0.5]]), ASCENDING),
+        (i64([1, 0]), i64([[1], [2]]), f64([[0.5], [0.5]]), ASCENDING),
+        (i64([0, 1]), i64([[1, 2], [3, 4]]), f64([[0.5], [0.5]]), SHAPE),
+        (i64([0, 1]), i64([[1, 2], [3, 4]]), f64([[0.5, 0.4], [0.5, 0.4], [0.3, 0.2]]), SHAPE),
+        (i64([0, 1]), i64([[1, 2]]), f64([[0.5, 0.4]]), SHAPE),
+        (i64([0, 1]), i64([1, 2]), f64([0.5, 0.4]), SHAPE),
+        (i64([[0]]), i64([[1, 2]]), f64([[0.5, 0.4]]), SHAPE),
+        (i64([0]), np.array([[1, "two"]]), f64([[0.5, 0.4]]), NOT_INT64_IDS),
+        (i64([0, 1]), f64([[1.7, 2.2], [3.9, 4.0]]), f64([[0.5, 0.4], [0.3, 0.2]]), NOT_INT64_IDS),
+        (f64([0.9, 1.2]), i64([[1, 2], [3, 4]]), f64([[0.5, 0.4], [0.3, 0.2]]),
+         NOT_INT64_QUERY_IDS),
+        (i64([0, 1]), f64([[np.nan, 2], [3, 4]]), f64([[0.5, 0.4], [0.3, 0.2]]), NOT_INT64_IDS),
+        (f64([0, np.inf]), i64([[1, 2], [3, 4]]), f64([[0.5, 0.4], [0.3, 0.2]]),
+         NOT_INT64_QUERY_IDS),
+        (i64([0, 1]), f64([[1e300, 2], [3, 4]]), f64([[0.5, 0.4], [0.3, 0.2]]), NOT_INT64_IDS),
+        (np.array([0, 1 << 63], np.uint64), i64([[1, 2], [3, 4]]), f64([[0.5, 0.4], [0.3, 0.2]]),
+         NOT_INT64_QUERY_IDS),
     ], ids=["unequal-lengths", "repeated-query", "descending-query", "scores-narrower",
             "scores-taller", "fewer-lists-than-queries", "one-dimensional-ids",
             "two-dimensional-query-ids", "non-integer-id", "fractional-id",
             "fractional-query-id", "nan-id", "inf-query-id", "id-beyond-int64",
             "query-id-beyond-int64"])
-    def test_rejects_what_it_cannot_hold(self, query_ids, ids, scores):
-        with pytest.raises(InvalidRanking):
+    def test_rejects_what_it_cannot_hold(self, query_ids, ids, scores, message):
+        """Each shape rule and the ascending rule, on arrays of the right
+        dtypes, and arrays of another dtype, whatever values they hold."""
+        with pytest.raises(InvalidRanking, match=message):
             similarity.Ranking(query_ids, ids, scores)
 
-    def test_keeps_integral_ids_of_any_dtype(self):
-        ranked = similarity.Ranking(np.array([0.0, 1.0]), np.array([[1, 2], [3, 4]], np.int32),
-                                    [[0.5, 0.4], [0.3, 0.2]])
-        assert ranked.query_ids.dtype == ranked.ids.dtype == np.int64
-        assert ranked.query_ids.tolist() == [0, 1] and ranked.ids.tolist() == [[1, 2], [3, 4]]
-        empty = similarity.Ranking(np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
-        assert empty.ids.dtype == np.int64 and empty.ids.shape == (0, 0)
+    def test_refuses_what_it_would_have_to_convert(self):
+        """Lists, integral float ids, int32 ids and float32 scores were
+        once converted; now each is refused, naming its field."""
+        typed = {"query_ids": i64([0, 1]), "ids": i64([[1, 2], [3, 4]]),
+                 "scores": f64([[0.5, 0.4], [0.3, 0.2]])}
+        assert similarity.Ranking(**typed).k == 2
+        for name, value in [
+            ("query_ids", [0, 1]), ("ids", [[1, 2], [3, 4]]), ("scores", [[0.5, 0.4], [0.3, 0.2]]),
+            ("query_ids", f64([0.0, 1.0])), ("ids", np.array([[1, 2], [3, 4]], np.int32)),
+            ("scores", np.array([[0.5, 0.4], [0.3, 0.2]], np.float32)),
+        ]:
+            with pytest.raises(InvalidRanking, match=f"^{name} must be an np.ndarray of "):
+                similarity.Ranking(**{**typed, name: value})
+        empty = similarity.Ranking(i64([]), i64([]).reshape(0, 0), f64([]).reshape(0, 0))
+        assert empty.ids.shape == (0, 0)
+        with pytest.raises(InvalidRanking, match=NOT_INT64_QUERY_IDS):
+            similarity.Ranking(np.empty(0), np.empty((0, 0)), np.empty((0, 0)))
 
     def test_query_ids_spanning_the_int64_range_ascend(self):
         # their difference, 2**64 - 1, does not fit in int64
         lo, hi = -(1 << 63), (1 << 63) - 1
-        ranked = similarity.Ranking([lo, hi], [[1], [2]], [[0.5], [0.4]])
+        ranked = similarity.Ranking(i64([lo, hi]), i64([[1], [2]]), f64([[0.5], [0.4]]))
         assert ranked.query_ids.tolist() == [lo, hi]
-        with pytest.raises(InvalidRanking):
-            similarity.Ranking([hi, lo], [[1], [2]], [[0.5], [0.4]])
+        with pytest.raises(InvalidRanking, match=ASCENDING):
+            similarity.Ranking(i64([hi, lo]), i64([[1], [2]]), f64([[0.5], [0.4]]))
 
 
 SCORE_TEXT = st.one_of(
@@ -711,8 +740,9 @@ class TestReadFastPath:
     def test_read_peak_memory(self, tmp_path):
         n, k = 10_000, 10
         rng = np.random.default_rng(20)
-        ranked = similarity.Ranking(np.arange(n), np.tile(np.arange(k), (n, 1)),
-                                    rng.random((n, k)).astype(np.float32))
+        # float32 values, as a search writes them
+        scores = rng.random((n, k)).astype(np.float32).astype(np.float64)
+        ranked = similarity.Ranking(np.arange(n), np.tile(np.arange(k), (n, 1)), scores)
         path = tmp_path / "ranked.tsv"
         similarity.write_ranked_lists(path, ranked, meta={"k": k})
         tracemalloc.start()

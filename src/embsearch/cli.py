@@ -116,7 +116,11 @@ def cmd_train_adapter(args) -> int:
     objective.save_adapter(args.out, params)
     meta = {"dataset": manifest.name, **dataclasses.asdict(cfg)}
     if args.trace:
-        objective.write_trace(args.trace, trace, meta=meta)
+        try:
+            objective.write_trace(args.trace, trace, meta=meta)
+        except BaseException:
+            Path(args.out).unlink(missing_ok=True)  # a refused --trace leaves no adapter
+            raise
     if trace:
         print(f"trained {cfg.epochs} epochs: total loss "
               f"{trace[0].total:.6f} -> {trace[-1].total:.6f}")
@@ -142,7 +146,11 @@ def cmd_resolve(args) -> int:
     }
     resolver.write_resolution(args.out, lists, resolution, meta=meta)
     if args.audit:
-        resolver.write_audit(args.audit, resolution, meta=meta)
+        try:
+            resolver.write_audit(args.audit, resolution, meta=meta)
+        except BaseException:
+            Path(args.out).unlink(missing_ok=True)  # a refused --audit leaves no lists
+            raise
     stopped = "" if resolution.converged else (
         f"; {'stalled' if resolution.stalled else 'stopped at the round cap'} "
         f"with {resolution.live_conflicts} conflict group(s) still live"

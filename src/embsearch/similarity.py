@@ -8,13 +8,13 @@ lists reproducible bit-for-bit across runs.
 
 Top-k is exact selection per block of query rows, after the tiled
 k-selection of flat exact indexes (Johnson, Douze & Jegou, arXiv:1702.08734).
-Each row's columns are cut into about 4k disjoint chunks; the k-th largest
-chunk maximum is a floor that at least k of the row's scores reach, so every
-column at or above it holds the row's true top k. Only those columns are
-ordered by (-score, gallery id). This reads each score twice (chunk maxima,
-then the floor comparison) and partitions only the ~4k maxima, never a whole
-row. Beyond the score matrix and the returned ranking, its working memory is
-one data._row_bounds block, O(data.BLOCK_SCORES), never O(n_queries x n_gallery).
+Each row is cut into chunks that start every max(1, n_gallery // 4k) columns,
+the last one shorter when that width does not divide n_gallery: at least k
+chunks. The k-th largest chunk maximum is a floor that k scores reach, so the
+columns at or above it hold the row's top k; only they are ordered by
+(-score, gallery id), and no whole row is partitioned. Beyond the score
+matrix and the returned ranking, its working memory is one data._row_bounds
+block, O(data.BLOCK_SCORES), never O(n_queries x n_gallery).
 
 Ranked lists are held as one columnar Ranking: ascending query ids and
 (n_queries, k) arrays of gallery ids and scores. Every query's list has the
@@ -100,21 +100,18 @@ def top_k(sims: np.ndarray, k: int) -> Ranking:
     n_queries, n_gallery = sims.shape
     if not 1 <= k <= n_gallery:
         raise KOutOfRange(f"k={k} outside [1, {n_gallery}]")
-    # chunks of `width` columns, the leftover columns one chunk each: at
-    # least k chunks, about 4k when n_gallery >= 8k, every column when narrow
-    width = max(1, n_gallery // (4 * k))
-    split = n_gallery - n_gallery % width
-    kth = split // width + (n_gallery - split) - k
+    # a chunk starts every max(1, n_gallery // 4k) columns, the last one
+    # shorter when that width does not divide n_gallery: one chunk per column
+    # when n_gallery < 8k, else 4k to 6k chunks, so always at least k
+    chunk_starts = np.arange(0, n_gallery, max(1, n_gallery // (4 * k)))
+    kth = len(chunk_starts) - k
     ids = np.empty((n_queries, k), dtype=np.int64)
     top = np.empty((n_queries, k), dtype=np.float64)
     bounds = _row_bounds(n_queries, n_gallery)
     for lo, hi in zip(bounds, bounds[1:]):
         block = sims[lo:hi]
         # max propagates NaN, so a NaN anywhere in a row is a chunk maximum
-        maxima = np.concatenate(
-            (block[:, :split].reshape(len(block), -1, width).max(axis=2), block[:, split:]),
-            axis=1,
-        )
+        maxima = np.maximum.reduceat(block, chunk_starts, axis=1)
         # k distinct chunks reach the k-th largest maximum, so at least k
         # scores do and the row's top k lie at or above it; the ascending
         # partition counts NaN as largest, so a NaN row has NaN in its tail

@@ -6,7 +6,14 @@ from embsearch import data
 
 # `pytest --hypothesis-profile=ci` runs each property test without an explicit
 # example count ten times as long as the default profile
-settings.register_profile("ci", max_examples=1000)
+CI_EXAMPLES = 1000
+settings.register_profile("ci", max_examples=CI_EXAMPLES)
+
+
+def examples(n: int) -> int:
+    """A property test's own example count: n, or at least CI_EXAMPLES once
+    the ci profile is loaded, which an explicit max_examples overrides."""
+    return max(n, CI_EXAMPLES) if settings.default.max_examples == CI_EXAMPLES else n
 
 
 SEED7_CONFIG = data.SynthConfig(

@@ -616,6 +616,32 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("data error: ")
         assert files_under(work) == {"taken": b"kept"}
 
+    @pytest.mark.parametrize("command, second", [
+        pytest.param(command, second, id=f"{command}-{second}")
+        for command in ("resolve", "train-adapter")
+        for second in ("missing-parent", "directory")
+    ])
+    def test_refused_second_output_leaves_no_first(self, dataset_dir, tmp_path, capsys,
+                                                   command, second):
+        """resolve wrote --out before refusing --audit, and train-adapter the
+        adapter before refusing --trace: exit 2 with the first output left."""
+        manifest, ranked = dataset_dir / "manifest.json", tmp_path / "ranked.tsv"
+        assert run_cli("search", manifest, "--k", 10, "--out", ranked) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        target = {"missing-parent": work / "missing" / "out", "directory": work}[second]
+        argv = {
+            "resolve": ["resolve", ranked, "--out", work / "resolved.tsv", "--audit", target],
+            "train-adapter": ["train-adapter", manifest, "--out", work / "model.adapter",
+                              "--trace", target, "--epochs", 1],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("data error: ")
+        assert files_under(work) == {}
+
 
 # a flag's value is one of these: an int flag refuses the floats as a usage error
 BOUNDARY = ["0", "1", "-1", "-0.0", "1e-300", "1e300", "nan", "inf", "9" * 30]

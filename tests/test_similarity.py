@@ -18,7 +18,7 @@ from embsearch.errors import (
     NotNormalized,
     ParseError,
 )
-from conftest import unit_rows
+from conftest import examples, unit_rows
 from rankings import ranking, rows_of
 
 
@@ -249,7 +249,7 @@ class TestTopKBlocks:
         lists = similarity.top_k(column, 1)
         assert [entries for _, entries in rows_of(lists)] == [[(0, float(s))] for s in column[:, 0]]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         n_q=st.integers(1, 12),
@@ -301,7 +301,7 @@ class TestTopKBlocks:
         for k in range(1, 6):
             assert_equals_reference(similarity.top_k(sims, k), sims, k)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         n_q=st.integers(1, 6),
@@ -312,7 +312,8 @@ class TestTopKBlocks:
     )
     def test_wide_rows_with_planted_values(self, seed, n_q, k, rows, decimals, data_):
         # at least 8k columns, so chunks of n_gallery // 4k are wider than
-        # one column; the n_gallery % width columns past them stand alone
+        # one column; the n_gallery % width columns past them form a shorter
+        # last chunk
         n_g = data_.draw(st.integers(8 * k, 400))
         width = n_g // (4 * k)
         split = n_g - n_g % width
@@ -336,13 +337,18 @@ class TestTopKBlocks:
     def test_only_nan_in_a_leftover_column(self):
         n_g = 103
         for k in range(1, 13):
-            # column 102 lies past the last whole chunk for every k here
+            # width n_g // 4k does not divide n_g for any k here, so column
+            # 102 lies in a last chunk shorter than the others
             assert n_g % (n_g // (4 * k)) != 0
         rng = np.random.default_rng(15)
-        sims = np.round(rng.random((4, n_g)), 1).astype(np.float32)
+        sims = np.round(rng.random((6, n_g)), 1).astype(np.float32)
         sims[1] = 0.5
         sims[2, :20] = np.inf
         sims[:3, 102] = np.nan
+        # finite rows whose best scores lie in that short chunk: ascending
+        # scores, and a tail of 1.0 tying with the row's best elsewhere
+        sims[4] = np.arange(n_g) / n_g
+        sims[5, 96:] = 1.0
         for k in range(1, 13):
             assert_equals_reference(similarity.top_k(sims, k), sims, k)
 
@@ -511,7 +517,7 @@ SCORE_TEXT = st.one_of(
 class TestReadAgainstReference:
     """The columnar parser against the per-line one it replaced."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=examples(120), deadline=None)
     @given(
         qids=st.lists(st.integers(-3, 10**12), min_size=1, max_size=6, unique=True),
         k=st.integers(1, 5),

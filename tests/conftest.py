@@ -5,7 +5,8 @@ from hypothesis import settings
 from embsearch import data
 
 # `pytest --hypothesis-profile=ci` runs each property test without an explicit
-# example count ten times as long as the default profile
+# example count ten times as long as the default profile, and each that takes
+# its count from examples() at least as long
 CI_EXAMPLES = 1000
 settings.register_profile("ci", max_examples=CI_EXAMPLES)
 

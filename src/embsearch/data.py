@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -246,15 +247,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    """Write a manifest as JSON; embedding paths are stored relative to it."""
+    """Write a manifest as JSON. Each embedding path is stored relative to the
+    saved manifest's resolved directory, as load_manifest reads it back."""
     path = Path(path)
+    directory = path.parent.resolve()
     doc = {
         "name": manifest.name,
         "dim": manifest.dim,
         "query_count": manifest.query_count,
         "gallery_count": manifest.gallery_count,
-        "query_path": str(Path(manifest.query_path).name),
-        "gallery_path": str(Path(manifest.gallery_path).name),
+        "query_path": os.path.relpath(manifest.query_path, directory),
+        "gallery_path": os.path.relpath(manifest.gallery_path, directory),
         "ground_truth": [[q, g] for q, g in enumerate(manifest.ground_truth.tolist())],
         "seed": manifest.seed,
     }
@@ -377,11 +380,14 @@ def generate_synthetic(
     Gaussian noise, renormalized. With heldout=True a second query set drawn
     from an independent noise stream is written alongside, sharing the
     gallery, as ``manifest_heldout.json``.
-    """
-    _require_one_line(name, "dataset name")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    Every array and manifest is built before out_dir is made and the first
+    file written, so a synthesis that fails (a name holding a line break, or
+    noise that overflows to a non-finite row) writes nothing. A file the file
+    system refuses removes the files and directories this call made, and the
+    error propagates.
+    """
+    out_dir = Path(out_dir)
     n, dim = cfg.n_identities, cfg.dim
     rng_gallery = np.random.default_rng([cfg.seed, 0])
     gallery, _ = _normalize_rows(rng_gallery.standard_normal((n, dim)))
@@ -396,30 +402,36 @@ def generate_synthetic(
             ortho = _orthogonal_unit(rng_gallery, gallery[a])
             gallery[b] = math.cos(theta) * gallery[a] + math.sin(theta) * ortho
 
-    def make_queries(stream: int) -> np.ndarray:
-        noise = np.random.default_rng([cfg.seed, stream]).standard_normal((n, dim))
-        return _normalize_rows(gallery + cfg.noise_sigma * noise)[0]
-
     gallery_path = out_dir / "gallery.f32"
-    write_embedding_file(gallery_path, gallery)
+    files = {gallery_path: gallery}
+    splits = [(1, "", name), (2, "_heldout", name + "-heldout")]
+    for stream, suffix, split_name in splits[:2 if heldout else 1]:
+        query_path = out_dir / f"queries{suffix}.f32"
+        manifest = DatasetManifest(split_name, dim, n, n, query_path.resolve(),
+                                   gallery_path.resolve(), np.arange(n), cfg.seed)
+        noise = np.random.default_rng([cfg.seed, stream]).standard_normal((n, dim))
+        with np.errstate(over="ignore"):  # an overflowing row is _normalize_rows' NonFiniteValue
+            rows = gallery + cfg.noise_sigma * noise
+        files[query_path] = _normalize_rows(rows)[0]
+        files[out_dir / f"manifest{suffix}.json"] = manifest
 
-    def write_split(stream: int, qfile: str, mfile: str, dname: str) -> DatasetManifest:
-        qpath = out_dir / qfile
-        write_embedding_file(qpath, make_queries(stream))
-        manifest = DatasetManifest(
-            name=dname,
-            dim=dim,
-            query_count=n,
-            gallery_count=n,
-            query_path=qpath.resolve(),
-            gallery_path=gallery_path.resolve(),
-            ground_truth=np.arange(n),
-            seed=cfg.seed,
-        )
-        save_manifest(manifest, out_dir / mfile)
-        return manifest
-
-    manifest = write_split(1, "queries.f32", "manifest.json", name)
-    if heldout:
-        write_split(2, "queries_heldout.f32", "manifest_heldout.json", name + "-heldout")
-    return manifest
+    made, written = [], []
+    try:
+        # mkdir(parents=True), keeping the directories it makes for the cleanup
+        for directory in reversed((out_dir, *out_dir.parents)):
+            if not directory.is_dir():
+                directory.mkdir()
+                made.append(directory)
+        for path, content in files.items():
+            if isinstance(content, DatasetManifest):
+                save_manifest(content, path)
+            else:
+                write_embedding_file(path, content)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            path.unlink()
+        for directory in reversed(made):
+            directory.rmdir()
+        raise
+    return files[out_dir / "manifest.json"]

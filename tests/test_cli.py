@@ -331,6 +331,15 @@ class TestOverflow:
         manifest = data.load_manifest(tmp_path / "gs" / "manifest.json")
         data.EmbeddingMatrix(data.load_embeddings(manifest, "query"))
 
+    def test_overflowing_sigma_is_one_data_error(self, tmp_path):
+        """Noise of 1e308 overflows to inf: numpy's overflow warning was a
+        traceback under -W error, and without it the data error left gallery.f32."""
+        done = run_strict("gen-synth", "--out", tmp_path / "gs", "--seed", 7, "--n", 8,
+                          "--dim", 4, "--sigma", "1e308")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "data error: row 0 has a non-finite norm\n")
+        assert not (tmp_path / "gs").exists()
+
     def test_huge_adapter_searches(self, tmp_path):
         ds, huge = readme_dataset(tmp_path), tmp_path / "huge.adapter"
         objective.save_adapter(huge, objective.AdapterParams(1e200 * np.eye(32), np.eye(32)))
@@ -644,7 +653,7 @@ class TestExitCodes:
 
 
 # a flag's value is one of these: an int flag refuses the floats as a usage error
-BOUNDARY = ["0", "1", "-1", "-0.0", "1e-300", "1e300", "nan", "inf", "9" * 30]
+BOUNDARY = ["0", "1", "-1", "-0.0", "1e-300", "1e300", "1e308", "nan", "inf", "9" * 30]
 # sizes and epochs stay small, so that no example allocates much or loops for long;
 # the 30-digit size is refused before anything is allocated
 SIZES = ["0", "1", "-1", "2", "8", "9" * 30]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -25,6 +26,15 @@ from embsearch.errors import (
     ZeroVector,
 )
 from conftest import unit_rows
+
+# sha256 of each file generate_synthetic(SEED7_CONFIG, heldout=True) writes
+SEED7_DIGESTS = {
+    "gallery.f32": "a636529b8a0a40011765f5fb0a2a220f8b8a580d17b08dba56bb1268a8fe090b",
+    "manifest.json": "0cca6662e265c60b9b5444ed7b3e725fd600240042df71ee83013024c80e17d6",
+    "manifest_heldout.json": "e35884e6f59c539bc4a14b4bacdb5c1bd41765a0ad40d59c653d414412f76409",
+    "queries.f32": "88fd3836b4cc6becd3831e0cf2283b3c52ba554947fbd3315a51c75ce26c6689",
+    "queries_heldout.f32": "4c17897c97339724066d813097bcf4279d94db6011f2150b9208e40fb09b4a95",
+}
 
 
 def write_manifest_fixture(tmp_path, dim=8, n_query=4, n_gallery=4, gt=None):
@@ -58,6 +68,27 @@ class TestManifest:
         again = data.load_manifest(tmp_path / "copy.json")
         assert again.ground_truth.tolist() == manifest.ground_truth.tolist()
         assert again.dim == manifest.dim
+
+    def test_round_trip_across_directories(self, tmp_path):
+        """save_manifest stored bare file names: a manifest whose query_path
+        is sub/q.f32, saved in another directory, pointed at q.f32 and
+        raised MissingFile when loaded."""
+        source = tmp_path / "source"
+        (source / "sub").mkdir(parents=True)
+        path = write_manifest_fixture(source)
+        (source / "q.f32").rename(source / "sub" / "q.f32")
+        path.write_text(path.read_text().replace('"q.f32"', '"sub/q.f32"'))
+        manifest = data.load_manifest(path)
+
+        copy = tmp_path / "copy" / "manifest.json"
+        copy.parent.mkdir()
+        data.save_manifest(manifest, copy)
+        saved = json.loads(copy.read_text())
+        assert (saved["query_path"], saved["gallery_path"]) == ("../source/sub/q.f32",
+                                                                "../source/g.f32")
+        again = data.load_manifest(copy)
+        assert (again.query_path, again.gallery_path) == (manifest.query_path,
+                                                          manifest.gallery_path)
 
     def test_short_gallery_file(self, tmp_path):
         path = write_manifest_fixture(tmp_path)
@@ -413,6 +444,29 @@ class TestSynthetic:
             data.generate_synthetic(cfg, tmp_path / sub)
         for fname in ("gallery.f32", "queries.f32", "manifest.json"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+    def test_seed7_bytes(self, seed7_dataset):
+        out, _ = seed7_dataset
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == SEED7_DIGESTS
+
+    @pytest.mark.parametrize("taken", ["queries.f32", "manifest_heldout.json"])
+    def test_refused_file_leaves_no_dataset(self, tmp_path, capsys, taken):
+        """A directory where a dataset file goes is refused with exit 2; it
+        used to leave every file written before it (gallery.f32 at least)."""
+        (tmp_path / taken).mkdir()
+        assert run(["gen-synth", "--out", str(tmp_path), "--seed", "1", "--heldout"]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert [p.name for p in tmp_path.rglob("*")] == [taken]
+
+    def test_refused_file_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        def refuse(manifest, path):
+            raise PermissionError(f"refused {path}")
+
+        monkeypatch.setattr(data, "save_manifest", refuse)
+        with pytest.raises(PermissionError):
+            data.generate_synthetic(data.SynthConfig(seed=1), tmp_path / "new" / "ds")
+        assert list(tmp_path.iterdir()) == []
 
     def test_confusable_pairs_are_close(self, make_dataset):
         cfg = data.SynthConfig(10, 12, 0.0, 1.0, 0.05, seed=5)

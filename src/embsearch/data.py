@@ -47,6 +47,7 @@ class DatasetManifest:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_fields(self)
         _require_one_line(self.name, "dataset name")
         if self.dim < 1:
             raise ParseError(f"dim must be >= 1, got {self.dim}")
@@ -81,7 +82,10 @@ class EmbeddingMatrix:
     The constructor checks the array and its rows: anything but a 2-D float32
     np.ndarray raises NotNormalized, and the first row whose float64 norm is
     not within UNIT_NORM_TOLERANCE of 1 raises NonFiniteValue if it holds a
-    NaN or inf entry, else NotNormalized, naming the row."""
+    NaN or inf entry, else NotNormalized, naming the row. It then holds a
+    read-only view of the array, not a copy, so no write through .data skips
+    that check; a write to the array passed in still reaches the rows, which
+    l2_normalize and apply_adapter avoid by passing arrays nothing else holds."""
 
     data: np.ndarray
 
@@ -99,6 +103,9 @@ class EmbeddingMatrix:
                 raise NonFiniteValue(f"row {row} has a non-finite norm")
             raise NotNormalized(
                 f"row {row} has norm {norms[row]:.9g}, not 1 within {UNIT_NORM_TOLERANCE:g}")
+        view = self.data.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "data", view)
 
     @property
     def rows(self) -> int:
@@ -309,7 +316,7 @@ def read_embedding_file(path: str | Path, rows: int, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         bad = int(np.argwhere(~np.isfinite(arr))[0][0])
         raise NonFiniteValue(f"{path}: non-finite value in row {bad}")
-    return np.ascontiguousarray(arr)
+    return arr
 
 
 def write_embedding_file(path: str | Path, data: np.ndarray) -> None:

@@ -116,8 +116,9 @@ def write_report(path: str | Path, report: EvalReport) -> None:
 
 
 def read_report(path: str | Path) -> EvalReport:
-    """Parse a report file; a key or a k_values entry given twice raises
-    ParseError, and each k_values entry needs a recall@k line in [0, 1]."""
+    """Parse a report file; a key or a k_values entry given twice, or a
+    k_values entry below 1, raises ParseError, and each k_values entry needs a
+    recall@k line in [0, 1]."""
     fields: dict[str, str] = {}
     linenos: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(path, "report file").splitlines(), 1):
@@ -134,6 +135,10 @@ def read_report(path: str | Path) -> EvalReport:
         twice = [k for i, k in enumerate(k_values) if k in k_values[:i]]
         if twice:
             raise ParseError(f"{path}:{linenos['k_values']}: k_values gives {twice[0]} twice")
+        # recall_at_k refuses a cutoff below 1, and write_report never writes one
+        below = [k for k in k_values if k < 1]
+        if below:
+            raise ParseError(f"{path}:{linenos['k_values']}: k_values gives {below[0]}, below 1")
         recall = {k: float(fields[f"recall@{k}"]) for k in k_values}
         for k, value in recall.items():
             if not 0.0 <= value <= 1.0:  # NaN fails the comparison

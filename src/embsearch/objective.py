@@ -492,8 +492,8 @@ def load_adapter(path: str | Path) -> AdapterParams:
     if len(buf) != need:
         raise ParseError(f"{path}: {len(buf)} bytes, expected {need}")
     body = np.frombuffer(buf, dtype="<f8", offset=16)
-    w_text = body[: dim * dim].reshape(dim, dim).astype(np.float64)
-    w_image = body[dim * dim : 2 * dim * dim].reshape(dim, dim).astype(np.float64)
+    w_text = body[: dim * dim].reshape(dim, dim)
+    w_image = body[dim * dim : 2 * dim * dim].reshape(dim, dim)
     scale, bias, temperature = (float(x) for x in body[2 * dim * dim :])
     return AdapterParams(w_text, w_image, scale, bias, temperature)
 

@@ -4,9 +4,10 @@ from hypothesis import settings
 
 from embsearch import data
 
-# `pytest --hypothesis-profile=ci` runs each property test without an explicit
-# example count ten times as long as the default profile, and each that takes
-# its count from examples() at least as long
+# `pytest --hypothesis-profile=ci` runs every property test on at least
+# CI_EXAMPLES examples: one without a count of its own takes the profile's, and
+# every test that sets one takes it from examples(), since an explicit
+# max_examples overrides the profile
 CI_EXAMPLES = 1000
 settings.register_profile("ci", max_examples=CI_EXAMPLES)
 

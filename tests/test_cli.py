@@ -531,12 +531,19 @@ class TestExitCodes:
         assert run_cli("validate", tmp_path / "missing.json") == 2
         assert "data error" in capsys.readouterr().err
 
-    def test_bad_ks_is_usage_error(self, dataset_dir, tmp_path):
+    def test_bad_ks_is_usage_error(self, dataset_dir, tmp_path, capsys):
         ranked = tmp_path / "r.tsv"
         run_cli("search", dataset_dir / "manifest.json", "--k", 5, "--out", ranked)
-        assert run_cli(
-            "eval", ranked, "--manifest", dataset_dir / "manifest.json", "--ks", "one"
-        ) == 1
+        capsys.readouterr()
+        for ks, message in [
+            ("one", "--ks must be comma-separated integers: "
+                    "invalid literal for int() with base 10: 'one'"),
+            (",", "--ks must name at least one cutoff"),
+        ]:
+            assert run_cli(
+                "eval", ranked, "--manifest", dataset_dir / "manifest.json", "--ks", ks
+            ) == 1
+            assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
     def test_gate_with_smaller_manifest_is_data_error(self, tmp_path, capsys):
         ds = tmp_path / "ds4"

@@ -25,7 +25,7 @@ from embsearch.errors import (
     PipelineError,
     ZeroVector,
 )
-from conftest import unit_rows
+from conftest import examples, unit_rows
 
 # sha256 of each file generate_synthetic(SEED7_CONFIG, heldout=True) writes
 SEED7_DIGESTS = {
@@ -208,6 +208,23 @@ class TestManifest:
         with pytest.raises(GroundTruthOutOfRange, match=rf"^query id {qid} outside \[0, 4\)$"):
             data.load_manifest(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dim", 0, "dim must be >= 1, got 0"), ("dim", -3, "dim must be >= 1, got -3"),
+        ("query_count", 0, "query_count and gallery_count must be >= 1"),
+        ("gallery_count", 0, "query_count and gallery_count must be >= 1"),
+    ], ids=["dim-0", "dim-negative", "query_count-0", "gallery_count-0"])
+    def test_sizes_below_one(self, tmp_path, capsys, field, value, message):
+        path = write_manifest_fixture(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        if field == "query_count":  # else load_manifest finds query 0 outside [0, 0) first
+            doc["ground_truth"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            data.load_manifest(path)
+        assert run(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == f"FAIL  manifest  ({message})\n"
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFile):
             data.load_manifest(tmp_path / "nope.json")
@@ -232,6 +249,13 @@ class TestEmbeddingIO:
         with pytest.raises(NonFiniteValue):
             data.read_embedding_file(path, 1, 2)
 
+    @pytest.mark.parametrize("split", ["train", "queries", "Gallery", ""])
+    def test_split_is_query_or_gallery(self, tmp_path, split):
+        manifest = data.load_manifest(write_manifest_fixture(tmp_path))
+        message = f"^split must be 'query' or 'gallery', got {split!r}$"
+        with pytest.raises(InvalidConfig, match=message):
+            data.load_embeddings(manifest, split)
+
     def test_3x2_round_trip_bit_exact(self, tmp_path):
         arr = np.array([[1.5, -2.25], [0.1, 3.0], [7.0, -0.0]], dtype=np.float32)
         data.write_embedding_file(tmp_path / "m.f32", arr)
@@ -239,7 +263,7 @@ class TestEmbeddingIO:
         assert back.tobytes() == arr.tobytes()
 
     @settings(
-        max_examples=30,
+        max_examples=examples(30),
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
@@ -327,7 +351,16 @@ class TestEmbeddingMatrix:
 
     def test_rows_within_the_tolerance_pass(self):
         rows = np.array([[1 + 0.9e-5, 0.0], [0.0, 1 - 0.9e-5]], dtype=np.float32)
-        assert data.EmbeddingMatrix(rows).data is rows
+        held = data.EmbeddingMatrix(rows).data
+        assert held.base is rows and not held.flags.writeable  # a read-only view, no copy
+
+    def test_no_write_through_data_skips_the_check(self):
+        """The rows stayed writable: a NaN written into them after the check
+        reached top_k's scores with no error."""
+        m = data.l2_normalize(np.eye(3, dtype=np.float32) + 0.1)
+        with pytest.raises(ValueError, match="read-only"):
+            m.data[0, 0] = np.nan
+        assert np.isfinite(similarity.top_k(similarity.similarity_matrix(m, m), 2).scores).all()
 
     @pytest.mark.parametrize("rows, got", [
         (np.array([1, 0, 0], np.float32), "1-D float32"),
@@ -498,6 +531,9 @@ class TestSynthetic:
             data.SynthConfig(4, 4, -0.1, 0.0, 0.1, seed=0)
         with pytest.raises(InvalidConfig):
             data.SynthConfig(4, 4, 0.1, 0.0, 1.5, seed=0)
+        for fraction in (-0.1, 1.5):
+            with pytest.raises(InvalidConfig, match=r"^confusable_fraction must be in \[0, 1\]$"):
+                data.SynthConfig(4, 4, 0.1, fraction, 0.1, seed=0)
 
     def test_confusable_pairs_need_two_dims(self, tmp_path, capsys):
         """A 1-D anchor has no orthogonal direction: gen-synth --dim 1 used to
@@ -529,6 +565,12 @@ def _synthesize_with(tmp_path, **cfg):
     data.generate_synthetic(data.SynthConfig(**{"seed": 0, **cfg}), tmp_path)
 
 
+def _manifest_with(tmp_path, **fields):
+    data.DatasetManifest(**{"name": "x", "dim": 4, "query_count": 4, "gallery_count": 4,
+                            "query_path": tmp_path / "q", "gallery_path": tmp_path / "g",
+                            "ground_truth": np.arange(4), "seed": 7, **fields})
+
+
 @pytest.mark.parametrize("entry_point, field, value", [
     (_resolve_with, "depth", 1.5), (_resolve_with, "max_rounds", 2.5),
     (_resolve_with, "depth", True), (_train_with, "epochs", 1.5),
@@ -539,10 +581,13 @@ def _synthesize_with(tmp_path, **cfg):
     (_train_with, "epochs", np.uint8(20)), (_train_with, "batch_size", np.uint8(16)),
     (_train_with, "seed", np.int16(7)), (_synthesize_with, "n_identities", np.int64(4)),
     (_synthesize_with, "dim", np.int8(3)), (_synthesize_with, "seed", np.uint64(7)),
+    (_manifest_with, "dim", 2.5), (_manifest_with, "query_count", True),
+    (_manifest_with, "gallery_count", np.int64(4)), (_manifest_with, "seed", 1.5),
 ], ids=["depth-float", "max_rounds-float", "depth-bool", "epochs-float", "batch_size-float",
         "train-seed-none", "n_identities-float", "dim-float", "synth-seed-numpy-float",
         "depth-numpy", "max_rounds-numpy", "epochs-numpy", "batch_size-numpy",
-        "train-seed-numpy", "n_identities-numpy", "dim-numpy", "synth-seed-numpy"])
+        "train-seed-numpy", "n_identities-numpy", "dim-numpy", "synth-seed-numpy",
+        "manifest-dim-float", "query_count-bool", "gallery_count-numpy", "manifest-seed-float"])
 def test_integer_config_fields(tmp_path, entry_point, field, value):
     """An int field holding no Python int is named before anything is
     written; depth=1.5 used to end in an IndexError, the other floats in a
@@ -551,7 +596,8 @@ def test_integer_config_fields(tmp_path, entry_point, field, value):
     batch_size=np.uint8(16) sent an empty batch on at 300 rows,
     epochs=np.uint8(20) sent the step size negative, and
     n_identities=np.int64(4) wrote both embedding files before the
-    manifest's json.dumps failed."""
+    manifest's json.dumps failed. A DatasetManifest built with dim=2.5 or
+    seed=1.5 was accepted."""
     message = f"{field} must be an integer, got {value!r}"
     with pytest.raises(InvalidConfig, match=re.escape(message)):
         entry_point(tmp_path, **{field: value})
@@ -609,9 +655,8 @@ def test_one_ground_truth_rule(tmp_path, entry_point, fault):
 INT64 = st.integers(-(1 << 63), (1 << 63) - 1) | st.sampled_from([-(1 << 63), (1 << 63) - 1])
 FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
 METAS = st.sampled_from([None, {}, {"dataset": "d", "seed": 7}])
-WRITER_SETTINGS = settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
+WRITER_SETTINGS = settings(max_examples=examples(60), deadline=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def f_string_table(meta, rows, specs, tail=()):

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embsearch import data, evaluation, resolver, similarity
+from embsearch.cli import run
 from embsearch.errors import (
     EmptyList, InvalidConfig, KExceedsDepth, MismatchedRuns, MissingGroundTruth, ParseError,
 )
+from conftest import examples
 from rankings import ranking
 
 
@@ -68,7 +70,7 @@ class TestRecallAtK:
         with pytest.raises(KExceedsDepth):
             evaluation.recall_at_k(lists, np.arange(1), [4])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 20))
     def test_non_decreasing_in_k(self, seed, n):
         sims = np.random.default_rng(seed).random((n, n)).astype(np.float32)
@@ -79,7 +81,7 @@ class TestRecallAtK:
         values = [report.recall[k] for k in report.k_values]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_matches_similarity_matrix_rescan_oracle(self, seed):
         rng = np.random.default_rng(seed)
@@ -206,6 +208,34 @@ class TestReportIO:
         message = f"^{re.escape(str(path))}:3: k_values gives {twice} twice$"
         with pytest.raises(ParseError, match=message):
             evaluation.read_report(path)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_is_rejected(self, tmp_path, capsys, k):
+        """Such a report, with its recall@ line, read back, and `embsearch
+        report` printed a row for it and exited 0; recall_at_k refuses the
+        cutoff, and write_report never writes it."""
+        path = tmp_path / "r.txt"
+        evaluation.write_report(path, evaluation.EvalReport("d", [1, 5], {1: 0.25, 5: 0.5}, 4))
+        text = path.read_text().replace("k_values: 1,5", f"k_values: 5,{k}")
+        path.write_text(text.replace("recall@1:", f"recall@{k}:"))
+        message = f"{path}:3: k_values gives {k}, below 1"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            evaluation.read_report(path)
+        assert run(["report", str(path), str(path)]) == 2
+        assert capsys.readouterr() == ("", f"data error: {message}\n")
+
+    def test_line_without_a_separator_is_rejected(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("dataset: d\nn_queries 4\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: expected 'key: value'$"):
+            evaluation.read_report(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "r.txt"
+        report = evaluation.EvalReport("d", [1, 5], {1: 0.25, 5: 0.5}, 4, config={"source": "r"})
+        evaluation.write_report(path, report)
+        path.write_text("\n" + path.read_text().replace("\n", "\n \n\t\n"))
+        assert evaluation.read_report(path) == report
 
     @pytest.mark.parametrize("field", ["dataset", "config"])
     def test_line_break_in_a_value_is_refused(self, tmp_path, field):

@@ -34,7 +34,7 @@ from embsearch.objective import (
     train_adapter,
     write_trace,
 )
-from conftest import unit_rows
+from conftest import examples, unit_rows
 
 
 def random_batch(n, dim, seed):
@@ -117,6 +117,14 @@ def reference_softmax(scores, temperature):
 class TestInbatchSoftmax:
     """The image-to-text and text-to-image softmaxes of contrastive_loss."""
 
+    @pytest.mark.parametrize("images, texts", [
+        (np.eye(2), np.eye(3)), (np.eye(2), np.eye(2)[:1]), (np.eye(2), np.eye(2).ravel()),
+    ], ids=["dims", "rows", "one-dimensional"])
+    def test_batch_of_two_shapes_is_refused(self, images, texts):
+        with pytest.raises(DimensionMismatch,
+                           match="^image and text batches must have identical shapes$"):
+            Batch(image_embeddings=images, text_embeddings=texts)
+
     def test_hand_softmax(self):
         batch = Batch(image_embeddings=np.eye(2), text_embeddings=np.eye(2))
         _, _, i2t, t2i = contrastive_loss(batch, AdapterParams.identity(2))
@@ -125,7 +133,7 @@ class TestInbatchSoftmax:
             np.testing.assert_allclose(out[0], [e / (e + 1), 1 / (e + 1)], atol=1e-5)
             assert out[0][0] == pytest.approx(0.73106, abs=1e-5)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(c=st.floats(-1, 1), n=st.integers(2, 6), temperature=st.floats(0.05, 10.0))
     def test_uniform_row(self, c, n, temperature):
         # one image vector and one text vector, n copies each: every score is c
@@ -146,7 +154,7 @@ class TestInbatchSoftmax:
         np.testing.assert_allclose(t2i, reference_softmax(sims.T, 1.0), rtol=1e-12)
         assert not np.allclose(i2t, t2i)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(2, 8),
@@ -348,7 +356,7 @@ class TestHardNegativeSampling:
         # each row's last column with mass: its own diagonal is zeroed
         assert neg_t.tolist() == neg_i.tolist() == [3, 3, 3, 2]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 64),
@@ -590,6 +598,15 @@ class TestTrainAdapter:
             TrainConfig(batch_size=1)
         with pytest.raises(InvalidConfig):
             TrainConfig(step_size=0.0)
+        with pytest.raises(InvalidConfig, match="^weight_decay must be nonnegative$"):
+            TrainConfig(weight_decay=-1)
+
+    def test_query_and_gallery_dims_must_match(self):
+        rng = np.random.default_rng(0)
+        q = data.EmbeddingMatrix(unit_rows(4, 4, rng).astype(np.float32))
+        g = data.EmbeddingMatrix(unit_rows(4, 3, rng).astype(np.float32))
+        with pytest.raises(DimensionMismatch, match="^query and gallery dims differ$"):
+            train_adapter(q, g, np.arange(4), TrainConfig(epochs=1))
 
     def test_decay_cannot_zero_or_flip_the_weights(self):
         """A step scales the weights by 1 - lr * weight_decay, and lr starts at
@@ -807,6 +824,21 @@ class TestAdapterPersistence:
         for field in ("match_scale", "match_bias"):
             with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
                 dataclasses.replace(AdapterParams.identity(2), **{field: np.float32(math.nan)})
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b"ADAQ" + b[4:], "not an adapter parameter file"),
+        (lambda b: b[:15], "not an adapter parameter file"),
+        (lambda b: b"", "not an adapter parameter file"),
+        (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "unsupported format version 2"),
+        (lambda b: b + b"\0", "105 bytes, expected 104"),
+        (lambda b: b[:-8], "96 bytes, expected 104"),
+    ], ids=["magic", "short-header", "empty", "version-2", "one-byte-long", "one-value-short"])
+    def test_malformed_file_is_refused(self, tmp_path, edit, message):
+        path = tmp_path / "params.adapter"
+        save_adapter(path, AdapterParams.identity(2))  # 16 header bytes, 11 float64 values
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_adapter(path)
 
     def test_float32_payload_is_refused(self, tmp_path):
         """A float32 payload under dtype flag 0 is refused: float64 (flag 1),

@@ -23,6 +23,7 @@ from embsearch.resolver import (
     write_resolution,
 )
 from assignment_oracle import TooLarge, assignment_oracle
+from conftest import examples
 from deferred_acceptance import deferred_acceptance
 from rankings import ranking, resolved, rows_of
 
@@ -324,7 +325,7 @@ class TestResolve:
         assert a[0] == b[0]
         assert [e[:4] for e in a[1]] == [e[:4] for e in b[1]]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
     def test_never_invents_answers(self, seed, n):
         sims = np.random.default_rng(seed).random((n, n)).astype(np.float32)
@@ -335,7 +336,7 @@ class TestResolve:
             assert gid in {g for g, _ in originals[qid]}
             assert originals[qid][source_rank - 1] == (gid, score)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
     def test_full_depth_conflict_set_answers_distinct(self, seed, n):
         sims = np.random.default_rng(seed).random((n, n)).astype(np.float32)
@@ -361,7 +362,7 @@ class TestResolve:
 class TestAgainstReference:
     """The array resolver against the per-query loops it replaced."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(2, 12),
@@ -384,7 +385,7 @@ class TestAgainstReference:
         # at depth 1 every loser sits on its contested answer
         assert depth > 1 or not res.stalled
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         qids=st.lists(st.integers(-5, 40), min_size=2, max_size=10, unique=True),
         k=st.integers(1, 6),
@@ -403,7 +404,7 @@ class TestAgainstReference:
         built = ranking(lists)
         assert_same_resolution(built, resolve(built, policy), reference_resolve(lists, policy))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 10), data_=st.data())
     def test_detect_conflicts(self, seed, n, data_):
         rng = np.random.default_rng(seed)
@@ -542,7 +543,7 @@ class TestDeferredAcceptance:
     query id. With a cap of n * k rounds it always converges, since every
     round with a conflict advances or retires a query."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 29), data_=st.data())
     def test_equals_the_sequential_reference(self, seed, n, data_):
         lists = tied_rankings(seed, n, data_)
@@ -552,7 +553,7 @@ class TestDeferredAcceptance:
         assert res.ranks.tolist() == pointers
         assert res.unresolved.tolist() == unresolved
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 29), data_=st.data())
     def test_no_blocking_pair(self, seed, n, data_):
         """No query prefers an entry that is free or held by a query with a

@@ -160,7 +160,7 @@ class TestTopK:
             expected = sort_oracle(sims[q])[:10]
             assert [g for g, _ in entries] == expected
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         n_q=st.integers(1, 12),

@@ -102,7 +102,8 @@ def cmd_search(args) -> int:
         meta["adapter"] = Path(args.adapter).name
     sims = similarity.similarity_matrix(queries, gallery)
     lists = similarity.top_k(sims, args.k)
-    similarity.write_ranked_lists(args.out, lists, meta=meta)
+    data._write_all([
+        (args.out, lambda path: similarity.write_ranked_lists(path, lists, meta=meta))])
     print(f"wrote {len(lists)} ranked lists (k={args.k}) -> {args.out}")
     return 0
 
@@ -113,14 +114,9 @@ def cmd_train_adapter(args) -> int:
     gallery = _load_normalized(manifest, "gallery")
     cfg = _config(objective.TrainConfig, args)
     params, trace = objective.train_adapter(queries, gallery, manifest.ground_truth, cfg)
-    objective.save_adapter(args.out, params)
     meta = {"dataset": manifest.name, **dataclasses.asdict(cfg)}
-    if args.trace:
-        try:
-            objective.write_trace(args.trace, trace, meta=meta)
-        except BaseException:
-            Path(args.out).unlink(missing_ok=True)  # a refused --trace leaves no adapter
-            raise
+    data._write_all([(args.out, lambda path: objective.save_adapter(path, params)),
+                     (args.trace, lambda path: objective.write_trace(path, trace, meta=meta))])
     if trace:
         print(f"trained {cfg.epochs} epochs: total loss "
               f"{trace[0].total:.6f} -> {trace[-1].total:.6f}")
@@ -144,13 +140,9 @@ def cmd_resolve(args) -> int:
         "gate": policy.similarity_gate if policy.similarity_gate is not None else "off",
         "source": Path(args.ranked).name,
     }
-    resolver.write_resolution(args.out, lists, resolution, meta=meta)
-    if args.audit:
-        try:
-            resolver.write_audit(args.audit, resolution, meta=meta)
-        except BaseException:
-            Path(args.out).unlink(missing_ok=True)  # a refused --audit leaves no lists
-            raise
+    data._write_all([
+        (args.out, lambda path: resolver.write_resolution(path, lists, resolution, meta=meta)),
+        (args.audit, lambda path: resolver.write_audit(path, resolution, meta=meta))])
     stopped = "" if resolution.converged else (
         f"; {'stalled' if resolution.stalled else 'stopped at the round cap'} "
         f"with {resolution.live_conflicts} conflict group(s) still live"
@@ -175,8 +167,7 @@ def cmd_eval(args) -> int:
         dataset=manifest.name,
         config={"seed": manifest.seed, "source": Path(args.ranked).name},
     )
-    if args.out:
-        evaluation.write_report(args.out, report)
+    data._write_all([(args.out, lambda path: evaluation.write_report(path, report))])
     for k in report.k_values:
         print(f"recall@{k}: {report.recall[k]:.4f}")
     return 0
@@ -187,8 +178,7 @@ def cmd_report(args) -> int:
     after = evaluation.read_report(args.after)
     delta = evaluation.compare_reports(before, after)
     table = evaluation.render_delta_table(delta)
-    if args.out:
-        Path(args.out).write_text(table + "\n", encoding="utf-8")
+    data._write_all([(args.out, lambda path: path.write_text(table + "\n", encoding="utf-8"))])
     print(table)
     return 0
 

@@ -10,6 +10,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -158,16 +159,18 @@ def _require_one_line(text: str, what: str) -> None:
 
 
 def _check_fields(cfg) -> None:
-    """InvalidConfig naming the first field of cfg that is annotated `int` (or
-    `int | None`) but holds no Python int (a bool or a numpy integer, whose
-    arithmetic wraps, is none), or a NaN or infinite float. The annotations
-    are read as text: every config module imports `annotations` from __future__."""
+    """InvalidConfig naming the first field of cfg annotated `int` (or `int | None`)
+    that holds no Python int (a bool or a numpy integer, whose arithmetic wraps, is
+    none), annotated `str` that holds no str, or holding a NaN or infinite float.
+    Annotations are text: every config module imports `annotations` from __future__."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type in ("int", "int | None") and not (
                 value is None and f.type != "int"
                 or isinstance(value, int) and not isinstance(value, bool)):
             raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "str" and not isinstance(value, str):
+            raise InvalidConfig(f"{f.name} must be a string, got {value!r}")
         if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise InvalidConfig(f"{f.name} must be finite, got {value}")
 
@@ -310,6 +313,25 @@ def _write_table(path: str | Path, meta: dict | None, line: str, columns: list, 
         out.write(tail if head or n or tail else "\n")
 
 
+def _write_all(outputs: list) -> None:
+    """Call write(path) for each (path, write) of outputs in order, skipping a
+    None path, all or nothing: two paths that resolve to one file raise
+    InvalidConfig before any write, and a write that raises removes what the
+    writes before it made (a write may be Path.mkdir), last first."""
+    outputs = [(Path(path), write) for path, write in outputs if path is not None]
+    resolved = [os.path.realpath(path) for path, _ in outputs]
+    twice = [path for i, path in enumerate(resolved) if path in resolved[:i]]
+    if twice:
+        raise InvalidConfig(f"two outputs name one file: {twice[0]}")
+    for i, (path, write) in enumerate(outputs):
+        try:
+            write(path)
+        except BaseException:
+            for made, _ in reversed(outputs[:i]):
+                (made.rmdir if made.is_dir() else made.unlink)()
+            raise
+
+
 def read_embedding_file(path: str | Path, rows: int, dim: int) -> np.ndarray:
     path = _require_file(path, "embedding file", rows * dim * 4)
     arr = np.frombuffer(path.read_bytes(), dtype="<f4").reshape(rows, dim)
@@ -390,9 +412,8 @@ def generate_synthetic(
 
     Every array and manifest is built before out_dir is made and the first
     file written, so a synthesis that fails (a name holding a line break, or
-    noise that overflows to a non-finite row) writes nothing. A file the file
-    system refuses removes the files and directories this call made, and the
-    error propagates.
+    noise that overflows to a non-finite row) writes nothing; _write_all then
+    makes the directories and writes the files, all or nothing.
     """
     out_dir = Path(out_dir)
     n, dim = cfg.n_identities, cfg.dim
@@ -410,35 +431,20 @@ def generate_synthetic(
             gallery[b] = math.cos(theta) * gallery[a] + math.sin(theta) * ortho
 
     gallery_path = out_dir / "gallery.f32"
-    files = {gallery_path: gallery}
+    outputs = [(gallery_path, partial(write_embedding_file, data=gallery))]
+    manifests = []
     splits = [(1, "", name), (2, "_heldout", name + "-heldout")]
     for stream, suffix, split_name in splits[:2 if heldout else 1]:
         query_path = out_dir / f"queries{suffix}.f32"
-        manifest = DatasetManifest(split_name, dim, n, n, query_path.resolve(),
-                                   gallery_path.resolve(), np.arange(n), cfg.seed)
+        manifests.append(DatasetManifest(split_name, dim, n, n, query_path.resolve(),
+                                         gallery_path.resolve(), np.arange(n), cfg.seed))
         noise = np.random.default_rng([cfg.seed, stream]).standard_normal((n, dim))
         with np.errstate(over="ignore"):  # an overflowing row is _normalize_rows' NonFiniteValue
             rows = gallery + cfg.noise_sigma * noise
-        files[query_path] = _normalize_rows(rows)[0]
-        files[out_dir / f"manifest{suffix}.json"] = manifest
+        outputs += [(query_path, partial(write_embedding_file, data=_normalize_rows(rows)[0])),
+                    (out_dir / f"manifest{suffix}.json", partial(save_manifest, manifests[-1]))]
 
-    made, written = [], []
-    try:
-        # mkdir(parents=True), keeping the directories it makes for the cleanup
-        for directory in reversed((out_dir, *out_dir.parents)):
-            if not directory.is_dir():
-                directory.mkdir()
-                made.append(directory)
-        for path, content in files.items():
-            if isinstance(content, DatasetManifest):
-                save_manifest(content, path)
-            else:
-                write_embedding_file(path, content)
-            written.append(path)
-    except BaseException:
-        for path in written:
-            path.unlink()
-        for directory in reversed(made):
-            directory.rmdir()
-        raise
-    return files[out_dir / "manifest.json"]
+    # mkdir(parents=True): the directories out_dir lacks, outermost first
+    missing = [d for d in reversed((out_dir, *out_dir.parents)) if not os.path.isdir(os.path.realpath(d))]
+    _write_all([(d, Path.mkdir) for d in missing] + outputs)
+    return manifests[0]

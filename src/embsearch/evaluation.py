@@ -117,8 +117,8 @@ def write_report(path: str | Path, report: EvalReport) -> None:
 
 def read_report(path: str | Path) -> EvalReport:
     """Parse a report file; a key or a k_values entry given twice, or a
-    k_values entry below 1, raises ParseError, and each k_values entry needs a
-    recall@k line in [0, 1]."""
+    k_values entry or n_queries below 1, raises ParseError, and each k_values
+    entry needs a recall@k line in [0, 1]."""
     fields: dict[str, str] = {}
     linenos: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(path, "report file").splitlines(), 1):
@@ -139,6 +139,9 @@ def read_report(path: str | Path) -> EvalReport:
         below = [k for k in k_values if k < 1]
         if below:
             raise ParseError(f"{path}:{linenos['k_values']}: k_values gives {below[0]}, below 1")
+        n_queries = int(fields["n_queries"])
+        if n_queries < 1:  # recall_at_k refuses an empty ranking
+            raise ParseError(f"{path}:{linenos['n_queries']}: n_queries is {n_queries}, below 1")
         recall = {k: float(fields[f"recall@{k}"]) for k in k_values}
         for k, value in recall.items():
             if not 0.0 <= value <= 1.0:  # NaN fails the comparison
@@ -147,7 +150,7 @@ def read_report(path: str | Path) -> EvalReport:
             dataset=fields["dataset"],
             k_values=k_values,
             recall=recall,
-            n_queries=int(fields["n_queries"]),
+            n_queries=n_queries,
             config={key[len("config."):]: value for key, value in fields.items()
                     if key.startswith("config.")},
         )

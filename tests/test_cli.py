@@ -603,12 +603,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, out", [
         pytest.param(command, out, id=f"{command}-{out}")
         for command in ("search", "resolve", "eval", "report")
-        for out in ("missing-parent", "directory")
+        for out in ("missing-parent", "directory", "empty")
     ] + [pytest.param("gen-synth", "regular-file", id="gen-synth-regular-file")])
     def test_unwritable_out_is_one_data_error_line(self, dataset_dir, tmp_path, capsys,
                                                     command, out):
         """An --out the file system refuses ended in a FileNotFoundError,
-        IsADirectoryError or FileExistsError traceback with exit 1."""
+        IsADirectoryError or FileExistsError traceback with exit 1; an empty
+        --out, which names no file, was skipped by eval and report."""
         manifest = dataset_dir / "manifest.json"
         ranked, report = tmp_path / "ranked.tsv", tmp_path / "report.txt"
         assert run_cli("search", manifest, "--k", 10, "--out", ranked) == 0
@@ -617,7 +618,7 @@ class TestExitCodes:
         work.mkdir()
         (work / "taken").write_bytes(b"kept")
         target = {"missing-parent": work / "missing" / "out", "directory": work,
-                  "regular-file": work / "taken"}[out]
+                  "regular-file": work / "taken", "empty": ""}[out]
         argv = {
             "search": ["search", manifest, "--k", 5],
             "resolve": ["resolve", ranked],
@@ -640,7 +641,7 @@ class TestExitCodes:
     def test_refused_second_output_leaves_no_first(self, dataset_dir, tmp_path, capsys,
                                                    command, second):
         """resolve wrote --out before refusing --audit, and train-adapter the
-        adapter before refusing --trace: exit 2 with the first output left."""
+        adapter before refusing --trace: exit 2 with no first output left."""
         manifest, ranked = dataset_dir / "manifest.json", tmp_path / "ranked.tsv"
         assert run_cli("search", manifest, "--k", 10, "--out", ranked) == 0
         work = tmp_path / "work"
@@ -657,6 +658,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("data error: ")
         assert files_under(work) == {}
+
+    @pytest.mark.parametrize("existing", [None, b"kept"], ids=["new", "existing"])
+    @pytest.mark.parametrize("spelling", ["same", "dot-segment"])
+    @pytest.mark.parametrize("command", ["resolve", "train-adapter"])
+    def test_two_outputs_naming_one_file_are_refused(self, dataset_dir, tmp_path, capsys,
+                                                     command, spelling, existing):
+        """`train-adapter --out m --trace m` exited 0 with the trace in m, so
+        `search --adapter m` failed next, and `resolve --out x --audit x` kept
+        the audit alone: exit 2 before any write, a file already there kept."""
+        manifest, ranked = dataset_dir / "manifest.json", tmp_path / "ranked.tsv"
+        assert run_cli("search", manifest, "--k", 10, "--out", ranked) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        if existing is not None:
+            (work / "x").write_bytes(existing)
+        first, second = work / "x", {"same": work / "x", "dot-segment": f"{work}/./x"}[spelling]
+        argv = {
+            "resolve": ["resolve", ranked, "--out", first, "--audit", second],
+            "train-adapter": ["train-adapter", manifest, "--out", first, "--trace", second,
+                              "--epochs", 1],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: two outputs name one file: {first}\n"
+        assert files_under(work) == ({} if existing is None else {"x": existing})
 
 
 # a flag's value is one of these: an int flag refuses the floats as a usage error

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +225,11 @@ class TestManifest:
             data.load_manifest(path)
         assert run(["validate", str(path)]) == 2
         assert capsys.readouterr().out == f"FAIL  manifest  ({message})\n"
+
+    def test_name_must_be_a_string(self):
+        """A name that is no str ended in an AttributeError from the line-break check."""
+        with pytest.raises(InvalidConfig, match="^name must be a string, got 5$"):
+            data.DatasetManifest(5, 4, 4, 4, Path("q"), Path("g"), np.arange(4), 7)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -499,6 +505,27 @@ class TestSynthetic:
         monkeypatch.setattr(data, "save_manifest", refuse)
         with pytest.raises(PermissionError):
             data.generate_synthetic(data.SynthConfig(seed=1), tmp_path / "new" / "ds")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_outputs_naming_one_file_are_refused_before_any_write(self, tmp_path):
+        kept, link = tmp_path / "kept", tmp_path / "link"
+        kept.write_bytes(b"kept")
+        link.symlink_to(kept)
+        written = []
+        with pytest.raises(InvalidConfig, match=f"^two outputs name one file: {kept}$"):
+            data._write_all([(tmp_path / "new", written.append), (kept, written.append),
+                             (link, written.append)])
+        assert written == [] and kept.read_bytes() == b"kept"
+
+    def test_a_refused_write_removes_what_the_writes_before_it_made(self, tmp_path):
+        def refuse(path):
+            raise PermissionError(f"refused {path}")
+
+        made = tmp_path / "a" / "b"
+        with pytest.raises(PermissionError, match="refused"):
+            data._write_all([(made.parent, Path.mkdir), (made, Path.mkdir),
+                             (made / "f", lambda path: path.write_bytes(b"f")),
+                             (None, refuse), (tmp_path / "g", refuse)])
         assert list(tmp_path.iterdir()) == []
 
     def test_confusable_pairs_are_close(self, make_dataset):

@@ -224,6 +224,20 @@ class TestReportIO:
         assert run(["report", str(path), str(path)]) == 2
         assert capsys.readouterr() == ("", f"data error: {message}\n")
 
+    @pytest.mark.parametrize("n_queries", [0, -4])
+    def test_query_count_below_one_is_rejected(self, tmp_path, capsys, n_queries):
+        """Such a report read back, and `embsearch report` printed its table and
+        exited 0; recall_at_k refuses an empty ranking, and write_report never
+        writes such a count."""
+        path = tmp_path / "r.txt"
+        evaluation.write_report(path, evaluation.EvalReport("d", [1, 5], {1: 0.25, 5: 0.5}, 4))
+        path.write_text(path.read_text().replace("n_queries: 4", f"n_queries: {n_queries}"))
+        message = f"{path}:2: n_queries is {n_queries}, below 1"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            evaluation.read_report(path)
+        assert run(["report", str(path), str(path)]) == 2
+        assert capsys.readouterr() == ("", f"data error: {message}\n")
+
     def test_line_without_a_separator_is_rejected(self, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("dataset: d\nn_queries 4\n")

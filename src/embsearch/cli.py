@@ -109,6 +109,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_train_adapter(args) -> int:
+    data._require_distinct([args.out, args.trace])
     manifest = data.load_manifest(args.manifest)
     queries = _load_normalized(manifest, "query")
     gallery = _load_normalized(manifest, "gallery")
@@ -125,6 +126,7 @@ def cmd_train_adapter(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    data._require_distinct([args.out, args.audit])
     lists = similarity.read_ranked_lists(args.ranked)
     policy = _config(resolver.ResolutionPolicy, args)
     query_embeddings = None

@@ -207,11 +207,12 @@ def _json_field(value, name: str, kind: type = int):
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Parse and fully validate a dataset manifest, including file sizes;
-    an integer field that holds no JSON integer, a name or file path that is
-    no JSON string, or a key given twice raises ParseError naming the field.
-    A query id outside [0, query_count) or listed twice in ground_truth raises
-    GroundTruthOutOfRange; the array stops at the first query not listed."""
+    """Parse and validate a dataset manifest, not its split files (load_embeddings
+    checks those); each split path is os.path.realpath of the manifest's
+    directory joined with it. An integer field that holds no JSON integer, a name
+    or path that is no JSON string, or a key given twice raises ParseError naming
+    the field. A query id outside [0, query_count) or listed twice in ground_truth
+    raises GroundTruthOutOfRange; the array stops at the first query not listed."""
     path = Path(path)
 
     def unique_keys(pairs: list) -> dict:
@@ -235,7 +236,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             dim=_json_field(raw["dim"], "dim"),
             query_count=_json_field(raw["query_count"], "query_count"),
             gallery_count=_json_field(raw["gallery_count"], "gallery_count"),
-            **{key: (path.parent / _json_field(raw[key], key, str)).resolve()
+            **{key: Path(os.path.realpath(path.parent / _json_field(raw[key], key, str)))
                for key in ("query_path", "gallery_path")},
             seed=None if raw.get("seed") is None else _json_field(raw["seed"], "seed"),
         )
@@ -249,18 +250,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if outside.size:
         raise GroundTruthOutOfRange(f"query id {outside[0]} outside [0, {parsed['query_count']})")
     # q ascends inside [0, query_count): q[i] == i holds up to the first missing query
-    manifest = DatasetManifest(**parsed, ground_truth=g[:np.count_nonzero(q == np.arange(len(q)))])
-
-    _require_file(manifest.query_path, "query file", manifest.query_count * manifest.dim * 4)
-    _require_file(manifest.gallery_path, "gallery file", manifest.gallery_count * manifest.dim * 4)
-    return manifest
+    return DatasetManifest(**parsed, ground_truth=g[:np.count_nonzero(q == np.arange(len(q)))])
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     """Write a manifest as JSON. Each embedding path is stored relative to the
     saved manifest's resolved directory, as load_manifest reads it back."""
     path = Path(path)
-    directory = path.parent.resolve()
+    directory = os.path.realpath(path.parent)
     doc = {
         "name": manifest.name,
         "dim": manifest.dim,
@@ -313,16 +310,22 @@ def _write_table(path: str | Path, meta: dict | None, line: str, columns: list, 
         out.write(tail if head or n or tail else "\n")
 
 
-def _write_all(outputs: list) -> None:
-    """Call write(path) for each (path, write) of outputs in order, skipping a
-    None path, all or nothing: two paths that resolve to one file raise
-    InvalidConfig before any write, and a write that raises removes what the
-    writes before it made (a write may be Path.mkdir), last first."""
-    outputs = [(Path(path), write) for path, write in outputs if path is not None]
-    resolved = [os.path.realpath(path) for path, _ in outputs]
+def _require_distinct(paths: list) -> None:
+    """InvalidConfig if two of paths, a None path skipped, name one file by
+    os.path.realpath; a command checks its outputs here before any work."""
+    resolved = [os.path.realpath(path) for path in paths if path is not None]
     twice = [path for i, path in enumerate(resolved) if path in resolved[:i]]
     if twice:
         raise InvalidConfig(f"two outputs name one file: {twice[0]}")
+
+
+def _write_all(outputs: list) -> None:
+    """Call write(path) for each (path, write) of outputs in order, skipping a
+    None path, all or nothing: two paths that name one file (_require_distinct)
+    raise InvalidConfig before any write, and a write that raises removes what
+    the writes before it made (a write may be Path.mkdir), last first."""
+    outputs = [(Path(path), write) for path, write in outputs if path is not None]
+    _require_distinct([path for path, _ in outputs])
     for i, (path, write) in enumerate(outputs):
         try:
             write(path)
@@ -348,7 +351,8 @@ def write_embedding_file(path: str | Path, data: np.ndarray) -> None:
 
 def load_embeddings(manifest: DatasetManifest, split: str) -> np.ndarray:
     """One split's (``query`` or ``gallery``) float32 rows as read_embedding_file
-    reads them: finite, not yet normalized (see l2_normalize)."""
+    reads them: finite, not yet normalized (see l2_normalize); a missing file
+    raises MissingFile, and one not rows * dim * 4 bytes long DimensionMismatch."""
     if split == "query":
         return read_embedding_file(manifest.query_path, manifest.query_count, manifest.dim)
     if split == "gallery":
@@ -436,8 +440,8 @@ def generate_synthetic(
     splits = [(1, "", name), (2, "_heldout", name + "-heldout")]
     for stream, suffix, split_name in splits[:2 if heldout else 1]:
         query_path = out_dir / f"queries{suffix}.f32"
-        manifests.append(DatasetManifest(split_name, dim, n, n, query_path.resolve(),
-                                         gallery_path.resolve(), np.arange(n), cfg.seed))
+        paths = [Path(os.path.realpath(split_path)) for split_path in (query_path, gallery_path)]
+        manifests.append(DatasetManifest(split_name, dim, n, n, *paths, np.arange(n), cfg.seed))
         noise = np.random.default_rng([cfg.seed, stream]).standard_normal((n, dim))
         with np.errstate(over="ignore"):  # an overflowing row is _normalize_rows' NonFiniteValue
             rows = gallery + cfg.noise_sigma * noise

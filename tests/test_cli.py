@@ -435,13 +435,38 @@ def _duplicate_ground_truth(ds: Path) -> tuple[int, list[str]]:
     return 2, [*VALIDATE_PASSES[:3], "FAIL  ground_truth_one_to_one  (duplicate gallery targets)"]
 
 
-# each damages the README set and returns validate's exit code and stdout lines
+def _missing_queries(ds: Path) -> tuple[int, list[str]]:
+    queries = ds / "queries.f32"
+    queries.unlink()
+    detail = f"embedding file not found: {os.path.realpath(queries)}"
+    return 2, [VALIDATE_PASSES[0], f"FAIL  query  ({detail})", *VALIDATE_PASSES[2:]]
+
+
+def _short_gallery(ds: Path) -> tuple[int, list[str]]:
+    gallery = ds / "gallery.f32"
+    gallery.write_bytes(gallery.read_bytes()[:-4])
+    detail = f"embedding file {os.path.realpath(gallery)} is 8188 bytes, expected 8192"
+    return 2, [*VALIDATE_PASSES[:2], f"FAIL  gallery  ({detail})", VALIDATE_PASSES[3]]
+
+
+def _missing_queries_and_short_gallery(ds: Path) -> tuple[int, list[str]]:
+    _, query_lines = _missing_queries(ds)
+    _, gallery_lines = _short_gallery(ds)
+    return 2, [query_lines[0], query_lines[1], gallery_lines[2], query_lines[3]]
+
+
+# each damages the README set and returns validate's exit code and stdout lines;
+# a split file that is missing or of the wrong size fails on its split's line
+# (load_manifest opens neither split file), and every check still runs
 VALIDATE_CASES = {
     "readme-set": lambda ds: (0, VALIDATE_PASSES),
     "nan-gallery": _nan_gallery,
     "non-unit-queries": _non_unit_queries,
     "non-unit-rows-in-both": _non_unit_rows_in_both,
     "duplicate-ground-truth": _duplicate_ground_truth,
+    "missing-queries": _missing_queries,
+    "short-gallery": _short_gallery,
+    "missing-queries-short-gallery": _missing_queries_and_short_gallery,
 }
 
 
@@ -467,20 +492,6 @@ class TestValidateOutput:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("split", ["query_path", "gallery_path"])
-    @pytest.mark.parametrize("damage", ["missing", "short"])
-    def test_validate_reports_bad_split_file(self, dataset_dir, capsys, split, damage):
-        manifest = dataset_dir / "manifest.json"
-        path = dataset_dir / json.loads(manifest.read_text())[split]
-        if damage == "missing":
-            path.unlink()
-        else:
-            path.write_bytes(path.read_bytes()[:-4])
-        assert run_cli("validate", manifest) == 2
-        captured = capsys.readouterr()
-        error = captured.err.removeprefix("data error: ").strip()
-        assert captured.out == f"FAIL  manifest  ({error})\n"
-
     def test_resolve_summary_reports_round_cap(self, dataset_dir, tmp_path, capsys):
         ranked = tmp_path / "ranked.tsv"
         assert run_cli("search", dataset_dir / "manifest.json", "--k", 10, "--out", ranked) == 0
@@ -663,12 +674,20 @@ class TestExitCodes:
     @pytest.mark.parametrize("spelling", ["same", "dot-segment"])
     @pytest.mark.parametrize("command", ["resolve", "train-adapter"])
     def test_two_outputs_naming_one_file_are_refused(self, dataset_dir, tmp_path, capsys,
-                                                     command, spelling, existing):
+                                                     monkeypatch, command, spelling, existing):
         """`train-adapter --out m --trace m` exited 0 with the trace in m, so
         `search --adapter m` failed next, and `resolve --out x --audit x` kept
-        the audit alone: exit 2 before any write, a file already there kept."""
+        the audit alone: exit 2 before any write, a file already there kept.
+        Both were refused only after the whole fit or resolution; now before
+        either runs."""
         manifest, ranked = dataset_dir / "manifest.json", tmp_path / "ranked.tsv"
         assert run_cli("search", manifest, "--k", 10, "--out", ranked) == 0
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the outputs were checked")
+
+        monkeypatch.setattr(objective, "train_adapter", never)
+        monkeypatch.setattr(resolver, "resolve", never)
         work = tmp_path / "work"
         work.mkdir()
         if existing is not None:
@@ -685,6 +704,62 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"data error: two outputs name one file: {first}\n"
         assert files_under(work) == ({} if existing is None else {"x": existing})
+
+    def test_eval_opens_no_embedding_file(self, dataset_dir, tmp_path):
+        """eval reads the manifest's ground truth only: with every .f32 file
+        gone it writes the report it writes on the whole set."""
+        manifest, ranked = dataset_dir / "manifest.json", tmp_path / "ranked.tsv"
+        assert run_cli("search", manifest, "--k", 10, "--out", ranked) == 0
+        whole, bare = tmp_path / "whole.txt", tmp_path / "bare.txt"
+        assert run_cli("eval", ranked, "--manifest", manifest, "--out", whole) == 0
+        for split in dataset_dir.glob("*.f32"):
+            split.unlink()
+        assert run_cli("eval", ranked, "--manifest", manifest, "--out", bare) == 0
+        assert bare.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        "gen-synth", "search-out", "validate", "search", "train-adapter", "eval"])
+    def test_symlink_loop_is_one_data_error(self, dataset_dir, tmp_path, capsys, command):
+        """A path through a symlink loop ended in a RuntimeError traceback with
+        exit 1 (Python 3.11's Path.resolve raises it): gen-synth --out, and
+        every command on a manifest whose query_path runs through the loop.
+        Now it is a MissingFile or OSError, and nothing is written. eval opens
+        no split file, so it does not reach the loop and writes its report."""
+        os.symlink("loop", tmp_path / "loop")
+        manifest, ranked = dataset_dir / "manifest.json", tmp_path / "ranked.tsv"
+        assert run_cli("search", manifest, "--k", 10, "--out", ranked) == 0
+        doc = json.loads(manifest.read_text())
+        looped = dataset_dir / "looped.json"
+        looped.write_text(json.dumps({**doc, "query_path": "../loop/q.f32"}))
+        out = tmp_path / "out"
+        argv = {
+            "gen-synth": ["gen-synth", "--out", tmp_path / "loop" / "d", "--seed", 1, "--n", 4],
+            "search-out": ["search", manifest, "--k", 5, "--out", tmp_path / "loop" / "x"],
+            "validate": ["validate", looped],
+            "search": ["search", looped, "--k", 5, "--out", out],
+            "train-adapter": ["train-adapter", looped, "--out", out, "--epochs", 1],
+            "eval": ["eval", ranked, "--manifest", looped, "--out", out],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        missing = f"embedding file not found: {os.path.realpath(tmp_path)}/loop/q.f32"
+        if command == "validate":
+            assert (code, captured.err) == (2, "")
+            assert captured.out.splitlines() == [
+                "PASS  manifest", f"FAIL  query  ({missing})", *VALIDATE_PASSES[2:]]
+        elif command == "eval":
+            assert code == 0 and captured.err == ""
+            assert run_cli("eval", ranked, "--manifest", manifest, "--out", tmp_path / "r") == 0
+            assert out.read_bytes() == (tmp_path / "r").read_bytes()
+            return
+        else:
+            assert code == 2 and captured.out == ""
+            assert len(captured.err.splitlines()) == 1 and captured.err.startswith("data error: ")
+            if command in ("search", "train-adapter"):
+                assert captured.err == f"data error: {missing}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 # a flag's value is one of these: an int flag refuses the floats as a usage error

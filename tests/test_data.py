@@ -92,11 +92,14 @@ class TestManifest:
                                                           manifest.gallery_path)
 
     def test_short_gallery_file(self, tmp_path):
+        """load_manifest opens no split file; load_embeddings refuses the short one."""
         path = write_manifest_fixture(tmp_path)
         gfile = tmp_path / "g.f32"
         gfile.write_bytes(gfile.read_bytes()[:-1])
-        with pytest.raises(DimensionMismatch):
-            data.load_manifest(path)
+        manifest = data.load_manifest(path)
+        message = f"^embedding file {re.escape(str(gfile))} is 127 bytes, expected 128$"
+        with pytest.raises(DimensionMismatch, match=message):
+            data.load_embeddings(manifest, "gallery")
 
     def test_ground_truth_out_of_range(self, tmp_path):
         path = write_manifest_fixture(tmp_path, gt=[[0, 4], [1, 1], [2, 2], [3, 3]])
